@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import unfold
 from .dataset import EnsembleDataset, SplitPlan, group_tensor, make_group_splits
 from .decomp import DecompConfig
 from .features import (
@@ -184,18 +185,14 @@ class ExperimentConfig:
         SubsetRule(self.tau)  # range check
 
 
-def _vectorize(img: np.ndarray) -> np.ndarray:
-    return np.asarray(img, dtype=np.float64).ravel(order="F")
-
-
 def _featurize_raw(ds: EnsembleDataset, plan: SplitPlan):
-    arr = ds.tensor.to_array()
+    rows = unfold(ds.tensor, 2)  # row q: image q, vectorized; a view
     out = []
     for groups in (plan.train_groups, plan.test_groups):
         vecs, labels = [], []
         for gid in groups:
             for q in plan.members[gid]:
-                vecs.append(_vectorize(arr[:, :, q]))
+                vecs.append(rows[q])
                 labels.append(ds.labels[q])
         out.append(LabeledVectors(vectors=vecs, labels=labels))
     return out[0], out[1]
@@ -218,24 +215,23 @@ def _featurize_split(ds: EnsembleDataset, plan: SplitPlan, ranks: list,
         except ConvergenceError as exc:
             raise ConvergenceError(f"decomposition failed on group {gid}: {exc}") from exc
         split = split_features(sub, bank, rule)
-        ind = split.individual.to_array()
+        ind = unfold(split.individual, 2)
         for i, lab in enumerate(labels):
-            train_vecs.append(_vectorize(ind[:, :, i]))
+            train_vecs.append(ind[i])
             train_labels.append(lab)
         pooled_slices.extend(bank.slices)
 
     pooled = CommonFeatureBank(
         slices=pooled_slices, mixing=np.zeros((0, len(pooled_slices)))
     )
-    arr = ds.tensor.to_array()
+    test_idx = [q for gid in plan.test_groups for q in plan.members[gid]]
+    images = ds.tensor.values[:, :, test_idx]
+    weights = estimate_mixing(pooled, images)
     test_vecs, test_labels = [], []
-    for gid in plan.test_groups:
-        for q in plan.members[gid]:
-            img = arr[:, :, q]
-            weights = estimate_mixing(pooled, img)
-            _, individual, _ = split_single(pooled, img, weights, rule)
-            test_vecs.append(_vectorize(individual))
-            test_labels.append(ds.labels[q])
+    for i, q in enumerate(test_idx):
+        _, individual, _ = split_single(pooled, images[:, :, i], weights[i], rule)
+        test_vecs.append(individual.ravel(order="F"))
+        test_labels.append(ds.labels[q])
     return (LabeledVectors(vectors=train_vecs, labels=train_labels),
             LabeledVectors(vectors=test_vecs, labels=test_labels))
 

@@ -19,8 +19,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import dataset as ds_mod
 from . import decomp as dc
 from . import features as ft
@@ -133,14 +131,11 @@ def cmd_split(args) -> tuple[dict, int]:
         )
     rule = ft.SubsetRule(args.tau)
     # reuse the decomposition's own mixing when the input is the tensor it
-    # was fitted on; otherwise estimate mixing per slice
+    # was fitted on; otherwise estimate mixing for every slice
     if t.shape[2] == bank.n_images:
         weights = bank.mixing
     else:
-        arr = t.to_array()
-        weights = np.stack(
-            [ft.estimate_mixing(bank, arr[:, :, q]) for q in range(t.shape[2])]
-        )
+        weights = ft.estimate_mixing(bank, t.values)
     split = ft.split_features(t, bank, rule, weights=weights)
     out = _out_dir(args.out)
     ft.save_split(split, out, tau=args.tau)

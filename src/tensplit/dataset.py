@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dtf
-from .core import DenseTensor
+from .core import DenseTensor, frontal_slice
 from .seeds import make_rng
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
@@ -47,7 +47,7 @@ class EnsembleDataset:
         return self.tensor.shape[2]
 
     def image(self, q: int) -> np.ndarray:
-        return self.tensor.to_array()[:, :, q]
+        return frontal_slice(self.tensor, q)
 
 
 @dataclass
@@ -298,7 +298,7 @@ def make_group_splits(ds: EnsembleDataset, groups: int, train: int, seed: int) -
 
 def group_tensor(ds: EnsembleDataset, member_indices) -> tuple[DenseTensor, list]:
     """Sub-stack of the given samples, with their labels."""
-    arr = ds.tensor.to_array()[:, :, list(member_indices)]
+    arr = ds.tensor.values[:, :, list(member_indices)]
     return DenseTensor(arr), [ds.labels[q] for q in member_indices]
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import dtf
 from .core import DenseTensor, fold, khatri_rao, mode_n_product, norm_frobenius, unfold
-from .kernels import ConvergenceError, nnls, nnls_multi, pinv, svd
+from .kernels import ConvergenceError, nnls_multi, pinv, svd
 
 _EPS = np.finfo(np.float64).eps
 

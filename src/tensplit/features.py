@@ -19,7 +19,7 @@ import numpy as np
 from . import dtf
 from .core import DenseTensor, frontal_slice
 from .decomp import DecompConfig, LL1Factors, ll1_nn
-from .kernels import nnls, qr, svd
+from .kernels import nnls, nnls_multi, qr, svd
 
 _EPS = np.finfo(np.float64).eps
 
@@ -149,10 +149,25 @@ def fit_feature_bank(t: DenseTensor, ranks, cfg: DecompConfig | None = None,
     return build_feature_bank(best)
 
 
-def estimate_mixing(bank: CommonFeatureBank, image: np.ndarray) -> np.ndarray:
-    """Nonnegative mixing weights of one image against the bank slices."""
+def estimate_mixing(bank: CommonFeatureBank, images: np.ndarray) -> np.ndarray:
+    """Nonnegative mixing weights of images against the bank slices.
+
+    `images` is one O x P image, giving a vector of K weights, or an
+    O x P x n stack, giving an n x K matrix whose row q holds the weights
+    of images[:, :, q].  The regressor and its Gram matrix are built once
+    per call and the images are solved together; row q equals the
+    single-image result for images[:, :, q] exactly.
+    """
+    images = np.asarray(images, dtype=np.float64)
     regressor = np.column_stack([s.ravel(order="F") for s in bank.slices])
-    return nnls(regressor, np.asarray(image, dtype=np.float64).ravel(order="F"))
+    if images.ndim == 3:
+        if images.shape[:2] != bank.slices[0].shape:
+            raise ValueError(
+                f"image slices {images.shape[:2]} do not match bank slices "
+                f"{bank.slices[0].shape}"
+            )
+        return nnls_multi(regressor, images.reshape(regressor.shape[0], -1, order="F")).T
+    return nnls(regressor, images.ravel(order="F"))
 
 
 def split_single(bank: CommonFeatureBank, image: np.ndarray,

@@ -4,7 +4,11 @@ SVD, QR and the pseudoinverse are thin wrappers over LAPACK (deterministic
 for a given input).  The nonnegative least-squares solver is an active-set
 method in the Lawson-Hanson style, implemented here because its exact
 behaviour (dual tolerance, iteration cap, exact zeros in the solution) is
-part of this package's contract.
+part of this package's contract.  It works in Gram form, on a^T a and
+a^T y, and is batched over right-hand sides: every column of a multi-column
+problem advances in the same few stacked numpy calls, and each column's
+result is independent of the batch it came in.  Designs whose Gram matrix
+is ill-conditioned fall back to least squares on the design itself.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ def pinv(m, tol: float | None = None) -> np.ndarray:
         tol = default_pinv_tol(m, s_max)
     elif tol < 0:
         raise ValueError("tol must be nonnegative")
-    inv = np.where(res.s > tol, np.divide(1.0, res.s, where=res.s > 0), 0.0)
+    inv = np.divide(1.0, res.s, out=np.zeros_like(res.s), where=res.s > tol)
     return (res.v * inv) @ res.u.T
 
 
@@ -72,8 +76,27 @@ def qr(m) -> QrResult:
     return QrResult(q=q, r=r)
 
 
+# Normal equations square the design's condition number, so a Gram matrix
+# with a condition number above this is solved on the design itself.
+GRAM_COND_MAX = 1e8
+
+
 def nnls(a, y, tol: float = 1e-10, max_iter: int | None = None) -> np.ndarray:
     """Solve min ||a x - y||_2 subject to x >= 0.
+
+    One right-hand side of :func:`nnls_multi`, which holds the solver and
+    its contract.
+    """
+    a = _as_matrix(a, "a")
+    y = np.asarray(y, dtype=np.float64).ravel()
+    if y.size != a.shape[0]:
+        raise ValueError(f"a has {a.shape[0]} rows but y has {y.size} entries")
+    return nnls_multi(a, y[:, None], tol=tol, max_iter=max_iter)[:, 0]
+
+
+def nnls_multi(a, ys, tol: float = 1e-10, max_iter: int | None = None) -> np.ndarray:
+    """Column-wise nnls: column j of the result solves
+    min ||a x - ys[:, j]||_2 subject to x >= 0.
 
     Lawson-Hanson active-set iteration: grow the passive (positive) set by
     the most violated dual coordinate, solve the unconstrained LS problem on
@@ -82,16 +105,137 @@ def nnls(a, y, tol: float = 1e-10, max_iter: int | None = None) -> np.ndarray:
     `tol` is the dual feasibility threshold; a coordinate whose admission
     makes no numerical progress is shelved until the iterate next moves,
     which keeps near-degenerate problems from cycling.  The iteration cap
-    defaults to 10 * cols admissions.
+    defaults to 10 * cols admissions, with at most 3 * cols feasibility
+    steps per admission; either cap raises ConvergenceError.
+
+    The iteration runs in Gram form (Bro & De Jong's FNNLS): a^T a and
+    a^T ys are formed once, and every unfinished column advances together,
+    one stacked K x K solve per step.  Each column's arithmetic is the same
+    whichever columns share the call, so column j equals
+    nnls(a, ys[:, j]) bit for bit.  A non-finite or ill-conditioned Gram
+    matrix (condition number above GRAM_COND_MAX) falls back to the same
+    iteration with least squares on the columns of `a`, one column of ys
+    at a time.
     """
     a = _as_matrix(a, "a")
-    y = np.asarray(y, dtype=np.float64).ravel()
+    ys = _as_matrix(ys, "ys")
     m, n = a.shape
-    if y.size != m:
-        raise ValueError(f"a has {m} rows but y has {y.size} entries")
+    if ys.shape[0] != m:
+        raise ValueError(f"a has {m} rows but ys has {ys.shape[0]}")
     if max_iter is None:
         max_iter = max(30, 10 * n)
+    if n == 0 or ys.shape[1] == 0:
+        return np.zeros((n, ys.shape[1]))
+    g = a.T @ a
+    # one matrix-vector product per column: a column's a^T y must not
+    # depend on how many columns share the call
+    aty = np.matmul(np.ascontiguousarray(ys.T)[:, None, :], a)[:, 0, :]
+    if not (np.isfinite(g).all() and np.isfinite(aty).all()) or _ill_conditioned(g):
+        return np.column_stack(
+            [_nnls_lstsq(a, ys[:, j], tol, max_iter) for j in range(ys.shape[1])]
+        )
+    return _nnls_gram(g, aty, tol, max_iter).T
 
+
+def _ill_conditioned(g: np.ndarray) -> bool:
+    """Whether the symmetric Gram matrix g has a condition number above
+    GRAM_COND_MAX; a singular g counts as ill-conditioned."""
+    eig = np.linalg.eigvalsh(g)  # ascending
+    return not eig[0] * GRAM_COND_MAX > eig[-1]
+
+
+def _max_iter_error(max_iter: int) -> ConvergenceError:
+    return ConvergenceError(
+        f"nnls failed to converge within {max_iter} iterations "
+        f"(likely an ill-conditioned design matrix)"
+    )
+
+
+def _restore_error() -> ConvergenceError:
+    return ConvergenceError("nnls feasibility restoration failed to settle")
+
+
+def _nnls_gram(g: np.ndarray, b: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
+    """Lawson-Hanson on the normal equations g x = b[q] for every row q of
+    b at once; returns one solution row per row of b.
+
+    Rows leave the state arrays when they finish (`rows` maps the rest to
+    their rows of b).  All remaining rows admit a coordinate together, so
+    one admission count covers them all.  Feasibility is restored on every
+    remaining row until all are feasible: a row that already is gets the
+    same solve again, which leaves it unchanged.
+    """
+    n_rhs, n = b.shape
+    out = np.zeros((n_rhs, n))
+    rows = np.arange(n_rhs)
+    x = np.zeros((n_rhs, n))
+    passive = np.zeros((n_rhs, n), dtype=bool)
+    blocked = np.zeros((n_rhs, n), dtype=bool)
+    eye = np.eye(n)
+    outer = 0
+    while True:
+        w = b - np.matmul(x[:, None, :], g)[:, 0, :]
+        w[passive | blocked] = -np.inf
+        going = w.max(axis=1) > tol
+        if not going.all():
+            out[rows[~going]] = x[~going]
+            if not going.any():
+                return out
+            rows, b, x, passive, blocked, w = (
+                v[going] for v in (rows, b, x, passive, blocked, w)
+            )
+        outer += 1
+        if outer > max_iter:
+            raise _max_iter_error(max_iter)
+        j = w.argmax(axis=1)  # the first of the largest candidates
+        live = np.arange(rows.size)
+        passive[live, j] = True
+        x_before = x  # the loop below rebinds x before changing it
+        inner = 0
+        while True:
+            z = _solve_passive(g, eye, b, passive)
+            bad = passive & (z <= 0.0)
+            infeasible = bad.any(axis=1)
+            if not infeasible.any():
+                x = z
+                break
+            inner += 1
+            if inner > 3 * n:
+                raise _restore_error()
+            # step from x toward z, stopping at the first coordinate to hit 0
+            denom = x - z
+            steps = np.divide(x, denom, out=np.where(bad, 0.0, np.inf),
+                              where=bad & (denom > 0.0))
+            alpha = np.where(infeasible, steps.min(axis=1), 0.0)
+            x = np.where(infeasible[:, None], x + alpha[:, None] * (z - x), z)
+            drop = passive & (x <= tol) & infeasible[:, None]
+            x[drop] = 0.0
+            passive &= ~drop
+            x[~passive.any(axis=1)] = 0.0
+        # an admission that went nowhere is shelved until x moves
+        stuck = (x == x_before).all(axis=1)
+        if stuck.any():
+            shelved, js = live[stuck], j[stuck]
+            passive[shelved, js] = False
+            x[shelved, js] = 0.0
+            blocked[shelved, js] = True
+        blocked[~stuck] = False
+
+
+def _solve_passive(g: np.ndarray, eye: np.ndarray, rhs: np.ndarray,
+                   passive: np.ndarray) -> np.ndarray:
+    """Per row q, solve g[P, P] z[P] = rhs[q, P] on the passive set P of
+    passive[q], with exact zeros off P: one stacked solve over copies of g
+    whose rows and columns outside P are those of the identity `eye`."""
+    gm = np.where(passive[:, :, None] & passive[:, None, :], g, eye)
+    z = np.linalg.solve(gm, np.where(passive, rhs, 0.0)[:, :, None])[:, :, 0]
+    return np.where(passive, z, 0.0)
+
+
+def _nnls_lstsq(a: np.ndarray, y: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
+    """The iteration of nnls_multi for one right-hand side, with each
+    subproblem solved by least squares on the passive columns of `a`."""
+    n = a.shape[1]
     x = np.zeros(n)
     passive = np.zeros(n, dtype=bool)
     blocked = np.zeros(n, dtype=bool)
@@ -103,10 +247,7 @@ def nnls(a, y, tol: float = 1e-10, max_iter: int | None = None) -> np.ndarray:
             break
         outer += 1
         if outer > max_iter:
-            raise ConvergenceError(
-                f"nnls failed to converge within {max_iter} iterations "
-                f"(likely an ill-conditioned design matrix)"
-            )
+            raise _max_iter_error(max_iter)
         j = int(np.flatnonzero(candidates)[np.argmax(w[candidates])])
         passive[j] = True
         x_before = x.copy()
@@ -119,9 +260,7 @@ def nnls(a, y, tol: float = 1e-10, max_iter: int | None = None) -> np.ndarray:
                 break
             inner += 1
             if inner > 3 * n:
-                raise ConvergenceError(
-                    "nnls feasibility restoration failed to settle"
-                )
+                raise _restore_error()
             # step from x toward z, stopping at the first coordinate to hit 0
             mask = passive & (z <= 0.0)
             denom = x[mask] - z[mask]
@@ -143,15 +282,3 @@ def nnls(a, y, tol: float = 1e-10, max_iter: int | None = None) -> np.ndarray:
         else:
             blocked[:] = False
     return x
-
-
-def nnls_multi(a, ys, tol: float = 1e-10, max_iter: int | None = None) -> np.ndarray:
-    """Column-wise nnls: column j of the result solves for ys[:, j]."""
-    a = _as_matrix(a, "a")
-    ys = _as_matrix(ys, "ys")
-    if ys.shape[0] != a.shape[0]:
-        raise ValueError(f"a has {a.shape[0]} rows but ys has {ys.shape[0]}")
-    out = np.empty((a.shape[1], ys.shape[1]))
-    for j in range(ys.shape[1]):
-        out[:, j] = nnls(a, ys[:, j], tol=tol, max_iter=max_iter)
-    return out

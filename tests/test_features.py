@@ -262,6 +262,22 @@ class TestEstimateMixing:
         got = estimate_mixing(bank, rng.standard_normal((6, 5)))
         assert np.all(got >= 0.0)
 
+    def test_stack_matches_single_images(self):
+        rng = np.random.default_rng(12)
+        slices = [np.outer(rng.uniform(0.2, 1, 6), rng.uniform(0.2, 1, 5))
+                  for _ in range(3)]
+        bank = CommonFeatureBank(slices=slices, mixing=np.zeros((0, 3)))
+        weights = np.column_stack([[2.0, 0.5, 1.25], [0.0, 1.0, 0.0], [1.0, 0.0, 3.0]])
+        stack = np.einsum("opk,kq->opq", np.stack(slices, axis=2), weights)
+        stack += 0.05 * rng.standard_normal(stack.shape)
+        stack = np.concatenate([stack, -stack[:, :, :1]], axis=2)
+        got = estimate_mixing(bank, stack)
+        assert got.shape == (4, 3)
+        for q in range(4):
+            np.testing.assert_array_equal(got[q], estimate_mixing(bank, stack[:, :, q]))
+        with pytest.raises(ValueError):
+            estimate_mixing(bank, np.zeros((5, 6, 2)))
+
 
 class TestStackedPca:
     def test_identical_rank1_blocks_need_one_component(self):

@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 from conftest import nnls_bruteforce
-from tensplit.kernels import ConvergenceError, nnls, nnls_multi, pinv, qr, svd
+from tensplit.kernels import (
+    GRAM_COND_MAX,
+    ConvergenceError,
+    nnls,
+    nnls_multi,
+    pinv,
+    qr,
+    svd,
+)
 
 
 def singular_values_by_charpoly(m):
@@ -128,6 +136,36 @@ class TestNnls:
             nnls(np.zeros((3, 2)), np.zeros(4))
 
 
+def _columnwise_designs():
+    """(name, a, ys, tol) batches whose columns take different paths
+    through the active-set iteration."""
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal((8, 4))
+    supports = np.array([[1.0, 0.0, 0.0, 2.0, 0.5],
+                         [0.0, 1.5, 0.0, 0.0, 0.5],
+                         [0.0, 0.0, 1.0, 0.0, 0.5],
+                         [0.0, 0.7, 0.0, 1.0, 0.5]])
+    yield ("different passive sets", a,
+           a @ supports + 1e-3 * rng.standard_normal((8, 5)), 1e-10)
+    # at tol 0, rounding noise in the dual admits coordinates that make no
+    # progress: without the shelf both designs cycle to ConvergenceError
+    rng = np.random.default_rng(10)
+    a = rng.standard_normal((6, 3))
+    yield ("duplicated right-hand side, shelved admissions", a,
+           np.column_stack([a[:, 0], a[:, 0], a @ [0.0, 1.0, 0.5]]), 0.0)
+    rng = np.random.default_rng(1)
+    a0 = rng.standard_normal((6, 2))
+    yield ("duplicated design column, shelved admissions",
+           np.column_stack([a0[:, 0], a0[:, 0], a0[:, 1]]),
+           np.column_stack([a0 @ [1.0, 0.0], a0 @ [0.7, 0.3], -a0[:, 1]]), 0.0)
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((7, 3))
+    # a^T y = -1 componentwise, so x = 0 satisfies the optimality conditions
+    zero = -a @ np.linalg.solve(a.T @ a, np.ones(3))
+    yield ("all-zero solution", a,
+           np.column_stack([zero, rng.standard_normal(7)]), 1e-10)
+
+
 class TestNnlsMulti:
     def test_matches_columnwise(self):
         rng = np.random.default_rng(7)
@@ -137,6 +175,32 @@ class TestNnlsMulti:
         assert out.shape == (3, 5)
         for j in range(5):
             np.testing.assert_array_equal(out[:, j], nnls(a, ys[:, j]))
+        for name, a, ys, tol in _columnwise_designs():
+            out = nnls_multi(a, ys, tol=tol)
+            for j in range(ys.shape[1]):
+                np.testing.assert_array_equal(out[:, j], nnls(a, ys[:, j], tol=tol),
+                                              err_msg=name)
+            if name == "different passive sets":
+                assert len({tuple(col > 0.0) for col in out.T}) > 1
+            if name == "all-zero solution":
+                assert np.all(out[:, 0] == 0.0)
+
+    def test_ill_conditioned_design_falls_back_to_lstsq(self):
+        rng = np.random.default_rng(12)
+        u, v, w = rng.standard_normal((3, 8))
+        a = np.column_stack([u, u + 1e-6 * v, w])
+        assert np.linalg.cond(a.T @ a) > GRAM_COND_MAX
+        ys = np.column_stack([2.0 * u - w, rng.standard_normal(8)])
+        out = nnls_multi(a, ys)
+        assert np.all(out >= 0.0)
+        assert out[2, 0] == 0.0  # exact zero, not merely small
+        for j in range(ys.shape[1]):
+            r = ys[:, j] - a @ out[:, j]
+            assert abs(float(r @ r) - nnls_bruteforce(a, ys[:, j])) < 1e-8
+
+    def test_iteration_cap_raises(self):
+        with pytest.raises(ConvergenceError):
+            nnls_multi(np.eye(2), np.ones((2, 3)), max_iter=0)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
