@@ -130,12 +130,7 @@ def cmd_split(args) -> tuple[dict, int]:
             f"input slices {t.shape[:2]} do not match bank slices {bank.slices[0].shape}",
         )
     rule = ft.SubsetRule(args.tau)
-    # reuse the decomposition's own mixing when the input is the tensor it
-    # was fitted on; otherwise estimate mixing for every slice
-    if t.shape[2] == bank.n_images:
-        weights = bank.mixing
-    else:
-        weights = ft.estimate_mixing(bank, t.values)
+    weights = ft.estimate_mixing(bank, t.values)
     split = ft.split_features(t, bank, rule, weights=weights)
     out = _out_dir(args.out)
     ft.save_split(split, out, tau=args.tau)

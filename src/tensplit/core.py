@@ -51,10 +51,6 @@ class DenseTensor:
             )
         return cls(flat.reshape(shape, order="F"))
 
-    @classmethod
-    def zeros(cls, shape: Sequence[int]) -> "DenseTensor":
-        return cls(np.zeros(tuple(int(e) for e in shape)))
-
     @property
     def shape(self) -> tuple[int, ...]:
         return self._arr.shape
@@ -176,15 +172,6 @@ def khatri_rao(a, b) -> np.ndarray:
     m, k = a.shape
     n = b.shape[0]
     return (a[:, None, :] * b[None, :, :]).reshape(m * n, k)
-
-
-def hadamard(a, b) -> np.ndarray:
-    """Elementwise matrix product."""
-    a = _as_matrix(a, "a")
-    b = _as_matrix(b, "b")
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return a * b
 
 
 def frontal_slice(t: DenseTensor, q: int) -> np.ndarray:

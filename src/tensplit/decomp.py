@@ -3,10 +3,11 @@ rank-(L,L,1) block-term decomposition with a nonnegative stacking mode.
 
 All three operate on order-3 tensors.  Factor columns are returned with
 unit Euclidean norm; the norms are absorbed into per-component weights.
-The LL1 sweep updates each term's two matrix factors against the residual
-left by the other terms (Gauss-Seidel), then refreshes the whole mixing
-matrix by row-wise nonnegative least squares against the collapsed term
-slices.
+The LL1 sweep updates each term's two matrix factors in turn (Gauss-Seidel)
+by least squares on an O x P matrix: the input contracted with the term's
+mixing vector, less the other terms' slices weighted by how much their
+mixing vectors overlap it.  It then refreshes the whole mixing matrix by
+row-wise nonnegative least squares against the term slices.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dtf
-from .core import DenseTensor, fold, khatri_rao, mode_n_product, norm_frobenius, unfold
+from .core import DenseTensor, khatri_rao, mode_n_product, norm_frobenius, unfold
 from .kernels import ConvergenceError, nnls_multi, pinv, svd
 
 _EPS = np.finfo(np.float64).eps
@@ -275,11 +276,15 @@ def ll1_nn(t: DenseTensor, ranks, cfg: DecompConfig | None = None) -> LL1Factors
     """Rank-(L_k, L_k, 1) block-term decomposition with a nonnegative
     mixing mode.
 
-    Per sweep, for each term k: subtract the other terms' reconstructions,
-    update the term's two matrix factors by exact least squares (Khatri-Rao
-    regressor, pseudoinverse of the Hadamard Gram), then refresh the whole
-    mixing matrix by nonnegative least squares of the original mode-2
-    unfolding against the collapsed slices of all terms, and renormalize.
+    Per sweep, for each term k with slice S_k = A_k diag(w_k) B_k^T and
+    mixing vector c_k: contract the input with c_k and subtract the other
+    slices weighted by their overlap with c_k,
+    M_k = T x_3 c_k - sum_{n != k} (c_n^T c_k) S_n, an O x P matrix.  The
+    exact least-squares updates are then A_k = M_k B_k ((c_k^T c_k) B_k^T B_k)^+
+    and B_k = M_k^T A_k ((c_k^T c_k) A_k^T A_k)^+, with no O x P x Q
+    residual formed.  The whole mixing matrix is then refreshed by
+    nonnegative least squares of the original mode-2 unfolding against the
+    vectorized slices of all terms, and everything is renormalized.
     The mixing vectors come back elementwise >= 0 with exact zeros allowed;
     zero entries are flagged in diagnostics.
     """
@@ -307,8 +312,7 @@ def ll1_nn(t: DenseTensor, ranks, cfg: DecompConfig | None = None) -> LL1Factors
             c_vecs.append(rng.uniform(0.0, 1.0, size=Q))
     else:
         total = sum(ranks)
-        ua, ub = _hosvd_factor_init(t, [total, total])
-        uc = _hosvd_factor_init(t, [0, 0, n_terms])[2]
+        ua, ub, uc = _hosvd_factor_init(t, [total, total, n_terms])
         offset = 0
         for k, L in enumerate(ranks):
             a_mats.append(ua[:, offset : offset + L].copy())
@@ -324,9 +328,8 @@ def ll1_nn(t: DenseTensor, ranks, cfg: DecompConfig | None = None) -> LL1Factors
         c_vecs[k], nc = _normalize_nonneg_vector(c_vecs[k], rng, flags, f"init-c{k}")
         w_vecs.append(np.abs(na) * np.abs(nb) * nc)
 
-    def term_array(k: int) -> np.ndarray:
-        s = (a_mats[k] * w_vecs[k]) @ b_mats[k].T
-        return s[:, :, None] * c_vecs[k][None, None, :]
+    def term_slice(n: int) -> np.ndarray:
+        return (a_mats[n] * w_vecs[n]) @ b_mats[n].T
 
     x3 = unfold(t, 2)  # Q x (O*P), columns in layout order of each slice
     norm_t = norm_frobenius(t)
@@ -335,33 +338,20 @@ def ll1_nn(t: DenseTensor, ranks, cfg: DecompConfig | None = None) -> LL1Factors
     sweeps = 0
     for sweeps in range(1, cfg.max_sweeps + 1):
         for k in range(n_terms):
-            L = ranks[k]
-            others = np.zeros((O, P, Q))
+            ck = c_vecs[k]
+            slices = [term_slice(n) for n in range(n_terms)]
+            # T x_3 c_k as one matrix-vector product on the contiguous view x3
+            m_k = np.reshape(ck @ x3, (O, P), order="F")
             for n in range(n_terms):
                 if n != k:
-                    others += term_array(n)
-            res = t.values - others
-            res1 = np.reshape(res, (O, -1), order="F")
-            res2 = np.reshape(np.moveaxis(res, 1, 0), (P, -1), order="F")
+                    m_k -= (c_vecs[n] @ ck) * slices[n]
+            ck_sq = ck @ ck
+            a_hat = m_k @ b_mats[k] @ pinv(ck_sq * (b_mats[k].T @ b_mats[k]))
+            b_hat = m_k.T @ a_hat @ pinv(ck_sq * (a_hat.T @ a_hat))
+            slices[k] = a_hat @ b_hat.T
 
-            ck_rep = np.tile(c_vecs[k][:, None], (1, L))
-            a_hat = res1 @ khatri_rao(ck_rep, b_mats[k]) @ pinv(
-                hadamard_gram(ck_rep, b_mats[k])
-            )
-            b_hat = res2 @ khatri_rao(ck_rep, a_hat) @ pinv(
-                hadamard_gram(ck_rep, a_hat)
-            )
-
-            # joint mixing update: one collapsed column per term, original rhs
-            cols = []
-            for n in range(n_terms):
-                if n == k:
-                    cols.append((a_hat @ b_hat.T).ravel(order="F"))
-                else:
-                    cols.append(
-                        ((a_mats[n] * w_vecs[n]) @ b_mats[n].T).ravel(order="F")
-                    )
-            regressor = np.column_stack(cols)
+            # joint mixing update: one vectorized slice per term, original rhs
+            regressor = np.column_stack([s.ravel(order="F") for s in slices])
             try:
                 mixing_raw = nnls_multi(regressor, x3.T)
             except ConvergenceError as exc:
@@ -381,9 +371,7 @@ def ll1_nn(t: DenseTensor, ranks, cfg: DecompConfig | None = None) -> LL1Factors
                 else:
                     w_vecs[n] = w_vecs[n] * gamma
 
-        recon = np.zeros((O, P, Q))
-        for n in range(n_terms):
-            recon += term_array(n)
+        recon = _ll1_array([term_slice(n) for n in range(n_terms)], c_vecs)
         history.append(_relative_fit(t, recon, norm_t))
         if _converged(history, cfg.rel_tol):
             converged = True
@@ -408,6 +396,14 @@ def _kruskal_array(factors: list[np.ndarray], weights: np.ndarray) -> np.ndarray
     return np.reshape(m, tuple(f.shape[0] for f in factors), order="F")
 
 
+def _ll1_array(slices: list[np.ndarray], mixing: list[np.ndarray]) -> np.ndarray:
+    """Dense sum over terms of each O x P slice times its mixing vector."""
+    arr = np.zeros(slices[0].shape + (mixing[0].size,))
+    for s, c in zip(slices, mixing):
+        arr += s[:, :, None] * c[None, None, :]
+    return arr
+
+
 def reconstruct(f) -> DenseTensor:
     """Dense tensor reconstructed from any factor bundle."""
     if isinstance(f, KruskalFactors):
@@ -422,10 +418,8 @@ def reconstruct(f) -> DenseTensor:
         for term in f.terms:
             if (term.a.shape[0], term.b.shape[0], term.c.size) != (O, P, Q):
                 raise ValueError("block terms have inconsistent dimensions")
-        arr = np.zeros((O, P, Q))
-        for term in f.terms:
-            arr += term.slice()[:, :, None] * term.c[None, None, :]
-        return DenseTensor(arr)
+        return DenseTensor(_ll1_array([term.slice() for term in f.terms],
+                                      [term.c for term in f.terms]))
     raise TypeError(f"cannot reconstruct from {type(f).__name__}")
 
 

@@ -87,14 +87,6 @@ class FeatureSplit:
         if len(self.selected) != self.common.shape[2]:
             raise ValueError("need one selection per image")
 
-    def common_slices(self) -> list:
-        arr = self.common.to_array()
-        return [arr[:, :, q] for q in range(arr.shape[2])]
-
-    def individual_slices(self) -> list:
-        arr = self.individual.to_array()
-        return [arr[:, :, q] for q in range(arr.shape[2])]
-
 
 @dataclass
 class CommonBasis:

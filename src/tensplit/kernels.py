@@ -46,11 +46,6 @@ def svd(m) -> SvdResult:
     return SvdResult(u=u, s=s, v=vh.T)
 
 
-def default_pinv_tol(m, s_max: float) -> float:
-    m = np.asarray(m)
-    return max(m.shape) * np.finfo(np.float64).eps * s_max
-
-
 def pinv(m, tol: float | None = None) -> np.ndarray:
     """Moore-Penrose pseudoinverse; singular values below `tol` are dropped.
 
@@ -60,7 +55,7 @@ def pinv(m, tol: float | None = None) -> np.ndarray:
     res = svd(m)
     s_max = float(res.s[0]) if res.s.size else 0.0
     if tol is None:
-        tol = default_pinv_tol(m, s_max)
+        tol = max(m.shape) * np.finfo(np.float64).eps * s_max
     elif tol < 0:
         raise ValueError("tol must be nonnegative")
     inv = np.divide(1.0, res.s, out=np.zeros_like(res.s), where=res.s > tol)

@@ -6,7 +6,7 @@ import pytest
 from tensplit.cli import OUT_ENV, main
 from tensplit.core import DenseTensor
 from tensplit.decomp import LL1Factors, load_factors
-from tensplit.dtf import write_tensor
+from tensplit.dtf import read_tensor, write_tensor
 
 
 def run_cli(capsys, argv):
@@ -228,6 +228,18 @@ class TestSplit:
         write_tensor(DenseTensor(arr), sub)
         code, payload = run_cli(capsys, [
             "split", str(sub), str(bank), "--out", str(tmp_path / "s")])
+        assert code == 0
+        assert payload["individual_ratio"] < 1e-6
+
+    def test_estimates_mixing_for_same_size_stack(self, capsys, tmp_path):
+        tfile, bank = self.fit_bank(capsys, tmp_path)
+        # as many images as the fitted stack, but weighted differently: the
+        # bank's fitted mixing would leave most of each image individual
+        arr = read_tensor(tfile).to_array() * np.arange(1.0, 6.0)
+        scaled = tmp_path / "scaled.dtf1"
+        write_tensor(DenseTensor(arr), scaled)
+        code, payload = run_cli(capsys, [
+            "split", str(scaled), str(bank), "--out", str(tmp_path / "s")])
         assert code == 0
         assert payload["individual_ratio"] < 1e-6
 

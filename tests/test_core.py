@@ -5,7 +5,6 @@ from tensplit.core import (
     DenseTensor,
     fold,
     frontal_slice,
-    hadamard,
     khatri_rao,
     mode_n_product,
     norm_frobenius,
@@ -198,15 +197,8 @@ class TestProducts:
         a = rng.standard_normal((6, 3))
         b = rng.standard_normal((4, 3))
         kr = khatri_rao(a, b)
-        want = hadamard(a.T @ a, b.T @ b)
+        want = (a.T @ a) * (b.T @ b)
         assert np.max(np.abs(kr.T @ kr - want)) < 1e-12
-
-    def test_hadamard(self):
-        x = np.array([[1.0, 2.0], [3.0, 4.0]])
-        y = np.array([[5.0, 6.0], [7.0, 8.0]])
-        np.testing.assert_array_equal(hadamard(x, y), x * y)
-        with pytest.raises(ValueError):
-            hadamard(x, np.zeros((3, 2)))
 
 
 class TestSlicesAndNorm:

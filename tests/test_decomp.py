@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import assert_ll1_invariants
-from tensplit.core import DenseTensor, norm_frobenius, unfold
+from tensplit import decomp
+from tensplit.core import DenseTensor, khatri_rao, norm_frobenius, unfold
 from tensplit.decomp import (
     BlockTerm,
     DecompConfig,
@@ -18,6 +19,7 @@ from tensplit.decomp import (
     reconstruct,
     save_factors,
 )
+from tensplit.kernels import nnls_multi, pinv
 
 
 def kruskal_by_triple_sum(factors, weights):
@@ -41,6 +43,57 @@ def ll1_by_triple_sum(terms):
                 "i,j,k->ijk", t.a[:, l], t.b[:, l], t.c
             )
     return out
+
+
+def ll1_dense_residual_fits(t, ranks, seed, sweeps):
+    """Reference fit history of the block-term sweep from random init, with
+    each term's A/B update regressing the dense residual left by the other
+    terms on the Khatri-Rao product of a column-tiled mixing vector.
+    Assumes no factor column collapses to zero (that draws random columns)."""
+    arr = t.values
+    O, P, Q = t.shape
+    rng = np.random.default_rng(seed)
+    a, b, c = [], [], []
+    for L in ranks:
+        a.append(rng.standard_normal((O, L)))
+        b.append(rng.standard_normal((P, L)))
+        c.append(rng.uniform(0.0, 1.0, size=Q))
+    w = []
+    for k in range(len(ranks)):
+        na, nb, nc = (np.linalg.norm(m, axis=0) for m in (a[k], b[k], c[k]))
+        a[k], b[k], c[k] = a[k] / na, b[k] / nb, c[k] / nc
+        w.append(na * nb * nc)
+
+    def slice_of(n):
+        return (a[n] * w[n]) @ b[n].T
+
+    def term(n):
+        return slice_of(n)[:, :, None] * c[n][None, None, :]
+
+    x3 = unfold(t, 2)
+    fits = []
+    for _ in range(sweeps):
+        for k, L in enumerate(ranks):
+            res = DenseTensor(arr - sum(term(n) for n in range(len(ranks)) if n != k))
+            ck_rep = np.tile(c[k][:, None], (1, L))
+            kr = khatri_rao(ck_rep, b[k])
+            a_hat = unfold(res, 0) @ kr @ pinv(kr.T @ kr)
+            kr = khatri_rao(ck_rep, a_hat)
+            b_hat = unfold(res, 1) @ kr @ pinv(kr.T @ kr)
+
+            slices = [slice_of(n) for n in range(len(ranks))]
+            slices[k] = a_hat @ b_hat.T
+            mixing = nnls_multi(np.column_stack([s.ravel(order="F") for s in slices]),
+                                x3.T)
+            na, nb = np.linalg.norm(a_hat, axis=0), np.linalg.norm(b_hat, axis=0)
+            a[k], b[k] = a_hat / na, b_hat / nb
+            for n in range(len(ranks)):
+                gamma = np.linalg.norm(mixing[n])
+                c[n] = mixing[n] / gamma
+                w[n] = na * nb * gamma if n == k else w[n] * gamma
+        recon = sum(term(n) for n in range(len(ranks)))
+        fits.append(np.linalg.norm(arr - recon) / np.linalg.norm(arr))
+    return fits
 
 
 def random_orthonormal(rng, rows, cols):
@@ -260,6 +313,30 @@ class TestLL1:
         t, _ = self.build_target(seed=16)
         f = ll1_nn(t, [2, 1], DecompConfig(seed=0, max_sweeps=400, init="hosvd"))
         assert_ll1_invariants(f)
+
+    def test_hosvd_init_takes_one_svd_per_mode(self, monkeypatch):
+        t, _ = self.build_target(seed=16)
+        shapes = []
+        real_svd = decomp.svd
+
+        def counting_svd(m):
+            shapes.append(m.shape)
+            return real_svd(m)
+
+        monkeypatch.setattr(decomp, "svd", counting_svd)
+        ll1_nn(t, [2, 1], DecompConfig(seed=0, max_sweeps=2, init="hosvd"))
+        assert shapes == [(8, 63), (9, 56), (7, 72)]
+
+    def test_four_terms_match_dense_residual_update(self):
+        rng = np.random.default_rng(17)
+        t = DenseTensor(rng.uniform(0.0, 1.0, size=(7, 6, 9)))
+        ranks = [2, 2, 2, 2]
+        f = ll1_nn(t, ranks, DecompConfig(seed=3, max_sweeps=60, rel_tol=1e-300))
+        assert_ll1_invariants(f)
+        assert len(f.fit_history) == 60
+        assert not [fl for fl in f.diagnostics.flags if fl.startswith("zero-column")]
+        want = ll1_dense_residual_fits(t, ranks, seed=3, sweeps=20)
+        np.testing.assert_allclose(f.fit_history[:20], want, rtol=0, atol=1e-10)
 
     def test_validation(self):
         t = DenseTensor(np.zeros((2, 2, 2)))

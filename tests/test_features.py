@@ -219,17 +219,6 @@ class TestSplit:
             np.testing.assert_array_equal(ind, split.individual.to_array()[:, :, q])
             assert kept == split.selected[q]
 
-    def test_slice_accessors(self):
-        rng = np.random.default_rng(8)
-        slices = [np.outer(rng.uniform(0.2, 1, 3), rng.uniform(0.2, 1, 4))]
-        bank = CommonFeatureBank(slices=slices, mixing=np.ones((2, 1)))
-        t = DenseTensor(rng.uniform(0.0, 1.0, size=(3, 4, 2)))
-        split = split_features(t, bank)
-        assert len(split.common_slices()) == 2
-        np.testing.assert_array_equal(
-            split.common_slices()[1], split.common.to_array()[:, :, 1]
-        )
-
     def test_shape_validation(self):
         bank = CommonFeatureBank(slices=[np.ones((3, 3))], mixing=np.ones((2, 1)))
         with pytest.raises(ValueError):
