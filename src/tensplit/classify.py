@@ -2,10 +2,16 @@
 against individual features left after common-feature subtraction.
 
 Both classifiers are deterministic: neighbors are ordered by (distance,
-training index) and every tie falls back to the lowest class ID.  The
-experiment harness repeats the split/decompose/classify cycle over seeded
-realizations and aggregates one report; mean and stddev are computed from
-the sorted per-run list so aggregation order cannot matter.
+training index) and every tie falls back to the lowest class ID.  The search
+runs in two steps.  One GEMM per block of test vectors expands every squared
+distance as ||x||^2 + ||t||^2 - 2 x.t; widened by its rounding-error bound,
+that expansion discards the training vectors (or class centroids) that
+cannot be among the nearest.  The remaining candidates are re-ranked by the
+exact norm of the difference, so neighbors, distances and predictions are
+those of a full exact search.  The experiment harness repeats the
+split/decompose/classify cycle over seeded realizations and aggregates one
+report; mean and stddev are computed from the sorted per-run list so
+aggregation order cannot matter.
 """
 
 from __future__ import annotations
@@ -94,26 +100,72 @@ def _report(class_ids: list, confusion: np.ndarray, per_run: list) -> EvalReport
                       mean=mean, stddev=stddev, class_ids=list(class_ids))
 
 
-def _predict_one_knn(train: np.ndarray, labels: list, x: np.ndarray, k: int):
-    dist = np.linalg.norm(train - x, axis=1)
-    order = sorted(range(len(labels)), key=lambda i: (dist[i], i))
-    top = order[: min(k, len(order))]
-    counts: dict = {}
-    totals: dict = {}
-    for i in top:
-        lab = labels[i]
-        counts[lab] = counts.get(lab, 0) + 1
-        totals[lab] = totals.get(lab, 0.0) + float(dist[i])
-    best = max(counts.values())
-    tied = [lab for lab, n in counts.items() if n == best]
-    return min(tied, key=lambda lab: (totals[lab], lab))
+# Test vectors stacked per distance GEMM: bounds the block's copy of the
+# vectors and its query-by-training distance matrices.
+_BLOCK_ROWS = 32
+_EPS = np.finfo(np.float64).eps
+_SUBNORMAL = np.finfo(np.float64).smallest_subnormal
+
+
+def _candidates(tmat: np.ndarray, vectors: list, k: int):
+    """Yield (x, candidates) for every test vector x, in order: the ascending
+    indices of the rows t of tmat that can be among the k nearest to x under
+    the exact distance ||t - x||.
+
+    Vectors are stacked `_BLOCK_ROWS` at a time; one GEMM per block expands
+    the squared distances as ||x||^2 + ||t||^2 - 2 x.t, widened by the slack
+    below.  A vector with any non-finite entry in its row keeps every index.
+    """
+    # Slack derivation (Higham, Accuracy and Stability of Numerical
+    # Algorithms, 2nd ed., section 3.1), with u = eps / 2, gamma_m = m u /
+    # (1 - m u), S = ||x||^2 + ||t||^2 and D = ||x - t||^2 <= 2 S.  A
+    # computed dot product of length n, in any summation order, is within
+    # gamma_n |x|.|y| of the exact one (eq. 3.5), so:
+    #   * the norms err by gamma_n ||x||^2 and gamma_n ||t||^2, the GEMM
+    #     entry by gamma_n |x|.|t| <= gamma_n S / 2 (doubled in `approx`),
+    #     and the sum and the difference forming `approx` add u S and
+    #     2 u S: to first order, |approx - D| <= (2 n + 3) u S;
+    #   * the exact path rounds each difference (twice once squared), each
+    #     square, n - 1 additions and the square root (twice once squared),
+    #     so its distance d has |d^2 - D| <= gamma_{n+4} D <= 2 (n + 4) u S,
+    #     whether a 1-D or a row-wise norm forms it.
+    # Hence |d^2 - approx| <= (2 n + 5.5) eps S to first order; c = 4
+    # doubles that, covering the second-order terms and the roundings of
+    # the slack and of approx +- slack.  Under gradual underflow the 3 n
+    # products of the expansion and the n squares of the exact path may
+    # instead each err by half the smallest subnormal, 5 n / 2 of them at
+    # most with the GEMM's counted twice, which 4 (n + 4) smallest
+    # subnormals cover.  So with tau the k-th smallest approx + slack of a
+    # vector, at least k rows have d^2 <= tau, and a row with
+    # approx - slack > tau has d^2 > tau: with k rows strictly nearer, it
+    # cannot be among the k nearest whatever the tie order.  Requiring approx + 2 S to be finite also keeps the exact
+    # path, whose partial sums stay near or below 2 S, from overflowing.
+    n = tmat.shape[1]
+    k = min(k, tmat.shape[0])
+    tsq = np.einsum("ij,ij->i", tmat, tmat)
+    for start in range(0, len(vectors), _BLOCK_ROWS):
+        xb = np.asarray(vectors[start:start + _BLOCK_ROWS], dtype=np.float64)
+        scale = np.einsum("ij,ij->i", xb, xb)[:, None] + tsq
+        approx = scale - 2.0 * (xb @ tmat.T)
+        slack = 4.0 * (n + 4) * (_EPS * scale + _SUBNORMAL)
+        tau = np.partition(approx + slack, k - 1, axis=1)[:, k - 1:k]
+        keep = approx - slack <= tau
+        keep[~np.all(np.isfinite(approx + 2.0 * scale), axis=1)] = True
+        for x, row in zip(xb, keep):
+            yield x, np.flatnonzero(row)
 
 
 def knn_classify(train: LabeledVectors, test: LabeledVectors, k: int = 1) -> EvalReport:
     """Euclidean k-nearest-neighbor majority vote.
 
-    Vote ties go to the tied class with the smallest summed neighbor
-    distance, then to the lowest class ID.
+    Neighbors are ordered by (distance, training index), where the distance
+    of training vector t is `np.linalg.norm(t - x)` row by row.  A GEMM
+    expansion of the squared distances, widened by its rounding-error bound,
+    first discards the training vectors that cannot be among the k nearest;
+    only the rest get the exact distance, so the neighbors and their
+    distances are those of a full search.  NaN distances order last.  Vote
+    ties go to the tied class with the smallest summed neighbor distance,
+    then to the lowest class ID.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -125,8 +177,17 @@ def knn_classify(train: LabeledVectors, test: LabeledVectors, k: int = 1) -> Eva
     index = {lab: i for i, lab in enumerate(class_ids)}
     confusion = np.zeros((len(class_ids), len(class_ids)), dtype=np.int64)
     tmat = train.matrix()
-    for x, true in zip(test.vectors, test.labels):
-        pred = _predict_one_knn(tmat, train.labels, np.asarray(x, dtype=np.float64), k)
+    for (x, cand), true in zip(_candidates(tmat, test.vectors, k), test.labels):
+        dist = np.linalg.norm(tmat[cand] - x, axis=1)
+        counts: dict = {}
+        totals: dict = {}
+        for i in np.argsort(dist, kind="stable")[:k]:
+            lab = train.labels[cand[i]]
+            counts[lab] = counts.get(lab, 0) + 1
+            totals[lab] = totals.get(lab, 0.0) + float(dist[i])
+        best = max(counts.values())
+        tied = [lab for lab, n in counts.items() if n == best]
+        pred = min(tied, key=lambda lab: (totals[lab], lab))
         confusion[index[true], index[pred]] += 1
     per_run = [int(np.trace(confusion)) / len(test)] if len(test) else []
     return _report(class_ids, confusion, per_run)
@@ -135,7 +196,10 @@ def knn_classify(train: LabeledVectors, test: LabeledVectors, k: int = 1) -> Eva
 def nearest_centroid(train: LabeledVectors, test: LabeledVectors) -> EvalReport:
     """Assign each test vector to the class with the closest mean vector.
 
-    Distance ties go to the lowest class ID.
+    The distance to a centroid is `np.linalg.norm(x - centroid)`, taken only
+    for the centroids that the GEMM prefilter of `knn_classify`, run with
+    k = 1 against the centroids, keeps.  Distance ties go to the lowest
+    class ID; NaN distances order last.
     """
     if len(train) == 0:
         raise ValueError("training set must be nonempty")
@@ -144,18 +208,15 @@ def nearest_centroid(train: LabeledVectors, test: LabeledVectors) -> EvalReport:
     class_ids = sorted(set(train.labels) | set(test.labels))
     index = {lab: i for i, lab in enumerate(class_ids)}
     tmat = train.matrix()
-    centroids = {}
-    for lab in sorted(set(train.labels)):
-        rows = [i for i, l in enumerate(train.labels) if l == lab]
-        centroids[lab] = tmat[rows].mean(axis=0)
+    labs = sorted(set(train.labels))
+    cmat = np.stack([
+        tmat[[i for i, l in enumerate(train.labels) if l == lab]].mean(axis=0)
+        for lab in labs
+    ])
     confusion = np.zeros((len(class_ids), len(class_ids)), dtype=np.int64)
-    for x, true in zip(test.vectors, test.labels):
-        x = np.asarray(x, dtype=np.float64)
-        pred, best = None, np.inf
-        for lab in sorted(centroids):
-            d = float(np.linalg.norm(x - centroids[lab]))
-            if d < best:
-                pred, best = lab, d
+    for (x, cand), true in zip(_candidates(cmat, test.vectors, 1), test.labels):
+        dist = [float(np.linalg.norm(x - cmat[c])) for c in cand]
+        pred = labs[cand[np.argsort(dist, kind="stable")[0]]]
         confusion[index[true], index[pred]] += 1
     per_run = [int(np.trace(confusion)) / len(test)] if len(test) else []
     return _report(class_ids, confusion, per_run)

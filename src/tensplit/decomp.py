@@ -172,7 +172,7 @@ def _converged(history: list, rel_tol: float) -> bool:
 
 
 def _relative_fit(t: DenseTensor, recon: np.ndarray, norm_t: float) -> float:
-    err = float(np.linalg.norm((t.values - recon).ravel()))
+    err = float(np.linalg.norm(t.values - recon))
     return err / norm_t if norm_t > 0 else err
 
 

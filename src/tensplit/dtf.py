@@ -25,8 +25,9 @@ class DtfFormatError(ValueError):
 def write_tensor(t: DenseTensor, path) -> None:
     header = MAGIC + struct.pack("<I", t.order)
     header += struct.pack(f"<{t.order}Q", *t.shape)
-    payload = np.ascontiguousarray(t.flat, dtype="<f8").tobytes()
-    Path(path).write_bytes(header + payload)
+    with open(path, "wb") as f:
+        f.write(header)
+        f.write(np.ascontiguousarray(t.flat, dtype="<f8"))  # no payload copy
 
 
 def read_tensor(path) -> DenseTensor:

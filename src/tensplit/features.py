@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dtf
-from .core import DenseTensor, frontal_slice
+from .core import DenseTensor
 from .decomp import DecompConfig, LL1Factors, ll1_nn
 from .kernels import nnls, nnls_multi, qr, svd
 
@@ -169,13 +169,20 @@ def split_single(bank: CommonFeatureBank, image: np.ndarray,
     Returns (common, individual, selected_indices) with
     common + individual == image exactly.
     """
-    rule = rule or SubsetRule()
     image = np.asarray(image, dtype=np.float64)
-    keep = rule.select(np.asarray(weights, dtype=np.float64))
     common = np.zeros_like(image)
-    for k in np.flatnonzero(keep):
-        common += weights[k] * bank.slices[k]
-    return common, image - common, np.flatnonzero(keep).tolist()
+    kept = _mix_common(common, bank, weights, rule or SubsetRule())
+    return common, image - common, kept
+
+
+def _mix_common(out: np.ndarray, bank: CommonFeatureBank, weights: np.ndarray,
+                rule: SubsetRule) -> list:
+    """Add the common part, sum_k weights[k] * slice_k over the features the
+    rule keeps, to the zeroed `out`; return their indices."""
+    kept = np.flatnonzero(rule.select(np.asarray(weights, dtype=np.float64)))
+    for k in kept:
+        out += weights[k] * bank.slices[k]
+    return kept.tolist()
 
 
 def split_features(t: DenseTensor, bank: CommonFeatureBank,
@@ -203,17 +210,14 @@ def split_features(t: DenseTensor, bank: CommonFeatureBank,
     elif weights.shape != (n_images, bank.n_features):
         raise ValueError("weights must be n_images x n_features")
 
-    common = np.zeros(t.shape)
-    individual = np.zeros(t.shape)
-    selected = []
-    for q in range(n_images):
-        img = frontal_slice(t, q)
-        com, ind, keep = split_single(bank, img, weights[q], rule)
-        common[:, :, q] = com
-        individual[:, :, q] = ind
-        selected.append(keep)
-    return FeatureSplit(common=DenseTensor(common),
-                        individual=DenseTensor(individual),
+    # one buffer holds the common stack, then, once wrapped (a copy), the
+    # individual one: t - common elementwise, as split_single computes it
+    buf = np.zeros(t.shape, order="F")
+    selected = [_mix_common(buf[:, :, q], bank, weights[q], rule)
+                for q in range(n_images)]
+    common = DenseTensor(buf)
+    np.subtract(t.values, common.values, out=buf)
+    return FeatureSplit(common=common, individual=DenseTensor(buf),
                         selected=selected)
 
 

@@ -84,6 +84,80 @@ class TestKnn:
             knn_classify(train, vecs([[0, 0, 0]], [0]))
 
 
+def knn_oracle(train_pts, train_labs, test_pts, test_labs, k):
+    """Confusion matrix of the per-vector search: every distance, a Python
+    sort on (distance, training index), then the summed-distance vote."""
+    tmat = np.asarray(train_pts, dtype=np.float64)
+    class_ids = sorted(set(train_labs) | set(test_labs))
+    index = {lab: i for i, lab in enumerate(class_ids)}
+    confusion = np.zeros((len(class_ids), len(class_ids)), dtype=np.int64)
+    for x, true in zip(test_pts, test_labs):
+        dist = np.linalg.norm(tmat - np.asarray(x, dtype=np.float64), axis=1)
+        order = sorted(range(len(train_labs)), key=lambda i: (dist[i], i))
+        counts, totals = {}, {}
+        for i in order[: min(k, len(order))]:
+            lab = train_labs[i]
+            counts[lab] = counts.get(lab, 0) + 1
+            totals[lab] = totals.get(lab, 0.0) + float(dist[i])
+        best = max(counts.values())
+        tied = [lab for lab, n in counts.items() if n == best]
+        confusion[index[true], index[min(tied, key=lambda lab: (totals[lab], lab))]] += 1
+    return confusion
+
+
+def duplicated_rows(rng):
+    # every point twice under different labels; test points on and between them
+    pts = rng.integers(-3, 4, size=(6, 5)).astype(float)
+    train = np.repeat(pts, 2, axis=0)
+    train_labs = [int(l) for l in rng.integers(0, 3, size=12)]
+    test = np.vstack([pts, (pts[:3] + pts[3:]) / 2])
+    return train, train_labs, test, [int(l) for l in rng.integers(0, 3, size=9)]
+
+
+def large_offset(rng):
+    # ||x||^2 ~ 1e16 against squared distances ~ 2: the expansion cancels
+    train = 1e6 + 0.01 * rng.standard_normal((30, 10_000))
+    test = 1e6 + 0.01 * rng.standard_normal((8, 10_000))
+    return (train, [int(l) for l in rng.integers(0, 3, size=30)],
+            test, [int(l) for l in rng.integers(0, 3, size=8)])
+
+
+def vote_ties(rng):
+    # on a line: test points midway between two classes, and one on a point
+    train = np.array([[0.0], [2.0], [4.0], [6.0], [8.0], [10.0]])
+    test = np.array([[1.0], [3.0], [5.0], [7.0], [9.0], [4.0]])
+    return train, [5, 1, 5, 1, 3, 3], test, [1, 5, 1, 3, 3, 5]
+
+
+def nan_test_vector(rng):
+    train = rng.standard_normal((10, 6))
+    test = rng.standard_normal((4, 6))
+    test[2, 3] = np.nan
+    return (train, [int(l) for l in rng.integers(0, 3, size=10)],
+            test, [0, 1, 2, 1])
+
+
+def clustered(rng):
+    # well separated classes: the prefilter keeps few candidates per vector
+    centers = 50.0 * rng.standard_normal((4, 300))
+    train_labs = [i % 4 for i in range(40)]
+    test_labs = [int(l) for l in rng.integers(0, 4, size=20)]
+    train = centers[train_labs] + rng.standard_normal((40, 300))
+    test = centers[test_labs] + rng.standard_normal((20, 300))
+    return train, train_labs, test, test_labs
+
+
+class TestKnnOracle:
+    @pytest.mark.parametrize("case", [duplicated_rows, large_offset, vote_ties,
+                                      nan_test_vector, clustered])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 1000])
+    def test_matches_full_search(self, case, k):
+        train_pts, train_labs, test_pts, test_labs = case(np.random.default_rng(11))
+        rep = knn_classify(vecs(train_pts, train_labs), vecs(test_pts, test_labs), k)
+        expect = knn_oracle(train_pts, train_labs, test_pts, test_labs, k)
+        np.testing.assert_array_equal(rep.confusion, expect)
+
+
 class TestNearestCentroid:
     def test_axis_clusters(self):
         train = vecs([[2, 0], [4, 0], [0, 2], [0, 4]], [0, 0, 1, 1])
@@ -117,6 +191,27 @@ class TestNearestCentroid:
             expect[true, pred] += 1
         np.testing.assert_array_equal(rep.confusion, expect)
         assert rep.accuracy == np.trace(expect) / 12
+
+    def test_large_offset_matches_bruteforce_table(self):
+        # ||x||^2 ~ 1e16 against squared centroid distances ~ 1: the
+        # expansion cancels
+        rng = np.random.default_rng(1)
+        train_pts = 1e6 + 0.01 * rng.standard_normal((15, 10_000))
+        train_labs = [int(l) for l in rng.integers(0, 3, size=15)]
+        test_pts = 1e6 + 0.01 * rng.standard_normal((12, 10_000))
+        test_labs = [int(l) for l in rng.integers(0, 3, size=12)]
+        rep = nearest_centroid(vecs(train_pts, train_labs), vecs(test_pts, test_labs))
+
+        cents = {
+            lab: train_pts[[i for i, l in enumerate(train_labs) if l == lab]].mean(0)
+            for lab in sorted(set(train_labs))
+        }
+        expect = np.zeros((3, 3), dtype=int)
+        for x, true in zip(test_pts, test_labs):
+            pred = min(sorted(cents),
+                       key=lambda lab: (np.linalg.norm(x - cents[lab]), lab))
+            expect[true, pred] += 1
+        np.testing.assert_array_equal(rep.confusion, expect)
 
 
 class TestEvalReport:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -217,6 +218,30 @@ class TestSplit:
             com, ind, kept = split_single(bank, t.to_array()[:, :, q], mixing[q])
             np.testing.assert_array_equal(com, split.common.to_array()[:, :, q])
             np.testing.assert_array_equal(ind, split.individual.to_array()[:, :, q])
+            assert kept == split.selected[q]
+
+    def test_stack_split_is_exact_and_lean(self):
+        # images in [1, 1.2] and common parts in [0.6, 2): each difference
+        # is exact (Sterbenz), so common + individual must give the image back
+        rng = np.random.default_rng(8)
+        slices = [rng.uniform(0.5, 1.0, size=(64, 64)) for _ in range(2)]
+        mixing = rng.uniform(0.6, 1.0, size=(400, 2))
+        bank = CommonFeatureBank(slices=slices, mixing=mixing)
+        t = DenseTensor(rng.uniform(1.0, 1.2, size=(64, 64, 400)))
+        tracemalloc.start()
+        try:
+            split = split_features(t, bank)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * t.values.nbytes
+        np.testing.assert_array_equal(
+            split.common.values + split.individual.values, t.values
+        )
+        for q in range(400):
+            com, ind, kept = split_single(bank, t.values[:, :, q], mixing[q])
+            np.testing.assert_array_equal(com, split.common.values[:, :, q])
+            np.testing.assert_array_equal(ind, split.individual.values[:, :, q])
             assert kept == split.selected[q]
 
     def test_shape_validation(self):
