@@ -143,6 +143,13 @@ def read_pgm(path) -> np.ndarray:
         dtype = ">u2" if itemsize == 2 else np.uint8
         values = np.frombuffer(raster, dtype=dtype).astype(np.float64)
     else:
+        # each sample takes a separator and a digit: a header that declares
+        # more samples than the file can hold is rejected before allocating
+        if len(data) - pos < 2 * count:
+            raise PgmFormatError(
+                f"truncated raster: {count} samples need at least {2 * count} "
+                f"bytes, found {len(data) - pos}"
+            )
         values = np.empty(count)
         for i in range(count):
             token, pos = _next_token(data, pos)

@@ -52,4 +52,6 @@ def read_tensor(path) -> DenseTensor:
     if len(data) > expected:
         raise DtfFormatError(f"{path}: {len(data) - expected} trailing bytes")
     values = np.frombuffer(data, dtype="<f8", count=count, offset=header_end)
+    if not np.isfinite(values).all():
+        raise DtfFormatError(f"{path}: payload has non-finite values")
     return DenseTensor.from_flat(shape, values)

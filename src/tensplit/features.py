@@ -19,7 +19,7 @@ import numpy as np
 from . import dtf
 from .core import DenseTensor
 from .decomp import DecompConfig, LL1Factors, ll1_nn
-from .kernels import nnls, nnls_multi, qr, svd
+from .kernels import nnls_multi, qr, svd
 
 _EPS = np.finfo(np.float64).eps
 
@@ -151,15 +151,15 @@ def estimate_mixing(bank: CommonFeatureBank, images: np.ndarray) -> np.ndarray:
     single-image result for images[:, :, q] exactly.
     """
     images = np.asarray(images, dtype=np.float64)
+    stack = images[:, :, None] if images.ndim == 2 else images
+    if stack.ndim != 3 or stack.shape[:2] != bank.slices[0].shape:
+        raise ValueError(
+            f"image slices {stack.shape[:2]} do not match bank slices "
+            f"{bank.slices[0].shape}"
+        )
     regressor = np.column_stack([s.ravel(order="F") for s in bank.slices])
-    if images.ndim == 3:
-        if images.shape[:2] != bank.slices[0].shape:
-            raise ValueError(
-                f"image slices {images.shape[:2]} do not match bank slices "
-                f"{bank.slices[0].shape}"
-            )
-        return nnls_multi(regressor, images.reshape(regressor.shape[0], -1, order="F")).T
-    return nnls(regressor, images.ravel(order="F"))
+    weights = nnls_multi(regressor, stack.reshape(regressor.shape[0], -1, order="F")).T
+    return weights[0] if images.ndim == 2 else weights
 
 
 def split_single(bank: CommonFeatureBank, image: np.ndarray,

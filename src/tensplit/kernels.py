@@ -4,16 +4,18 @@ SVD, QR and the pseudoinverse are thin wrappers over LAPACK (deterministic
 for a given input).  The nonnegative least-squares solver is an active-set
 method in the Lawson-Hanson style, implemented here because its exact
 behaviour (dual tolerance, iteration cap, exact zeros in the solution) is
-part of this package's contract.  It works in Gram form, on a^T a and
-a^T y, and is batched over right-hand sides: every column of a multi-column
-problem advances in the same few stacked numpy calls, and each column's
-result is independent of the batch it came in.  Designs whose Gram matrix
-is ill-conditioned fall back to least squares on the design itself.
+part of this package's contract.  There is one iteration, batched over
+right-hand sides: every column of a multi-column problem advances in the
+same few numpy calls, and each column's result is independent of the batch
+it came in.  It is given one of two subproblem solvers: stacked solves of
+the normal equations on a^T a and a^T y, or, for designs whose Gram matrix
+is ill-conditioned, least squares on the design itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -82,11 +84,7 @@ def nnls(a, y, tol: float = 1e-10, max_iter: int | None = None) -> np.ndarray:
     One right-hand side of :func:`nnls_multi`, which holds the solver and
     its contract.
     """
-    a = _as_matrix(a, "a")
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if y.size != a.shape[0]:
-        raise ValueError(f"a has {a.shape[0]} rows but y has {y.size} entries")
-    return nnls_multi(a, y[:, None], tol=tol, max_iter=max_iter)[:, 0]
+    return nnls_multi(a, np.ravel(y)[:, None], tol=tol, max_iter=max_iter)[:, 0]
 
 
 def nnls_multi(a, ys, tol: float = 1e-10, max_iter: int | None = None) -> np.ndarray:
@@ -101,16 +99,20 @@ def nnls_multi(a, ys, tol: float = 1e-10, max_iter: int | None = None) -> np.nda
     makes no numerical progress is shelved until the iterate next moves,
     which keeps near-degenerate problems from cycling.  The iteration cap
     defaults to 10 * cols admissions, with at most 3 * cols feasibility
-    steps per admission; either cap raises ConvergenceError.
+    steps per admission; either cap raises ConvergenceError.  Non-finite
+    entries in `a` or `ys` raise ValueError.
 
-    The iteration runs in Gram form (Bro & De Jong's FNNLS): a^T a and
-    a^T ys are formed once, and every unfinished column advances together,
-    one stacked K x K solve per step.  Each column's arithmetic is the same
-    whichever columns share the call, so column j equals
-    nnls(a, ys[:, j]) bit for bit.  A non-finite or ill-conditioned Gram
-    matrix (condition number above GRAM_COND_MAX) falls back to the same
-    iteration with least squares on the columns of `a`, one column of ys
-    at a time.
+    One iteration advances every unfinished column together and is given
+    the dual and the passive-set subproblem solver of one of two
+    representations.  Normally it runs in Gram form (Bro & De Jong's
+    FNNLS): a^T a and a^T ys are formed once, the dual is a^T ys - a^T a x
+    and each step is one stacked K x K solve.  A Gram matrix that is
+    non-finite or ill-conditioned (condition number above GRAM_COND_MAX)
+    is not trusted: the dual is then a^T (y - a x) and each subproblem is
+    least squares on the passive columns of `a`, one column of ys at a
+    time.  Either way each column's arithmetic is the same whichever
+    columns share the call, so column j equals nnls(a, ys[:, j]) bit for
+    bit.
     """
     a = _as_matrix(a, "a")
     ys = _as_matrix(ys, "ys")
@@ -122,14 +124,21 @@ def nnls_multi(a, ys, tol: float = 1e-10, max_iter: int | None = None) -> np.nda
     if n == 0 or ys.shape[1] == 0:
         return np.zeros((n, ys.shape[1]))
     g = a.T @ a
+    yst = np.ascontiguousarray(ys.T)
     # one matrix-vector product per column: a column's a^T y must not
     # depend on how many columns share the call
-    aty = np.matmul(np.ascontiguousarray(ys.T)[:, None, :], a)[:, 0, :]
-    if not (np.isfinite(g).all() and np.isfinite(aty).all()) or _ill_conditioned(g):
-        return np.column_stack(
-            [_nnls_lstsq(a, ys[:, j], tol, max_iter) for j in range(ys.shape[1])]
-        )
-    return _nnls_gram(g, aty, tol, max_iter).T
+    aty = np.matmul(yst[:, None, :], a)[:, 0, :]
+    finite = np.isfinite(g).all() and np.isfinite(aty).all()
+    if not finite and not (np.isfinite(a).all() and np.isfinite(ys).all()):
+        raise ValueError("nnls input has non-finite entries")
+    if finite and not _ill_conditioned(g):
+        return _lawson_hanson(
+            aty, n, tol, max_iter,
+            dual=lambda b, x: b - np.matmul(x[:, None, :], g)[:, 0, :],
+            solve=partial(_solve_passive, g, np.eye(n)),
+        ).T
+    return _lawson_hanson(yst, n, tol, max_iter, dual=partial(_residual_dual, a),
+                          solve=partial(_lstsq_passive, a)).T
 
 
 def _ill_conditioned(g: np.ndarray) -> bool:
@@ -139,37 +148,29 @@ def _ill_conditioned(g: np.ndarray) -> bool:
     return not eig[0] * GRAM_COND_MAX > eig[-1]
 
 
-def _max_iter_error(max_iter: int) -> ConvergenceError:
-    return ConvergenceError(
-        f"nnls failed to converge within {max_iter} iterations "
-        f"(likely an ill-conditioned design matrix)"
-    )
+def _lawson_hanson(b: np.ndarray, n: int, tol: float, max_iter: int,
+                   dual, solve) -> np.ndarray:
+    """Lawson-Hanson for every row q of b at once; returns one solution row
+    of length n per row of b.
 
-
-def _restore_error() -> ConvergenceError:
-    return ConvergenceError("nnls feasibility restoration failed to settle")
-
-
-def _nnls_gram(g: np.ndarray, b: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
-    """Lawson-Hanson on the normal equations g x = b[q] for every row q of
-    b at once; returns one solution row per row of b.
-
-    Rows leave the state arrays when they finish (`rows` maps the rest to
-    their rows of b).  All remaining rows admit a coordinate together, so
-    one admission count covers them all.  Feasibility is restored on every
-    remaining row until all are feasible: a row that already is gets the
-    same solve again, which leaves it unchanged.
+    `dual(b, x)` gives the dual a^T (y - a x) of each row, and
+    `solve(b, passive)` the least-squares solution of each row on its
+    passive set, with exact zeros off it.  Rows leave the state arrays when
+    they finish (`rows` maps the rest to their rows of b).  All remaining
+    rows admit a coordinate together, so one admission count covers them
+    all.  Feasibility is restored on every remaining row until all are
+    feasible: a row that already is gets the same solve again, which
+    leaves it unchanged.
     """
-    n_rhs, n = b.shape
+    n_rhs = b.shape[0]
     out = np.zeros((n_rhs, n))
     rows = np.arange(n_rhs)
     x = np.zeros((n_rhs, n))
     passive = np.zeros((n_rhs, n), dtype=bool)
     blocked = np.zeros((n_rhs, n), dtype=bool)
-    eye = np.eye(n)
     outer = 0
     while True:
-        w = b - np.matmul(x[:, None, :], g)[:, 0, :]
+        w = dual(b, x)
         w[passive | blocked] = -np.inf
         going = w.max(axis=1) > tol
         if not going.all():
@@ -181,14 +182,17 @@ def _nnls_gram(g: np.ndarray, b: np.ndarray, tol: float, max_iter: int) -> np.nd
             )
         outer += 1
         if outer > max_iter:
-            raise _max_iter_error(max_iter)
+            raise ConvergenceError(
+                f"nnls failed to converge within {max_iter} iterations "
+                f"(likely an ill-conditioned design matrix)"
+            )
         j = w.argmax(axis=1)  # the first of the largest candidates
         live = np.arange(rows.size)
         passive[live, j] = True
         x_before = x  # the loop below rebinds x before changing it
         inner = 0
         while True:
-            z = _solve_passive(g, eye, b, passive)
+            z = solve(b, passive)
             bad = passive & (z <= 0.0)
             infeasible = bad.any(axis=1)
             if not infeasible.any():
@@ -196,7 +200,7 @@ def _nnls_gram(g: np.ndarray, b: np.ndarray, tol: float, max_iter: int) -> np.nd
                 break
             inner += 1
             if inner > 3 * n:
-                raise _restore_error()
+                raise ConvergenceError("nnls feasibility restoration failed to settle")
             # step from x toward z, stopping at the first coordinate to hit 0
             denom = x - z
             steps = np.divide(x, denom, out=np.where(bad, 0.0, np.inf),
@@ -227,53 +231,18 @@ def _solve_passive(g: np.ndarray, eye: np.ndarray, rhs: np.ndarray,
     return np.where(passive, z, 0.0)
 
 
-def _nnls_lstsq(a: np.ndarray, y: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
-    """The iteration of nnls_multi for one right-hand side, with each
-    subproblem solved by least squares on the passive columns of `a`."""
-    n = a.shape[1]
-    x = np.zeros(n)
-    passive = np.zeros(n, dtype=bool)
-    blocked = np.zeros(n, dtype=bool)
-    outer = 0
-    while True:
-        w = a.T @ (y - a @ x)
-        candidates = ~passive & ~blocked & (w > tol)
-        if not candidates.any():
-            break
-        outer += 1
-        if outer > max_iter:
-            raise _max_iter_error(max_iter)
-        j = int(np.flatnonzero(candidates)[np.argmax(w[candidates])])
-        passive[j] = True
-        x_before = x.copy()
-        inner = 0
-        while True:
-            z = np.zeros(n)
-            z[passive], *_ = np.linalg.lstsq(a[:, passive], y, rcond=None)
-            if np.all(z[passive] > 0.0):
-                x = z
-                break
-            inner += 1
-            if inner > 3 * n:
-                raise _restore_error()
-            # step from x toward z, stopping at the first coordinate to hit 0
-            mask = passive & (z <= 0.0)
-            denom = x[mask] - z[mask]
-            steps = np.divide(x[mask], denom, out=np.zeros_like(denom),
-                              where=denom > 0.0)
-            alpha = float(np.min(steps))
-            x = x + alpha * (z - x)
-            drop = passive & (x <= tol)
-            x[drop] = 0.0
-            passive &= ~drop
-            if not passive.any():
-                x = np.zeros(n)
-                break
-        if np.array_equal(x, x_before):
-            # admission of j went nowhere; shelve it until x moves
-            passive[j] = False
-            x[j] = 0.0
-            blocked[j] = True
-        else:
-            blocked[:] = False
-    return x
+def _residual_dual(a: np.ndarray, yst: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Per row q, the dual a^T (yst[q] - a x[q]); an entry that overflowed
+    to NaN becomes -inf, so it is never admitted."""
+    w = np.array([a.T @ (y - a @ xq) for y, xq in zip(yst, x)])
+    w[np.isnan(w)] = -np.inf
+    return w
+
+
+def _lstsq_passive(a: np.ndarray, yst: np.ndarray, passive: np.ndarray) -> np.ndarray:
+    """Per row q, least squares of yst[q] on the columns of `a` in the
+    passive set of passive[q], with exact zeros off it."""
+    z = np.zeros(passive.shape)
+    for zq, y, p in zip(z, yst, passive):
+        zq[p] = np.linalg.lstsq(a[:, p], y, rcond=None)[0]
+    return z

@@ -152,6 +152,21 @@ class TestDecompose:
         ])
         assert code == 2
 
+    def test_non_finite_input_exits_2(self, capsys, tmp_path):
+        tfile = tmp_path / "nan.dtf1"
+        values = np.ones((4, 3, 5))
+        values[1, 2, 3] = np.nan
+        write_tensor(DenseTensor(values), tfile)
+        for method, ranks in [("ll1", "1"), ("cpd", "1"), ("hosvd", "1,1,1")]:
+            code, payload = run_cli(capsys, [
+                "decompose", str(tfile), "--method", method, "--ranks", ranks,
+                "--out", str(tmp_path / "f"),
+            ])
+            assert code == 2
+            assert payload["status"] == "error"
+            assert str(tfile) in payload["error"]
+            assert "non-finite" in payload["error"]
+
     @pytest.mark.parametrize(
         "ranks,method",
         [("0", "cpd"), ("1,2", "cpd"), ("1,2", "hosvd"), ("x", "ll1"), ("", "ll1")],

@@ -77,6 +77,7 @@ class TestReadPgm:
             (b"P5 2 2 100\n" + bytes([0, 0, 0, 200]), "exceeds maxval"),
             (b"P2 2 1 255\n0 1 2\n", "trailing"),
             (b"P2 2 1 255\n0\n", "truncated"),
+            (b"P2\n2000000000 2000000000\n255\n1 2 3\n", "truncated"),
             (b"P2 2 1 255\n0 xy\n", "non-numeric"),
             (b"P2 2 1 255\n0 -3\n", "negative"),
             (b"P2 2 1 10\n0 11\n", "exceeds maxval"),

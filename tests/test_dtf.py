@@ -96,3 +96,11 @@ def test_rejects_order_out_of_range(tmp_path):
     path.write_bytes(blob)
     with pytest.raises(DtfFormatError):
         read_tensor(path)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_rejects_non_finite_payload(tmp_path, bad):
+    path = tmp_path / "nonfinite.dtf1"
+    path.write_bytes(pack_reference((2, 2), [1.0, 2.0, bad, 4.0]))
+    with pytest.raises(DtfFormatError, match="nonfinite.dtf1.*non-finite"):
+        read_tensor(path)

@@ -136,6 +136,18 @@ class TestNnls:
             nnls(np.zeros((3, 2)), np.zeros(4))
 
 
+def _ill_conditioned_design():
+    """A non-singular design whose Gram matrix is too ill-conditioned to
+    trust, with right-hand sides that end on different passive sets."""
+    rng = np.random.default_rng(13)
+    u, v, w = rng.standard_normal((3, 8))
+    a = np.column_stack([u, u + 1e-6 * v, w])
+    ys = np.column_stack([2.0 * u - w, w, u + 3.0 * w, -u,
+                          a @ [0.0, 1.0, 0.5] + 1e-3 * rng.standard_normal(8),
+                          rng.standard_normal(8)])
+    return a, ys
+
+
 def _columnwise_designs():
     """(name, a, ys, tol) batches whose columns take different paths
     through the active-set iteration."""
@@ -164,6 +176,9 @@ def _columnwise_designs():
     zero = -a @ np.linalg.solve(a.T @ a, np.ones(3))
     yield ("all-zero solution", a,
            np.column_stack([zero, rng.standard_normal(7)]), 1e-10)
+    for tol in (1e-10, 0.0):
+        yield ("ill-conditioned, least-squares subproblems",
+               *_ill_conditioned_design(), tol)
 
 
 class TestNnlsMulti:
@@ -184,6 +199,9 @@ class TestNnlsMulti:
                 assert len({tuple(col > 0.0) for col in out.T}) > 1
             if name == "all-zero solution":
                 assert np.all(out[:, 0] == 0.0)
+            if name.startswith("ill-conditioned"):
+                assert np.linalg.cond(a.T @ a) > GRAM_COND_MAX
+                assert len({tuple(col > 0.0) for col in out.T}) > 1
 
     def test_ill_conditioned_design_falls_back_to_lstsq(self):
         rng = np.random.default_rng(12)
@@ -199,8 +217,21 @@ class TestNnlsMulti:
             assert abs(float(r @ r) - nnls_bruteforce(a, ys[:, j])) < 1e-8
 
     def test_iteration_cap_raises(self):
-        with pytest.raises(ConvergenceError):
-            nnls_multi(np.eye(2), np.ones((2, 3)), max_iter=0)
+        for a, ys in [(np.eye(2), np.ones((2, 3))), _ill_conditioned_design()]:
+            with pytest.raises(ConvergenceError):
+                nnls_multi(a, ys, max_iter=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_raises(self, bad):
+        rng = np.random.default_rng(14)
+        a, ys = rng.standard_normal((6, 3)), rng.standard_normal((6, 2))
+        a_bad, ys_bad = a.copy(), ys.copy()
+        a_bad[2, 1] = ys_bad[4, 0] = bad
+        for a_in, ys_in in [(a, ys_bad), (a_bad, ys)]:
+            with pytest.raises(ValueError, match="non-finite"):
+                nnls_multi(a_in, ys_in)
+            with pytest.raises(ValueError, match="non-finite"):
+                nnls(a_in, ys_in[:, 0])
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
