@@ -8,11 +8,18 @@ by least squares on an O x P matrix: the input contracted with the term's
 mixing vector, less the other terms' slices weighted by how much their
 mixing vectors overlap it.  It then refreshes the whole mixing matrix by
 row-wise nonnegative least squares against the term slices.
+
+CPD and LL1 record the relative fit of every sweep in Gram form,
+||T - T^||^2 = ||T||^2 - 2 <T, T^> + ||T^||^2, from products the sweep
+already holds, so no dense model is built.  Where a rounding-error bound
+says the expansion cannot resolve the fit or its change since the last
+sweep, the fit is taken from the dense reconstruction instead.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import reduce
 from pathlib import Path
@@ -24,6 +31,8 @@ from .core import DenseTensor, khatri_rao, mode_n_product, norm_frobenius, unfol
 from .kernels import ConvergenceError, nnls_multi, pinv, svd
 
 _EPS = np.finfo(np.float64).eps
+_SUBNORMAL = float(np.finfo(np.float64).smallest_subnormal)
+_EPS_EXT = float(np.finfo(np.longdouble).eps)
 
 INIT_RANDOM = "random"
 INIT_HOSVD = "hosvd"
@@ -176,6 +185,56 @@ def _relative_fit(t: DenseTensor, recon: np.ndarray, norm_t: float) -> float:
     return err / norm_t if norm_t > 0 else err
 
 
+# Rounding bound of the Gram-form fit (Higham, Accuracy and Stability of
+# Numerical Algorithms, 2nd ed., section 3.1), with u = eps / 2 and
+# gamma_m = m u / (1 - m u).  A computed sum of products, in any summation
+# order, is within gamma_m times the sum of the products' absolute values
+# when no product passes through more than m roundings (eq. 3.5).  The
+# model T^ is a sum of terms whose norms add up to S (CPD: the weights, the
+# factor columns being unit; LL1: ||R_k|| ||M_k|| over the regressor
+# columns R_k and mixing rows M_k), so by Cauchy-Schwarz the absolute
+# values of the products in <T, T^> sum to at most ||T|| S, and those in
+# ||T^||^2 to at most S^2.  With N the entries of T:
+#   * ||T||^2 is np.sum(np.square(T)) over a contiguous array, which numpy
+#     sums pairwise in blocks of at most 128 terms with eight accumulators,
+#     so each square passes through at most floor(log2 N) + 23 roundings,
+#     its own included;
+#   * each product of <T, T^> and ||T^||^2 passes through the roundings
+#     counted where they are formed (`n_round`);
+#   * the two operations joining the three add 2 u (||T|| + S)^2.
+# So |computed err^2 - err^2| <= gamma_n (||T|| + S)^2 to first order, n
+# being the largest count plus 2.  (LL1 stores renormalized factors, which
+# moves T^ by a few ulps of S, far inside this.)  Under gradual underflow
+# each product may instead err by half the smallest subnormal, and on its
+# way to err^2 it is multiplied by at most (1 + Z)^2, with Z bounding the
+# factors it meets, so the callers add the number of products times the
+# smallest subnormal times (1 + Z)^2.  `_resolved_fit` doubles the bound,
+# covering the second-order terms and the bound's own rounding.
+def _gamma(m: int, eps: float = _EPS) -> float:
+    u = eps / 2
+    return m * u / (1.0 - m * u)
+
+
+def _resolved_fit(err2: float, bound: float, norm_t: float, history: list):
+    """The relative fit sqrt(err2) / norm_t of an expanded squared error
+    err2 within `bound` of the exact one, or None where the bound cannot
+    resolve the fit or its change from the last recorded fit.
+
+    With err2 > 2 bound the exact squared error x has x >= err2 / 2, so
+    |sqrt(err2) - sqrt(x)| = |err2 - x| / (sqrt(err2) + sqrt(x)) <=
+    bound / sqrt(err2); two more roundings, the root and the division, add
+    eps times the fit.
+    """
+    if not (norm_t > 0 and err2 > 2.0 * bound and math.isfinite(err2 + bound)):
+        return None
+    root = math.sqrt(err2)
+    fit = root / norm_t
+    fit_bound = bound / (root * norm_t) + _EPS * fit
+    if history and abs(fit - history[-1]) <= 2.0 * fit_bound:
+        return None
+    return fit
+
+
 def _require_order3(t: DenseTensor, op: str) -> None:
     if t.order != 3:
         raise ValueError(f"{op} requires an order-3 tensor, got order {t.order}")
@@ -196,8 +255,13 @@ def cpd_als(t: DenseTensor, rank: int, cfg: DecompConfig | None = None) -> Krusk
 
     Each mode update solves its exact least-squares subproblem via the
     Khatri-Rao regressor and the Hadamard product of Gram matrices, so the
-    relative fit recorded per sweep is non-increasing.  Non-convergence at
-    the sweep cap is reported through diagnostics, not raised.
+    relative fit recorded per sweep is non-increasing.  That fit is taken
+    in Gram form from the mode-2 product X_3 (B kr A) of the last update:
+    <T, T^> = sum((X_3 (B kr A)) * (C diag(w))) and
+    ||T^||^2 = w^T (A^T A * B^T B * C^T C) w, the latter in extended
+    precision; where its rounding bound cannot resolve the fit or its
+    change, the dense reconstruction gives it.  Non-convergence at the
+    sweep cap is reported through diagnostics, not raised.
     """
     _require_order3(t, "cpd_als")
     if rank < 1:
@@ -221,6 +285,21 @@ def cpd_als(t: DenseTensor, rank: int, cfg: DecompConfig | None = None) -> Krusk
         c = np.clip(c, 0.0, None)
 
     norm_t = norm_frobenius(t)
+    norm_sq = float(np.sum(np.square(t.flat)))
+    # Components that nearly cancel have weights far above ||T||, and
+    # double-precision Gram matrices then put an error of about
+    # eps (sum w)^2 into ||T^||^2: on a 64x64x40 face stack at rank 8
+    # (sum w = 12.5 ||T||) it moved the fit 0.0073 by 2.3e-10 of itself.
+    # So ||T^||^2 is summed in np.longdouble (a 64-bit significand on
+    # x86-64), with its own gamma, and rounded to double once.
+    # Roundings per product of ||T||^2, of <T, T^> (Khatri-Rao entry, GEMM
+    # of length IJ, C diag(w), product, sum of KR), plus one for rounding
+    # ||T^||^2; and in ||T^||^2 (three Gram matrices of lengths I, J, K, two
+    # Hadamard products, two sums of R, two products).  Products formed,
+    # for the underflow term: the squares of T, Khatri-Rao, GEMM, the rest.
+    n_round = max(t.size.bit_length() + 23, I * J + K * rank + 2) + 3
+    gamma_model = _gamma(I + J + K + 2 * rank + 4, _EPS_EXT)
+    n_products = t.size * (1 + 2 * rank) + (I + J + 3 * K + 4) * rank ** 2
     history: list[float] = []
     weights = np.ones(rank)
     converged = False
@@ -230,11 +309,22 @@ def cpd_als(t: DenseTensor, rank: int, cfg: DecompConfig | None = None) -> Krusk
         a, _ = _normalize_columns(a, rng, flags, "mode0")
         b = x2 @ khatri_rao(c, a) @ pinv(hadamard_gram(c, a))
         b, _ = _normalize_columns(b, rng, flags, "mode1")
-        c = x3 @ khatri_rao(b, a) @ pinv(hadamard_gram(b, a))
+        m3 = x3 @ khatri_rao(b, a)
+        c = m3 @ pinv(hadamard_gram(b, a))
         c, weights = _normalize_columns(c, rng, flags, "mode2")
 
-        recon = _kruskal_array([a, b, c], weights)
-        history.append(_relative_fit(t, recon, norm_t))
+        inner = float(np.sum(m3 * (c * weights)))
+        ea, eb, ec, ew = (v.astype(np.longdouble) for v in (a, b, c, weights))
+        model_sq = float(ew @ (np.dot(ea.T, ea) * np.dot(eb.T, eb) * np.dot(ec.T, ec))
+                         @ ew)
+        # an underflowed product meets at most entries of T and weights
+        scale = float(np.sum(weights))
+        bound = (_gamma(n_round) * (norm_t + scale) ** 2 + gamma_model * scale ** 2
+                 + n_products * _SUBNORMAL * (1.0 + norm_t + scale) ** 2)
+        fit = _resolved_fit(norm_sq - 2.0 * inner + model_sq, bound, norm_t, history)
+        if fit is None:
+            fit = _relative_fit(t, _kruskal_array([a, b, c], weights), norm_t)
+        history.append(fit)
         if _converged(history, cfg.rel_tol):
             converged = True
             break
@@ -287,6 +377,12 @@ def ll1_nn(t: DenseTensor, ranks, cfg: DecompConfig | None = None) -> LL1Factors
     vectorized slices of all terms, and everything is renormalized.
     The mixing vectors come back elementwise >= 0 with exact zeros allowed;
     zero entries are flagged in diagnostics.
+
+    After a sweep the model is the last mixing update's regressor R (one
+    vectorized slice per column) times its raw mixing M, so the recorded
+    fit is taken in Gram form: <T, T^> = sum(M * (X_3 R)^T) and
+    ||T^||^2 = sum(M * (R^T R M)).  Where its rounding bound cannot resolve
+    the fit or its change, the dense reconstruction gives it.
     """
     _require_order3(t, "ll1_nn")
     ranks = [int(L) for L in ranks]
@@ -333,6 +429,14 @@ def ll1_nn(t: DenseTensor, ranks, cfg: DecompConfig | None = None) -> LL1Factors
 
     x3 = unfold(t, 2)  # Q x (O*P), columns in layout order of each slice
     norm_t = norm_frobenius(t)
+    norm_sq = float(np.sum(np.square(t.flat)))
+    # roundings per product of ||T||^2, of <T, T^> (GEMM of length OP,
+    # product, sum of KQ) and of ||T^||^2 (R^T R of length OP, sum of K,
+    # two products, sum of KQ); products formed: the squares of T, X_3 R,
+    # R^T R, R^T R M and the two elementwise ones
+    n_round = max(t.size.bit_length() + 23, O * P + n_terms + n_terms * Q) + 2
+    n_products = (t.size * (1 + n_terms) + (O * P + Q) * n_terms ** 2
+                  + 2 * n_terms * Q)
     history: list[float] = []
     converged = False
     sweeps = 0
@@ -371,8 +475,19 @@ def ll1_nn(t: DenseTensor, ranks, cfg: DecompConfig | None = None) -> LL1Factors
                 else:
                     w_vecs[n] = w_vecs[n] * gamma
 
-        recon = _ll1_array([term_slice(n) for n in range(n_terms)], c_vecs)
-        history.append(_relative_fit(t, recon, norm_t))
+        gram = regressor.T @ regressor
+        inner = float(np.sum(mixing_raw * (x3 @ regressor).T))
+        model_sq = float(np.sum(mixing_raw * (gram @ mixing_raw)))
+        scale = float(np.sqrt(np.diag(gram)) @ np.linalg.norm(mixing_raw, axis=1))
+        # an underflowed product meets at most two mixing entries
+        reach = float(np.max(mixing_raw))
+        bound = (_gamma(n_round) * (norm_t + scale) ** 2
+                 + n_products * _SUBNORMAL * (1.0 + reach) ** 2)
+        fit = _resolved_fit(norm_sq - 2.0 * inner + model_sq, bound, norm_t, history)
+        if fit is None:
+            recon = _ll1_array([term_slice(n) for n in range(n_terms)], c_vecs)
+            fit = _relative_fit(t, recon, norm_t)
+        history.append(fit)
         if _converged(history, cfg.rel_tol):
             converged = True
             break

@@ -54,6 +54,10 @@ def pinv(m, tol: float | None = None) -> np.ndarray:
     Default tol is max(rows, cols) * machine epsilon * largest singular value.
     """
     m = _as_matrix(m)
+    if tol is None and m.shape == (1, 1) and 1e-130 < abs(m[0, 0]) < 1e130:
+        # the SVD of [[x]] is |x| with unit signs, so 1 / x is the SVD
+        # path's result bit for bit where LAPACK does not rescale x
+        return 1.0 / m
     res = svd(m)
     s_max = float(res.s[0]) if res.s.size else 0.0
     if tol is None:
@@ -110,9 +114,11 @@ def nnls_multi(a, ys, tol: float = 1e-10, max_iter: int | None = None) -> np.nda
     non-finite or ill-conditioned (condition number above GRAM_COND_MAX)
     is not trusted: the dual is then a^T (y - a x) and each subproblem is
     least squares on the passive columns of `a`, one column of ys at a
-    time.  Either way each column's arithmetic is the same whichever
-    columns share the call, so column j equals nnls(a, ys[:, j]) bit for
-    bit.
+    time.  A design whose Gram matrix overflows is first scaled by a power
+    of two to a largest entry in [0.5, 1), and the solution scaled back, so
+    the absolute `tol` thresholds act as on that design.  Either way each
+    column's arithmetic is the same whichever columns share the call, so
+    column j equals nnls(a, ys[:, j]) bit for bit.
     """
     a = _as_matrix(a, "a")
     ys = _as_matrix(ys, "ys")
@@ -124,6 +130,15 @@ def nnls_multi(a, ys, tol: float = 1e-10, max_iter: int | None = None) -> np.nda
     if n == 0 or ys.shape[1] == 0:
         return np.zeros((n, ys.shape[1]))
     g = a.T @ a
+    shift = 0
+    if not np.isfinite(g).all() and np.isfinite(a).all():
+        # The Gram matrix overflowed.  Scaling by a power of two is exact
+        # and commutes with every rounding, so solving on the design scaled
+        # to a largest entry in [0.5, 1) and scaling the solution back
+        # gives every power-of-two multiple of a design one result.
+        shift = int(np.frexp(np.max(np.abs(a)))[1])
+        a = np.ldexp(a, -shift)
+        g = a.T @ a
     yst = np.ascontiguousarray(ys.T)
     # one matrix-vector product per column: a column's a^T y must not
     # depend on how many columns share the call
@@ -132,13 +147,15 @@ def nnls_multi(a, ys, tol: float = 1e-10, max_iter: int | None = None) -> np.nda
     if not finite and not (np.isfinite(a).all() and np.isfinite(ys).all()):
         raise ValueError("nnls input has non-finite entries")
     if finite and not _ill_conditioned(g):
-        return _lawson_hanson(
+        x = _lawson_hanson(
             aty, n, tol, max_iter,
             dual=lambda b, x: b - np.matmul(x[:, None, :], g)[:, 0, :],
             solve=partial(_solve_passive, g, np.eye(n)),
-        ).T
-    return _lawson_hanson(yst, n, tol, max_iter, dual=partial(_residual_dual, a),
-                          solve=partial(_lstsq_passive, a)).T
+        )
+    else:
+        x = _lawson_hanson(yst, n, tol, max_iter, dual=partial(_residual_dual, a),
+                           solve=partial(_lstsq_passive, a))
+    return (np.ldexp(x, -shift) if shift else x).T
 
 
 def _ill_conditioned(g: np.ndarray) -> bool:

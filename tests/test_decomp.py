@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import assert_ll1_invariants
 from tensplit import decomp
 from tensplit.core import DenseTensor, khatri_rao, norm_frobenius, unfold
+from tensplit.dataset import synthetic_face_fixture
 from tensplit.decomp import (
     BlockTerm,
     DecompConfig,
@@ -346,6 +349,110 @@ class TestLL1:
             ll1_nn(t, [0])
         with pytest.raises(ValueError):
             ll1_nn(DenseTensor(np.zeros((2, 2))), [1])
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    real = getattr(decomp, name)
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(decomp, name, counted)
+    return calls
+
+
+def _model_scale(f):
+    """Sum of the norms of the model's terms: the S of the fit's rounding
+    bound."""
+    if isinstance(f, KruskalFactors):
+        return float(np.sum(f.weights))
+    return sum(float(np.linalg.norm(term.slice())) for term in f.terms)
+
+
+def _assert_fit_matches_dense(t, f, history):
+    """The recorded last fit against fit_error: the Gram-form expansion
+    errs by an amount absolute in the squared fit, a small multiple of eps
+    times (||T|| + S)^2 / ||T||^2."""
+    fe = fit_error(t, f)
+    scale = (1.0 + _model_scale(f) / norm_frobenius(t)) ** 2
+    assert abs(history[-1] ** 2 - fe ** 2) <= 1e-12 * scale, (history[-1], fe)
+
+
+class TestGramFit:
+    """The per-sweep fit is taken in Gram form, with a dense fallback."""
+
+    @pytest.fixture(scope="class")
+    def face_stack(self):
+        return synthetic_face_fixture(64, 64, seed=1, n_classes=4, per_class=10).tensor
+
+    def test_cpd_builds_no_dense_model(self, monkeypatch, face_stack):
+        calls = _counting(monkeypatch, "_kruskal_array")
+        f = cpd_als(face_stack, 8, DecompConfig(seed=1, max_sweeps=30))
+        assert f.diagnostics.sweeps == 30
+        assert calls == []
+
+    def test_ll1_builds_no_dense_model(self, monkeypatch, face_stack):
+        calls = _counting(monkeypatch, "_ll1_array")
+        f = ll1_nn(face_stack, [2, 2, 2, 2], DecompConfig(seed=1, max_sweeps=10))
+        assert f.diagnostics.sweeps == 10
+        assert calls == []
+
+    def test_exact_fit_falls_back_to_dense(self):
+        # the rank-1 tensors of AC1 are fitted far below what the expansion
+        # resolves, so the last fit is the dense one bit for bit
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            a, b, c = rng.standard_normal(8), rng.standard_normal(9), rng.standard_normal(10)
+            t = DenseTensor(a[:, None, None] * b[None, :, None] * c[None, None, :])
+            f = cpd_als(t, 1, DecompConfig(seed=seed, max_sweeps=200))
+            assert f.diagnostics.fit_history[-1] == fit_error(t, f)
+
+    def test_last_fit_matches_fit_error(self):
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            t = DenseTensor(rng.standard_normal((5, 6, 7)))
+            cfg = DecompConfig(seed=seed, max_sweeps=40)
+            fc = cpd_als(t, 2 + seed % 2, cfg)
+            fl = ll1_nn(t, [2, 1], cfg)
+            for f, hist in ((fc, fc.diagnostics.fit_history), (fl, fl.fit_history)):
+                np.testing.assert_allclose(hist[-1], fit_error(t, f), rtol=1e-12, atol=0)
+
+
+_SMALL_CASES = dict(
+    shape=st.tuples(*[st.integers(2, 6)] * 3),
+    seed=st.integers(0, 2**32 - 1),
+    sweeps=st.integers(1, 30),
+    nonneg=st.booleans(),
+)
+
+
+def _small_tensor(shape, seed, nonneg):
+    rng = np.random.default_rng(seed)
+    return DenseTensor(rng.uniform(0.0, 1.0, shape) if nonneg else rng.standard_normal(shape))
+
+
+def _assert_non_increasing(history):
+    assert all(history[i + 1] <= history[i] + 1e-9 for i in range(len(history) - 1))
+
+
+class TestSweepProperties:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(rank=st.integers(1, 3), **_SMALL_CASES)
+    def test_cpd(self, shape, seed, sweeps, nonneg, rank):
+        t = _small_tensor(shape, seed, nonneg)
+        f = cpd_als(t, rank, DecompConfig(seed=seed % 1000, max_sweeps=sweeps))
+        _assert_non_increasing(f.diagnostics.fit_history)
+        _assert_fit_matches_dense(t, f, f.diagnostics.fit_history)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(ranks=st.lists(st.integers(1, 3), min_size=1, max_size=3), **_SMALL_CASES)
+    def test_ll1(self, shape, seed, sweeps, nonneg, ranks):
+        t = _small_tensor(shape, seed, nonneg)
+        f = ll1_nn(t, ranks, DecompConfig(seed=seed % 1000, max_sweeps=sweeps))
+        assert_ll1_invariants(f)
+        _assert_fit_matches_dense(t, f, f.fit_history)
 
 
 class TestGreedyMatch:

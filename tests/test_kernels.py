@@ -74,6 +74,25 @@ class TestPinv:
         with pytest.raises(ValueError):
             pinv(np.eye(2), tol=-1.0)
 
+    def test_one_by_one_matches_svd_path(self):
+        rng = np.random.default_rng(9)
+        mags = 10.0 ** rng.uniform(-130.0, 130.0, size=2000)
+        for x in np.concatenate([mags, -mags, [1.0, -1.0, 1e-129, 1e129]]):
+            m = np.array([[x]])
+            res = svd(m)
+            inv = np.divide(1.0, res.s, out=np.zeros_like(res.s),
+                            where=res.s > np.finfo(np.float64).eps * res.s[0])
+            np.testing.assert_array_equal(pinv(m), (res.v * inv) @ res.u.T)
+
+    def test_one_by_one_edge_cases(self):
+        np.testing.assert_array_equal(pinv(np.zeros((1, 1))), np.zeros((1, 1)))
+        # an explicit tol keeps the SVD path and its threshold
+        np.testing.assert_array_equal(pinv(np.array([[2.0]]), tol=3.0), np.zeros((1, 1)))
+        np.testing.assert_array_equal(pinv(np.array([[1e200]])), np.array([[1e-200]]))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                pinv(np.array([[bad]]))
+
 
 class TestQr:
     def test_orthonormal_and_reconstructs(self):
@@ -236,3 +255,23 @@ class TestNnlsMulti:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             nnls_multi(np.zeros((3, 2)), np.zeros((4, 2)))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_gram_matches_unscaled_problem(self):
+        # a design times 2^k, whose Gram matrix overflows, has the unscaled
+        # problem's solution times 2^-k exactly
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            m, n = int(rng.integers(4, 12)), int(rng.integers(2, 6))
+            if seed % 2:
+                a = rng.standard_normal((m, n))
+                ys = rng.standard_normal((m, 2))
+            else:
+                a = rng.uniform(0.0, 1.0, size=(m, n))
+                ys = a @ rng.uniform(-0.5, 1.0, size=(n, 2)) + 0.05 * rng.standard_normal((m, 2))
+            want = nnls_multi(a, ys)
+            for k in (515, int(rng.integers(516, 550)), 550):
+                scaled = np.ldexp(a, k)
+                assert not np.isfinite(scaled.T @ scaled).all()
+                np.testing.assert_array_equal(nnls_multi(scaled, ys), np.ldexp(want, -k),
+                                              err_msg=f"seed {seed}, scale 2^{k}")
