@@ -184,6 +184,21 @@ def frontal_slice(t: DenseTensor, q: int) -> np.ndarray:
 
 
 def norm_frobenius(t) -> float:
-    """Frobenius norm of a tensor or array."""
-    flat = t.flat if isinstance(t, DenseTensor) else np.asarray(t, dtype=np.float64).ravel()
-    return float(np.linalg.norm(flat))
+    """Frobenius norm of a tensor or array, summed in memory order.
+
+    A result below 2^-500 or infinite, from finite entries, may come from
+    squares that underflowed or overflowed, so it is taken again on the
+    entries scaled by the power of two that puts the largest |entry| in
+    [0.5, 1).  Entries of largest |entry| in [2^-500, 2^500] whose squares
+    sum to a finite value never take that path.
+    """
+    x = t.flat if isinstance(t, DenseTensor) else np.asarray(t, dtype=np.float64)
+    with np.errstate(over="ignore"):  # retried on scaled entries below
+        norm = float(np.linalg.norm(x))
+    if 2.0 ** -500 <= norm < math.inf or not x.size:
+        return norm
+    big = float(max(np.max(x), -np.min(x)))
+    if not 0.0 < big < math.inf:  # all zero, or not finite
+        return norm
+    e = math.frexp(big)[1]
+    return math.ldexp(float(np.linalg.norm(np.ldexp(x, -e))), e)

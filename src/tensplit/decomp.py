@@ -3,7 +3,11 @@ rank-(L,L,1) block-term decomposition with a nonnegative stacking mode.
 
 All three operate on order-3 tensors.  Factor columns are returned with
 unit Euclidean norm; the norms are absorbed into per-component weights.
-The LL1 sweep updates each term's two matrix factors in turn (Gauss-Seidel)
+The CPD sweep contracts the input with one factor at a time, a dimension
+tree (Phan, Tichavsky & Cichocki, IEEE Trans. Signal Process. 2013):
+T x_3 C^T serves both the A and the B update and T x_1 A^T the C update,
+so a sweep runs two tensor-times-matrix GEMMs and forms no Khatri-Rao
+product.  The LL1 sweep updates each term's two matrix factors in turn (Gauss-Seidel)
 by least squares on an O x P matrix: the input contracted with the term's
 mixing vector, less the other terms' slices weighted by how much their
 mixing vectors overlap it.  It then refreshes the whole mixing matrix by
@@ -151,14 +155,14 @@ def _normalize_columns(m: np.ndarray, rng: np.random.Generator, flags: list, wha
     """Scale columns to unit norm; a zero column is replaced by a fresh
     random unit column with weight 0."""
     norms = np.linalg.norm(m, axis=0)
-    out = np.empty_like(m)
-    for j, nj in enumerate(norms):
-        if nj == 0.0:
-            col = rng.standard_normal(m.shape[0])
-            out[:, j] = col / np.linalg.norm(col)
-            flags.append(f"zero-column:{what}")
-        else:
-            out[:, j] = m[:, j] / nj
+    if norms.all():
+        return m / norms, norms
+    zero = norms == 0.0
+    out = np.divide(m, norms, out=np.empty_like(m), where=~zero)
+    for j in np.flatnonzero(zero):
+        col = rng.standard_normal(m.shape[0])
+        out[:, j] = col / np.linalg.norm(col)
+        flags.append(f"zero-column:{what}")
     return out, norms
 
 
@@ -181,7 +185,7 @@ def _converged(history: list, rel_tol: float) -> bool:
 
 
 def _relative_fit(t: DenseTensor, recon: np.ndarray, norm_t: float) -> float:
-    err = float(np.linalg.norm(t.values - recon))
+    err = norm_frobenius(t.values - recon)
     return err / norm_t if norm_t > 0 else err
 
 
@@ -240,6 +244,19 @@ def _require_order3(t: DenseTensor, op: str) -> None:
         raise ValueError(f"{op} requires an order-3 tensor, got order {t.order}")
 
 
+def _in_range(t: DenseTensor) -> tuple[DenseTensor, float, int]:
+    """t, its norm and 0; or, where that norm lies outside [2^-500, 2^500]
+    and the fit's squares could underflow or overflow, t scaled exactly by
+    the power of two 2^-shift that puts its norm in [0.5, 1), that norm
+    and shift.  The caller scales its weights back by 2^shift."""
+    norm_t = norm_frobenius(t)
+    if 2.0 ** -500 <= norm_t <= 2.0 ** 500 or not 0.0 < norm_t < math.inf:
+        return t, norm_t, 0
+    shift = math.frexp(norm_t)[1]
+    t = DenseTensor(np.ldexp(t.values, -shift))
+    return t, norm_frobenius(t), shift
+
+
 def _hosvd_factor_init(t: DenseTensor, cols_per_mode: list[int]) -> list[np.ndarray]:
     out = []
     for mode, cols in enumerate(cols_per_mode):
@@ -253,19 +270,28 @@ def _hosvd_factor_init(t: DenseTensor, cols_per_mode: list[int]) -> list[np.ndar
 def cpd_als(t: DenseTensor, rank: int, cfg: DecompConfig | None = None) -> KruskalFactors:
     """Canonical polyadic decomposition by alternating least squares.
 
-    Each mode update solves its exact least-squares subproblem via the
-    Khatri-Rao regressor and the Hadamard product of Gram matrices, so the
-    relative fit recorded per sweep is non-increasing.  That fit is taken
-    in Gram form from the mode-2 product X_3 (B kr A) of the last update:
-    <T, T^> = sum((X_3 (B kr A)) * (C diag(w))) and
-    ||T^||^2 = w^T (A^T A * B^T B * C^T C) w, the latter in extended
+    Each mode update solves its exact least-squares subproblem: the input
+    contracted with the other two factors (X_n times their Khatri-Rao
+    product) times the pseudoinverse of the Hadamard product of their Gram
+    matrices, so the relative fit recorded per sweep is non-increasing.
+    The contractions share a dimension tree.  Y = T x_3 C^T, one GEMM
+    viewed as R x J x I, is summed against B over j for the A update and
+    against the new A over i for the B update; Z = T x_1 A^T, the second
+    GEMM, is summed against the new B over j, giving the C update's
+    m3 = X_3 (B kr A).  No Khatri-Rao matrix is formed.
+
+    The fit is taken in Gram form from m3: <T, T^> = sum(m3 * (C diag(w)))
+    and ||T^||^2 = w^T (A^T A * B^T B * C^T C) w, the latter in extended
     precision; where its rounding bound cannot resolve the fit or its
-    change, the dense reconstruction gives it.  Non-convergence at the
-    sweep cap is reported through diagnostics, not raised.
+    change, the dense reconstruction gives it.  An input whose norm lies
+    outside [2^-500, 2^500] is fitted scaled by a power of two, and the
+    weights are scaled back.  Non-convergence at the sweep cap is reported
+    through diagnostics, not raised.
     """
     _require_order3(t, "cpd_als")
     if rank < 1:
         raise ValueError("rank must be >= 1")
+    t, norm_t, shift = _in_range(t)
     cfg = cfg or DecompConfig()
     rng = np.random.default_rng(cfg.seed)
     flags: list[str] = []
@@ -275,7 +301,7 @@ def cpd_als(t: DenseTensor, rank: int, cfg: DecompConfig | None = None) -> Krusk
     if rank > feasible:
         flags.append("degenerate-rank")
 
-    x1, x2, x3 = unfold(t, 0), unfold(t, 1), unfold(t, 2)
+    x1, x3 = unfold(t, 0), unfold(t, 2)  # views of t, no copy
     if cfg.init == INIT_RANDOM:
         a = rng.standard_normal((I, rank))
         b = rng.standard_normal((J, rank))
@@ -284,7 +310,6 @@ def cpd_als(t: DenseTensor, rank: int, cfg: DecompConfig | None = None) -> Krusk
         a, b, c = _hosvd_factor_init(t, [rank, rank, rank])
         c = np.clip(c, 0.0, None)
 
-    norm_t = norm_frobenius(t)
     norm_sq = float(np.sum(np.square(t.flat)))
     # Components that nearly cancel have weights far above ||T||, and
     # double-precision Gram matrices then put an error of about
@@ -292,24 +317,29 @@ def cpd_als(t: DenseTensor, rank: int, cfg: DecompConfig | None = None) -> Krusk
     # (sum w = 12.5 ||T||) it moved the fit 0.0073 by 2.3e-10 of itself.
     # So ||T^||^2 is summed in np.longdouble (a 64-bit significand on
     # x86-64), with its own gamma, and rounded to double once.
-    # Roundings per product of ||T||^2, of <T, T^> (Khatri-Rao entry, GEMM
-    # of length IJ, C diag(w), product, sum of KR), plus one for rounding
-    # ||T^||^2; and in ||T^||^2 (three Gram matrices of lengths I, J, K, two
-    # Hadamard products, two sums of R, two products).  Products formed,
-    # for the underflow term: the squares of T, Khatri-Rao, GEMM, the rest.
-    n_round = max(t.size.bit_length() + 23, I * J + K * rank + 2) + 3
+    # Roundings per product of ||T||^2, of <T, T^> (GEMM of length I in z,
+    # product with B and sum of J in m3, C diag(w), product, sum of KR),
+    # plus one for rounding ||T^||^2; and in ||T^||^2 (three Gram matrices
+    # of lengths I, J, K, two Hadamard products, two sums of R, two
+    # products).  Products formed, for the underflow term: the squares of
+    # T, the GEMM forming z, m3's products with B, the rest.
+    n_round = max(t.size.bit_length() + 23, I + J + K * rank + 1) + 3
     gamma_model = _gamma(I + J + K + 2 * rank + 4, _EPS_EXT)
-    n_products = t.size * (1 + 2 * rank) + (I + J + 3 * K + 4) * rank ** 2
+    n_products = t.size * (1 + rank) + J * K * rank + (I + J + 3 * K + 4) * rank ** 2
     history: list[float] = []
     weights = np.ones(rank)
     converged = False
     sweeps = 0
     for sweeps in range(1, cfg.max_sweeps + 1):
-        a = x1 @ khatri_rao(c, b) @ pinv(hadamard_gram(c, b))
+        # y[r, j, i] = sum_k T[i, j, k] C[k, r] serves the A and B updates
+        y = np.reshape(c.T @ x3, (rank, J, I))
+        a = np.matmul(b.T[:, None, :], y)[:, 0, :].T @ pinv(hadamard_gram(c, b))
         a, _ = _normalize_columns(a, rng, flags, "mode0")
-        b = x2 @ khatri_rao(c, a) @ pinv(hadamard_gram(c, a))
+        b = np.matmul(y, a.T[:, :, None])[:, :, 0].T @ pinv(hadamard_gram(c, a))
         b, _ = _normalize_columns(b, rng, flags, "mode1")
-        m3 = x3 @ khatri_rao(b, a)
+        # z[r, k, j] = sum_i T[i, j, k] A[i, r]
+        z = np.reshape(a.T @ x1, (rank, K, J))
+        m3 = np.matmul(z, b.T[:, :, None])[:, :, 0].T
         c = m3 @ pinv(hadamard_gram(b, a))
         c, weights = _normalize_columns(c, rng, flags, "mode2")
 
@@ -330,7 +360,7 @@ def cpd_als(t: DenseTensor, rank: int, cfg: DecompConfig | None = None) -> Krusk
             break
 
     # weights are column norms, hence nonnegative; flip any residual -0.0
-    weights = np.abs(weights)
+    weights = np.ldexp(np.abs(weights), shift)
     diag = Diagnostics(sweeps=sweeps, converged=converged, fit_history=history,
                        flags=flags, seed=cfg.seed)
     return KruskalFactors(factors=[a, b, c], weights=weights, diagnostics=diag)
@@ -382,7 +412,9 @@ def ll1_nn(t: DenseTensor, ranks, cfg: DecompConfig | None = None) -> LL1Factors
     vectorized slice per column) times its raw mixing M, so the recorded
     fit is taken in Gram form: <T, T^> = sum(M * (X_3 R)^T) and
     ||T^||^2 = sum(M * (R^T R M)).  Where its rounding bound cannot resolve
-    the fit or its change, the dense reconstruction gives it.
+    the fit or its change, the dense reconstruction gives it.  As in
+    cpd_als, an input whose norm lies outside [2^-500, 2^500] is fitted
+    scaled by a power of two, and the weights are scaled back.
     """
     _require_order3(t, "ll1_nn")
     ranks = [int(L) for L in ranks]
@@ -390,6 +422,7 @@ def ll1_nn(t: DenseTensor, ranks, cfg: DecompConfig | None = None) -> LL1Factors
         raise ValueError("need at least one block term")
     if any(L < 1 for L in ranks):
         raise ValueError("every block rank L must be >= 1")
+    t, norm_t, shift = _in_range(t)
     cfg = cfg or DecompConfig()
     rng = np.random.default_rng(cfg.seed)
     flags: list[str] = []
@@ -428,7 +461,6 @@ def ll1_nn(t: DenseTensor, ranks, cfg: DecompConfig | None = None) -> LL1Factors
         return (a_mats[n] * w_vecs[n]) @ b_mats[n].T
 
     x3 = unfold(t, 2)  # Q x (O*P), columns in layout order of each slice
-    norm_t = norm_frobenius(t)
     norm_sq = float(np.sum(np.square(t.flat)))
     # roundings per product of ||T||^2, of <T, T^> (GEMM of length OP,
     # product, sum of KQ) and of ||T^||^2 (R^T R of length OP, sum of K,
@@ -497,7 +529,8 @@ def ll1_nn(t: DenseTensor, ranks, cfg: DecompConfig | None = None) -> LL1Factors
         if np.any(c_vecs[k] == 0.0):
             flags.append(f"zero-mixing-entries:term{k}")
         terms.append(
-            BlockTerm(a=a_mats[k], b=b_mats[k], c=c_vecs[k], weights=w_vecs[k])
+            BlockTerm(a=a_mats[k], b=b_mats[k], c=c_vecs[k],
+                      weights=np.ldexp(w_vecs[k], shift))
         )
     diag = Diagnostics(sweeps=sweeps, converged=converged, fit_history=history,
                        flags=flags, seed=cfg.seed)

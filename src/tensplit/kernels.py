@@ -14,6 +14,7 @@ is ill-conditioned, least squares on the design itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -99,12 +100,14 @@ def nnls_multi(a, ys, tol: float = 1e-10, max_iter: int | None = None) -> np.nda
     the most violated dual coordinate, solve the unconstrained LS problem on
     that set, and step back toward feasibility when the subproblem solution
     leaves the nonnegative orthant.  Inactive coordinates are exact zeros.
-    `tol` is the dual feasibility threshold; a coordinate whose admission
-    makes no numerical progress is shelved until the iterate next moves,
-    which keeps near-degenerate problems from cycling.  The iteration cap
-    defaults to 10 * cols admissions, with at most 3 * cols feasibility
-    steps per admission; either cap raises ConvergenceError.  Non-finite
-    entries in `a` or `ys` raise ValueError.
+    `tol` is the dual feasibility threshold, applied to the design scaled
+    by a power of two to a largest |entry| in [0.5, 1), the solution being
+    scaled back; a coordinate whose admission makes no numerical progress
+    is shelved until the iterate next moves, which keeps near-degenerate
+    problems from cycling.  The iteration cap defaults to 10 * cols
+    admissions, with at most 3 * cols feasibility steps per admission;
+    either cap raises ConvergenceError.  Non-finite entries in `a` or `ys`
+    raise ValueError.
 
     One iteration advances every unfinished column together and is given
     the dual and the passive-set subproblem solver of one of two
@@ -114,11 +117,9 @@ def nnls_multi(a, ys, tol: float = 1e-10, max_iter: int | None = None) -> np.nda
     non-finite or ill-conditioned (condition number above GRAM_COND_MAX)
     is not trusted: the dual is then a^T (y - a x) and each subproblem is
     least squares on the passive columns of `a`, one column of ys at a
-    time.  A design whose Gram matrix overflows is first scaled by a power
-    of two to a largest entry in [0.5, 1), and the solution scaled back, so
-    the absolute `tol` thresholds act as on that design.  Either way each
-    column's arithmetic is the same whichever columns share the call, so
-    column j equals nnls(a, ys[:, j]) bit for bit.
+    time.  Either way each column's arithmetic is the same whichever
+    columns share the call, so column j equals nnls(a, ys[:, j]) bit for
+    bit.
     """
     a = _as_matrix(a, "a")
     ys = _as_matrix(ys, "ys")
@@ -129,16 +130,17 @@ def nnls_multi(a, ys, tol: float = 1e-10, max_iter: int | None = None) -> np.nda
         max_iter = max(30, 10 * n)
     if n == 0 or ys.shape[1] == 0:
         return np.zeros((n, ys.shape[1]))
-    g = a.T @ a
     shift = 0
-    if not np.isfinite(g).all() and np.isfinite(a).all():
-        # The Gram matrix overflowed.  Scaling by a power of two is exact
-        # and commutes with every rounding, so solving on the design scaled
-        # to a largest entry in [0.5, 1) and scaling the solution back
-        # gives every power-of-two multiple of a design one result.
-        shift = int(np.frexp(np.max(np.abs(a)))[1])
+    big = float(np.abs(a).max())
+    if 0.0 < big < math.inf:
+        # Scaling by a power of two is exact and commutes with every
+        # rounding, so every power-of-two multiple of a design gets one
+        # result.  Unscaled, a design far from unit scale overflows or
+        # underflows its Gram matrix, or puts its duals or solution below
+        # the absolute `tol`: wrong supports or a ConvergenceError.
+        shift = math.frexp(big)[1]
         a = np.ldexp(a, -shift)
-        g = a.T @ a
+    g = a.T @ a
     yst = np.ascontiguousarray(ys.T)
     # one matrix-vector product per column: a column's a^T y must not
     # depend on how many columns share the call

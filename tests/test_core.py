@@ -217,3 +217,5 @@ class TestSlicesAndNorm:
         arr = np.array([[3.0, 0.0], [0.0, 4.0]])
         assert norm_frobenius(DenseTensor(arr)) == 5.0
         assert norm_frobenius(arr) == 5.0
+        for k in (-560, 560):  # squares underflow or overflow
+            assert norm_frobenius(DenseTensor(np.ldexp(arr, k))) == np.ldexp(5.0, k)

@@ -99,6 +99,42 @@ def ll1_dense_residual_fits(t, ranks, seed, sweeps):
     return fits
 
 
+def cpd_khatri_rao_fits(t, rank, cfg):
+    """Reference fit history of cfg.max_sweeps CPD sweeps, each mode update
+    regressing its unfolding on the Khatri-Rao product of the other two
+    factors, with the fit taken from the dense reconstruction.  A zero
+    column is replaced by a random unit column, drawn as cpd_als draws it."""
+    arr = t.values
+    I, J, K = t.shape
+    rng = np.random.default_rng(cfg.seed)
+
+    def unit_columns(m):
+        norms = np.linalg.norm(m, axis=0)
+        m = m / np.where(norms == 0.0, 1.0, norms)
+        for j in np.flatnonzero(norms == 0.0):
+            col = rng.standard_normal(m.shape[0])
+            m[:, j] = col / np.linalg.norm(col)
+        return m, norms
+
+    if cfg.init == "random":
+        a = rng.standard_normal((I, rank))
+        b = rng.standard_normal((J, rank))
+        c = rng.uniform(0.0, 1.0, size=(K, rank))
+    else:
+        a, b, c = (np.linalg.svd(unfold(t, n), full_matrices=False)[0][:, :rank]
+                   for n in range(3))
+        c = np.clip(c, 0.0, None)
+    x1, x2, x3 = (unfold(t, n) for n in range(3))
+    fits = []
+    for _ in range(cfg.max_sweeps):
+        a, _ = unit_columns(x1 @ khatri_rao(c, b) @ pinv((c.T @ c) * (b.T @ b)))
+        b, _ = unit_columns(x2 @ khatri_rao(c, a) @ pinv((c.T @ c) * (a.T @ a)))
+        c, w = unit_columns(x3 @ khatri_rao(b, a) @ pinv((b.T @ b) * (a.T @ a)))
+        recon = kruskal_by_triple_sum([a, b, c], w)
+        fits.append(np.linalg.norm(arr - recon) / np.linalg.norm(arr))
+    return fits
+
+
 def random_orthonormal(rng, rows, cols):
     m = rng.standard_normal((rows, cols))
     q, _ = np.linalg.qr(m)
@@ -215,6 +251,18 @@ class TestCpdAls:
         t = DenseTensor(np.einsum("i,j,k->ijk", a, b, c))
         f = cpd_als(t, 1, DecompConfig(seed=0, init="hosvd"))
         assert fit_error(t, f) < 1e-8
+
+    def test_extreme_scales_match_unscaled_fits(self):
+        # the squares of entries times 2^-560 underflow, times 2^560 overflow
+        arr = np.random.default_rng(3).standard_normal((4, 5, 6))
+        cfg = DecompConfig(seed=3, max_sweeps=40)
+        want = cpd_als(DenseTensor(arr), 2, cfg).diagnostics.fit_history
+        for k in (-560, 560):
+            t = DenseTensor(np.ldexp(arr, k))
+            f = cpd_als(t, 2, cfg)
+            assert len(f.diagnostics.fit_history) == len(want)
+            np.testing.assert_allclose(f.diagnostics.fit_history, want, rtol=1e-10, atol=0)
+            np.testing.assert_allclose(fit_error(t, f), want[-1], rtol=1e-10, atol=0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -341,6 +389,18 @@ class TestLL1:
         want = ll1_dense_residual_fits(t, ranks, seed=3, sweeps=20)
         np.testing.assert_allclose(f.fit_history[:20], want, rtol=0, atol=1e-10)
 
+    def test_extreme_scales_agree(self):
+        # inputs whose squares underflow or overflow are fitted in range
+        arr = np.random.default_rng(3).standard_normal((4, 5, 6))
+        cfg = DecompConfig(seed=3, max_sweeps=20)
+        small, big = (ll1_nn(DenseTensor(np.ldexp(arr, k)), [2, 1], cfg) for k in (-560, 560))
+        assert len(small.fit_history) == len(big.fit_history) == 20
+        np.testing.assert_allclose(small.fit_history, big.fit_history, rtol=1e-10, atol=0)
+        for f, k in ((small, -560), (big, 560)):
+            assert_ll1_invariants(f)
+            np.testing.assert_allclose(fit_error(DenseTensor(np.ldexp(arr, k)), f),
+                                       f.fit_history[-1], rtol=1e-10, atol=0)
+
     def test_validation(self):
         t = DenseTensor(np.zeros((2, 2, 2)))
         with pytest.raises(ValueError):
@@ -380,12 +440,31 @@ def _assert_fit_matches_dense(t, f, history):
     assert abs(history[-1] ** 2 - fe ** 2) <= 1e-12 * scale, (history[-1], fe)
 
 
+@pytest.fixture(scope="module")
+def face_stack():
+    return synthetic_face_fixture(64, 64, seed=1, n_classes=4, per_class=10).tensor
+
+
+class TestDimensionTree:
+    """The CPD sweep contracts the input with one factor at a time."""
+
+    def test_cpd_forms_no_khatri_rao(self, monkeypatch, face_stack):
+        calls = _counting(monkeypatch, "khatri_rao")
+        f = cpd_als(face_stack, 8, DecompConfig(seed=1, max_sweeps=30))
+        assert f.diagnostics.sweeps == 30
+        assert calls == []
+
+    def test_matches_khatri_rao_sweep(self, face_stack):
+        noise = DenseTensor(np.random.default_rng(17).standard_normal((7, 6, 9)))
+        for t, rank, init in ((noise, 4, "random"), (face_stack, 8, "hosvd")):
+            cfg = DecompConfig(seed=5, max_sweeps=30, rel_tol=1e-300, init=init)
+            f = cpd_als(t, rank, cfg)
+            np.testing.assert_allclose(f.diagnostics.fit_history,
+                                       cpd_khatri_rao_fits(t, rank, cfg), rtol=0, atol=1e-10)
+
+
 class TestGramFit:
     """The per-sweep fit is taken in Gram form, with a dense fallback."""
-
-    @pytest.fixture(scope="class")
-    def face_stack(self):
-        return synthetic_face_fixture(64, 64, seed=1, n_classes=4, per_class=10).tensor
 
     def test_cpd_builds_no_dense_model(self, monkeypatch, face_stack):
         calls = _counting(monkeypatch, "_kruskal_array")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import nnls_bruteforce
 from tensplit.kernels import (
@@ -259,7 +261,8 @@ class TestNnlsMulti:
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_gram_matches_unscaled_problem(self):
         # a design times 2^k, whose Gram matrix overflows, has the unscaled
-        # problem's solution times 2^-k exactly
+        # problem's solution times 2^-k exactly; so has a design times 2^-k
+        # whose Gram matrix underflows, times 2^k
         for seed in range(60):
             rng = np.random.default_rng(seed)
             m, n = int(rng.integers(4, 12)), int(rng.integers(2, 6))
@@ -275,3 +278,28 @@ class TestNnlsMulti:
                 assert not np.isfinite(scaled.T @ scaled).all()
                 np.testing.assert_array_equal(nnls_multi(scaled, ys), np.ldexp(want, -k),
                                               err_msg=f"seed {seed}, scale 2^{k}")
+                scaled = np.ldexp(a, -k)
+                assert np.max(np.diag(scaled.T @ scaled)) < np.finfo(np.float64).tiny
+                np.testing.assert_array_equal(nnls_multi(scaled, ys), np.ldexp(want, k),
+                                              err_msg=f"seed {seed}, scale 2^-{k}")
+
+
+class TestNnlsProperties:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(rows=st.integers(3, 10), cols=st.integers(2, 5), rhs=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1), nonneg=st.booleans(),
+           k=st.one_of(st.integers(-560, 560), st.integers(500, 525), st.integers(-525, -500)))
+    def test_matches_bruteforce(self, rows, cols, rhs, seed, nonneg, k):
+        # k runs over every scale, and often across the ones where the
+        # Gram matrix of a * 2^k starts to overflow or underflow; the
+        # solution scales exactly, so the objective does not depend on k
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(0.0, 1.0, (rows, cols)) if nonneg else rng.standard_normal((rows, cols))
+        ys = rng.standard_normal((rows, rhs))
+        x = nnls_multi(np.ldexp(a, k), ys)
+        np.testing.assert_array_equal(x, np.ldexp(nnls_multi(a, ys), -k))
+        assert np.all(x >= 0.0)
+        for j in range(rhs):
+            y = ys[:, j]
+            r = y - a @ np.ldexp(x[:, j], k)
+            assert abs(float(r @ r) - nnls_bruteforce(a, y)) <= 1e-8 * (1.0 + y @ y)
