@@ -33,7 +33,6 @@ from .features import (
     estimate_mixing,
     fit_feature_bank,
     split_features,
-    split_single,
 )
 from .kernels import ConvergenceError
 from .seeds import derive_seed
@@ -262,39 +261,35 @@ def _featurize_raw(ds: EnsembleDataset, plan: SplitPlan):
 def _featurize_split(ds: EnsembleDataset, plan: SplitPlan, ranks: list,
                      cfg: ExperimentConfig, realization: int):
     rule = SubsetRule(cfg.tau)
-    train_vecs, train_labels = [], []
-    pooled_slices = []
-    for gid in plan.train_groups:
-        sub, labels = group_tensor(ds, plan.members[gid])
-        dcfg = DecompConfig(
-            max_sweeps=cfg.max_sweeps,
-            rel_tol=cfg.rel_tol,
-            seed=derive_seed(cfg.seed, "realization", realization, "group", gid),
-        )
-        try:
-            bank = fit_feature_bank(sub, ranks, dcfg, n_restarts=cfg.n_restarts)
-        except ConvergenceError as exc:
-            raise ConvergenceError(f"decomposition failed on group {gid}: {exc}") from exc
-        split = split_features(sub, bank, rule)
-        ind = unfold(split.individual, 2)
-        for i, lab in enumerate(labels):
-            train_vecs.append(ind[i])
-            train_labels.append(lab)
-        pooled_slices.extend(bank.slices)
+    groups = [group_tensor(ds, plan.members[gid]) for gid in plan.train_groups]
+    dcfgs = [DecompConfig(max_sweeps=cfg.max_sweeps, rel_tol=cfg.rel_tol,
+                          seed=derive_seed(cfg.seed, "realization", realization,
+                                           "group", gid))
+             for gid in plan.train_groups]
+    try:
+        # every training group has one sample per class, so one shape: they
+        # are decomposed together, in one stacked sweep
+        banks = fit_feature_bank([sub for sub, _ in groups], ranks, dcfgs,
+                                 n_restarts=cfg.n_restarts)
+    except ConvergenceError as exc:
+        where = (f"group {plan.train_groups[exc.index]}" if exc.index is not None
+                 else f"one of groups {plan.train_groups}")
+        raise ConvergenceError(f"decomposition failed on {where}: {exc}") from exc
+    train_vecs = [v for (sub, _), bank in zip(groups, banks)
+                  for v in unfold(split_features(sub, bank, rule).individual, 2)]
+    train_labels = [lab for _, labels in groups for lab in labels]
+    del groups  # free the training stacks before the held-out split
 
+    pooled_slices = [s for bank in banks for s in bank.slices]
     pooled = CommonFeatureBank(
         slices=pooled_slices, mixing=np.zeros((0, len(pooled_slices)))
     )
     test_idx = [q for gid in plan.test_groups for q in plan.members[gid]]
-    images = ds.tensor.values[:, :, test_idx]
-    weights = estimate_mixing(pooled, images)
-    test_vecs, test_labels = [], []
-    for i, q in enumerate(test_idx):
-        _, individual, _ = split_single(pooled, images[:, :, i], weights[i], rule)
-        test_vecs.append(individual.ravel(order="F"))
-        test_labels.append(ds.labels[q])
+    held_out, test_labels = group_tensor(ds, test_idx)
+    weights = estimate_mixing(pooled, held_out.values)
+    split = split_features(held_out, pooled, rule, weights=weights)
     return (LabeledVectors(vectors=train_vecs, labels=train_labels),
-            LabeledVectors(vectors=test_vecs, labels=test_labels))
+            LabeledVectors(vectors=list(unfold(split.individual, 2)), labels=test_labels))
 
 
 def _classify(train: LabeledVectors, test: LabeledVectors, cfg: ExperimentConfig):

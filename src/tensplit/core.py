@@ -28,7 +28,19 @@ class DenseTensor:
     __slots__ = ("_arr",)
 
     def __init__(self, values):
-        arr = np.array(values, dtype=np.float64, order="F", copy=True)
+        self._adopt(np.array(values, dtype=np.float64, order="F", copy=True))
+
+    @classmethod
+    def _wrap(cls, arr: np.ndarray) -> "DenseTensor":
+        """Adopt, without copying, a fresh F-ordered float64 array that the
+        package owns and no caller holds; it becomes read-only."""
+        if arr.dtype != np.float64 or not arr.flags.f_contiguous:
+            raise ValueError("only an F-ordered float64 array can be adopted")
+        t = cls.__new__(cls)
+        t._adopt(arr)
+        return t
+
+    def _adopt(self, arr: np.ndarray) -> None:
         if arr.ndim < 1:
             raise ValueError("tensor order must be at least 1")
         if arr.ndim > MAX_ORDER:
@@ -123,8 +135,9 @@ def fold(m, mode: int, shape: Sequence[int]) -> DenseTensor:
         raise ValueError(
             f"matrix of shape {m.shape} is inconsistent with folding mode {mode} of {shape}"
         )
-    arr = np.moveaxis(m.reshape((shape[mode],) + rest, order="F"), 0, mode)
-    return DenseTensor(arr)
+    out = np.empty(shape, order="F")
+    np.moveaxis(out, mode, 0)[...] = m.reshape((shape[mode],) + rest, order="F")
+    return DenseTensor._wrap(out)
 
 
 def mode_n_product(t: DenseTensor, m, mode: int) -> DenseTensor:

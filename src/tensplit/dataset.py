@@ -154,9 +154,12 @@ def read_pgm(path) -> np.ndarray:
         for i in range(count):
             token, pos = _next_token(data, pos)
             try:
-                values[i] = int(token)
+                value = int(token)
             except ValueError:
                 raise PgmFormatError(f"non-numeric sample: {token!r}") from None
+            if value > maxval:  # and so no sample overflows a float
+                raise PgmFormatError("sample value exceeds maxval")
+            values[i] = value
         if _skip_space(data, pos) != len(data):
             raise PgmFormatError("trailing content after ASCII raster")
     if np.any(values > maxval):
@@ -305,8 +308,9 @@ def make_group_splits(ds: EnsembleDataset, groups: int, train: int, seed: int) -
 
 def group_tensor(ds: EnsembleDataset, member_indices) -> tuple[DenseTensor, list]:
     """Sub-stack of the given samples, with their labels."""
+    # indexing the F-ordered stack builds a fresh F-ordered sub-stack
     arr = ds.tensor.values[:, :, list(member_indices)]
-    return DenseTensor(arr), [ds.labels[q] for q in member_indices]
+    return DenseTensor._wrap(arr), [ds.labels[q] for q in member_indices]
 
 
 def save_dataset(ds: EnsembleDataset, outdir) -> None:

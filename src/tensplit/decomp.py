@@ -11,7 +11,10 @@ product.  The LL1 sweep updates each term's two matrix factors in turn (Gauss-Se
 by least squares on an O x P matrix: the input contracted with the term's
 mixing vector, less the other terms' slices weighted by how much their
 mixing vectors overlap it.  It then refreshes the whole mixing matrix by
-row-wise nonnegative least squares against the term slices.
+row-wise nonnegative least squares against the term slices.  The LL1 sweep
+runs on a stack of same-shape tensors at once, each step one batched call,
+and gives each tensor the result it gets alone, bit for bit; `ll1_nn` is
+its one-tensor case.
 
 CPD and LL1 record the relative fit of every sweep in Gram form,
 ||T - T^||^2 = ||T||^2 - 2 <T, T^> + ||T^||^2, from products the sweep
@@ -32,7 +35,7 @@ import numpy as np
 
 from . import dtf
 from .core import DenseTensor, khatri_rao, mode_n_product, norm_frobenius, unfold
-from .kernels import ConvergenceError, nnls_multi, pinv, svd
+from .kernels import ConvergenceError, _nnls_stack, _pinv_stack, pinv, svd
 
 _EPS = np.finfo(np.float64).eps
 _SUBNORMAL = float(np.finfo(np.float64).smallest_subnormal)
@@ -151,28 +154,38 @@ class LL1Factors:
         return (t.a.shape[0], t.b.shape[0], t.c.size)
 
 
-def _normalize_columns(m: np.ndarray, rng: np.random.Generator, flags: list, what: str):
-    """Scale columns to unit norm; a zero column is replaced by a fresh
-    random unit column with weight 0."""
-    norms = np.linalg.norm(m, axis=0)
+def _normalize_columns(m: np.ndarray, rngs: list, flags: list, what: str):
+    """Scale the columns of each matrix m[i] of a stack to unit norm; a zero
+    column is replaced by a fresh random unit column drawn from rngs[i],
+    with weight 0 and a flag in flags[i].  Norms are summed as
+    np.linalg.norm(m[i], axis=0) sums them."""
+    norms = np.sqrt(np.add.reduce(m * m, axis=1))
     if norms.all():
-        return m / norms, norms
+        return m / norms[:, None, :], norms
     zero = norms == 0.0
-    out = np.divide(m, norms, out=np.empty_like(m), where=~zero)
-    for j in np.flatnonzero(zero):
-        col = rng.standard_normal(m.shape[0])
-        out[:, j] = col / np.linalg.norm(col)
-        flags.append(f"zero-column:{what}")
+    out = np.divide(m, norms[:, None, :], out=np.empty_like(m), where=~zero[:, None, :])
+    for i, j in zip(*np.nonzero(zero)):
+        col = rngs[i].standard_normal(m.shape[1])
+        out[i, :, j] = col / np.linalg.norm(col)
+        flags[i].append(f"zero-column:{what}")
     return out, norms
 
 
-def _normalize_nonneg_vector(v: np.ndarray, rng: np.random.Generator, flags: list, what: str):
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        col = rng.uniform(0.0, 1.0, size=v.size) + _EPS
-        flags.append(f"zero-column:{what}")
-        return col / np.linalg.norm(col), 0.0
-    return v / norm, norm
+def _normalize_nonneg_vectors(v: np.ndarray, rngs: list, flags: list, what: str):
+    """Scale each row v[i], a nonnegative vector, to unit norm; a zero row is
+    replaced by a fresh random positive unit vector drawn from rngs[i],
+    with norm 0 and a flag in flags[i].  Each norm is a dot product over a
+    contiguous copy of its row, as np.linalg.norm takes it."""
+    v = np.ascontiguousarray(v)
+    norms = np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0])
+    if norms.all():
+        return v / norms[:, None], norms
+    out = np.divide(v, norms[:, None], out=np.empty_like(v), where=norms[:, None] != 0.0)
+    for i in np.flatnonzero(norms == 0.0):
+        col = rngs[i].uniform(0.0, 1.0, size=v.shape[1]) + _EPS
+        out[i] = col / np.linalg.norm(col)
+        flags[i].append(f"zero-column:{what}")
+    return out, norms
 
 
 def _converged(history: list, rel_tol: float) -> bool:
@@ -257,6 +270,15 @@ def _in_range(t: DenseTensor) -> tuple[DenseTensor, float, int]:
     return t, norm_frobenius(t), shift
 
 
+def _nonneg_columns(u: np.ndarray) -> np.ndarray:
+    """The columns of u clipped at 0; a column that clips to all zeros is
+    its negation clipped instead, a singular vector's sign being arbitrary."""
+    out = np.clip(u, 0.0, None)
+    flip = ~out.any(axis=0)
+    out[:, flip] = np.clip(-u[:, flip], 0.0, None)
+    return out
+
+
 def _hosvd_factor_init(t: DenseTensor, cols_per_mode: list[int]) -> list[np.ndarray]:
     out = []
     for mode, cols in enumerate(cols_per_mode):
@@ -308,7 +330,7 @@ def cpd_als(t: DenseTensor, rank: int, cfg: DecompConfig | None = None) -> Krusk
         c = rng.uniform(0.0, 1.0, size=(K, rank))
     else:
         a, b, c = _hosvd_factor_init(t, [rank, rank, rank])
-        c = np.clip(c, 0.0, None)
+        c = _nonneg_columns(c)
 
     norm_sq = float(np.sum(np.square(t.flat)))
     # Components that nearly cancel have weights far above ||T||, and
@@ -334,14 +356,14 @@ def cpd_als(t: DenseTensor, rank: int, cfg: DecompConfig | None = None) -> Krusk
         # y[r, j, i] = sum_k T[i, j, k] C[k, r] serves the A and B updates
         y = np.reshape(c.T @ x3, (rank, J, I))
         a = np.matmul(b.T[:, None, :], y)[:, 0, :].T @ pinv(hadamard_gram(c, b))
-        a, _ = _normalize_columns(a, rng, flags, "mode0")
+        a = _normalize_columns(a[None], [rng], [flags], "mode0")[0][0]
         b = np.matmul(y, a.T[:, :, None])[:, :, 0].T @ pinv(hadamard_gram(c, a))
-        b, _ = _normalize_columns(b, rng, flags, "mode1")
+        b = _normalize_columns(b[None], [rng], [flags], "mode1")[0][0]
         # z[r, k, j] = sum_i T[i, j, k] A[i, r]
         z = np.reshape(a.T @ x1, (rank, K, J))
         m3 = np.matmul(z, b.T[:, :, None])[:, :, 0].T
         c = m3 @ pinv(hadamard_gram(b, a))
-        c, weights = _normalize_columns(c, rng, flags, "mode2")
+        c, weights = (v[0] for v in _normalize_columns(c[None], [rng], [flags], "mode2"))
 
         inner = float(np.sum(m3 * (c * weights)))
         ea, eb, ec, ew = (v.astype(np.longdouble) for v in (a, b, c, weights))
@@ -414,127 +436,177 @@ def ll1_nn(t: DenseTensor, ranks, cfg: DecompConfig | None = None) -> LL1Factors
     ||T^||^2 = sum(M * (R^T R M)).  Where its rounding bound cannot resolve
     the fit or its change, the dense reconstruction gives it.  As in
     cpd_als, an input whose norm lies outside [2^-500, 2^500] is fitted
-    scaled by a power of two, and the weights are scaled back.
+    scaled by a power of two, and the weights are scaled back.  This is
+    the one-tensor case of `_ll1_stack`.
     """
-    _require_order3(t, "ll1_nn")
+    return _ll1_stack([t], ranks, [cfg or DecompConfig()])[0]
+
+
+def _ll1_stack(ts: list, ranks, cfgs: list) -> list:
+    """ll1_nn of each of a list of same-shape tensors, one config each:
+    result i is ll1_nn(ts[i], ranks, cfgs[i]) bit for bit.
+
+    The tensors are stacked, one copy each, and each step of the sweep
+    runs once for the stack (batched GEMMs and pseudoinverses, one mixing
+    NNLS).  Scaling, init and replacement draws, flags, the fit with its
+    guard and the convergence test stay per tensor; a tensor leaves the
+    stack when it converges or reaches its sweep cap.  A ConvergenceError
+    names the failing tensor in `index`.
+    """
+    for t in ts:
+        _require_order3(t, "ll1_nn")
     ranks = [int(L) for L in ranks]
     if len(ranks) < 1:
         raise ValueError("need at least one block term")
     if any(L < 1 for L in ranks):
         raise ValueError("every block rank L must be >= 1")
-    t, norm_t, shift = _in_range(t)
-    cfg = cfg or DecompConfig()
-    rng = np.random.default_rng(cfg.seed)
-    flags: list[str] = []
-
-    O, P, Q = t.shape
+    if len({t.shape for t in ts}) > 1 or len(cfgs) != len(ts):
+        raise ValueError("stacked tensors need one shape and one config each")
+    if not ts:
+        return []
+    O, P, Q = ts[0].shape
     n_terms = len(ranks)
+    scaled = [_in_range(t) for t in ts]
+    rngs = [np.random.default_rng(cfg.seed) for cfg in cfgs]
+    flags: list[list[str]] = [[] for _ in ts]
 
-    a_mats: list[np.ndarray] = []
-    b_mats: list[np.ndarray] = []
-    c_vecs: list[np.ndarray] = []
-    w_vecs: list[np.ndarray] = []
-    if cfg.init == INIT_RANDOM:
-        for L in ranks:
-            a_mats.append(rng.standard_normal((O, L)))
-            b_mats.append(rng.standard_normal((P, L)))
-            c_vecs.append(rng.uniform(0.0, 1.0, size=Q))
-    else:
-        total = sum(ranks)
-        ua, ub, uc = _hosvd_factor_init(t, [total, total, n_terms])
-        offset = 0
-        for k, L in enumerate(ranks):
-            a_mats.append(ua[:, offset : offset + L].copy())
-            b_mats.append(ub[:, offset : offset + L].copy())
-            ck = np.clip(uc[:, k], 0.0, None)
-            if not ck.any():
-                ck = np.clip(-uc[:, k], 0.0, None)
-            c_vecs.append(ck)
-            offset += L
-    for k in range(n_terms):
-        a_mats[k], na = _normalize_columns(a_mats[k], rng, flags, f"init-a{k}")
-        b_mats[k], nb = _normalize_columns(b_mats[k], rng, flags, f"init-b{k}")
-        c_vecs[k], nc = _normalize_nonneg_vector(c_vecs[k], rng, flags, f"init-c{k}")
-        w_vecs.append(np.abs(na) * np.abs(nb) * nc)
+    inits = [_ll1_init(t, ranks, cfg.init, rng)
+             for (t, _, _), cfg, rng in zip(scaled, cfgs, rngs)]
+    a_mats, b_mats, c_vecs, w_vecs = [], [], [], []  # per term, stacked over tensors
+    for k, term in enumerate(zip(*inits)):
+        a, b, c = (np.stack(v) for v in zip(*term))
+        a, na = _normalize_columns(a, rngs, flags, f"init-a{k}")
+        b, nb = _normalize_columns(b, rngs, flags, f"init-b{k}")
+        c, nc = _normalize_nonneg_vectors(c, rngs, flags, f"init-c{k}")
+        a_mats.append(a)
+        b_mats.append(b)
+        c_vecs.append(c)
+        w_vecs.append(np.abs(na) * np.abs(nb) * nc[:, None])
 
-    def term_slice(n: int) -> np.ndarray:
-        return (a_mats[n] * w_vecs[n]) @ b_mats[n].T
+    def term_slices(n: int) -> np.ndarray:
+        return (a_mats[n] * w_vecs[n][:, None, :]) @ b_mats[n].swapaxes(1, 2)
 
-    x3 = unfold(t, 2)  # Q x (O*P), columns in layout order of each slice
-    norm_sq = float(np.sum(np.square(t.flat)))
+    # X_3 of each tensor, Q x (O*P) with columns in layout order of each
+    # slice; a view of a lone tensor
+    x3 = (unfold(scaled[0][0], 2)[None] if len(ts) == 1
+          else np.stack([unfold(t, 2) for t, _, _ in scaled]))
+    norm_sq = [float(np.sum(np.square(t.flat))) for t, _, _ in scaled]
     # roundings per product of ||T||^2, of <T, T^> (GEMM of length OP,
     # product, sum of KQ) and of ||T^||^2 (R^T R of length OP, sum of K,
     # two products, sum of KQ); products formed: the squares of T, X_3 R,
     # R^T R, R^T R M and the two elementwise ones
-    n_round = max(t.size.bit_length() + 23, O * P + n_terms + n_terms * Q) + 2
-    n_products = (t.size * (1 + n_terms) + (O * P + Q) * n_terms ** 2
+    n_round = max((O * P * Q).bit_length() + 23, O * P + n_terms + n_terms * Q) + 2
+    n_products = (O * P * Q * (1 + n_terms) + (O * P + Q) * n_terms ** 2
                   + 2 * n_terms * Q)
-    history: list[float] = []
-    converged = False
-    sweeps = 0
-    for sweeps in range(1, cfg.max_sweeps + 1):
+    histories: list[list[float]] = [[] for _ in ts]
+    results: list = [None] * len(ts)
+    live = np.arange(len(ts))  # the tensor at each position of the stack
+    sweep = 0
+    while live.size:
+        sweep += 1
+        live_rngs = [rngs[i] for i in live]
+        live_flags = [flags[i] for i in live]
         for k in range(n_terms):
             ck = c_vecs[k]
-            slices = [term_slice(n) for n in range(n_terms)]
-            # T x_3 c_k as one matrix-vector product on the contiguous view x3
-            m_k = np.reshape(ck @ x3, (O, P), order="F")
+            slices = [term_slices(n) for n in range(n_terms)]
+            # T x_3 c_k as one matrix-vector product per tensor on x3
+            m_k = np.matmul(ck[:, None, :], x3).reshape(-1, P, O).swapaxes(1, 2)
             for n in range(n_terms):
                 if n != k:
-                    m_k -= (c_vecs[n] @ ck) * slices[n]
-            ck_sq = ck @ ck
-            a_hat = m_k @ b_mats[k] @ pinv(ck_sq * (b_mats[k].T @ b_mats[k]))
-            b_hat = m_k.T @ a_hat @ pinv(ck_sq * (a_hat.T @ a_hat))
-            slices[k] = a_hat @ b_hat.T
+                    m_k -= _dots(c_vecs[n], ck)[:, None, None] * slices[n]
+            ck_sq = _dots(ck, ck)[:, None, None]
+            bk = b_mats[k]
+            a_hat = m_k @ bk @ _pinv_stack(ck_sq * (bk.swapaxes(1, 2) @ bk))
+            b_hat = (m_k.swapaxes(1, 2) @ a_hat
+                     @ _pinv_stack(ck_sq * (a_hat.swapaxes(1, 2) @ a_hat)))
+            slices[k] = a_hat @ b_hat.swapaxes(1, 2)
 
             # joint mixing update: one vectorized slice per term, original rhs
-            regressor = np.column_stack([s.ravel(order="F") for s in slices])
+            regressor = np.empty((live.size, P, O, n_terms))
+            for n, s in enumerate(slices):
+                regressor[..., n] = s.swapaxes(1, 2)
+            regressor = regressor.reshape(live.size, O * P, n_terms)
             try:
-                mixing_raw = nnls_multi(regressor, x3.T)
+                mixing_raw = _nnls_stack(regressor, x3).swapaxes(1, 2)
             except ConvergenceError as exc:
                 raise ConvergenceError(
-                    f"mixing-mode NNLS failed while updating term {k}: {exc}"
+                    f"mixing-mode NNLS failed while updating term {k}: {exc}",
+                    index=int(live[exc.index]),
                 ) from exc
 
-            a_mats[k], na = _normalize_columns(a_hat, rng, flags, f"a{k}")
-            b_mats[k], nb = _normalize_columns(b_hat, rng, flags, f"b{k}")
+            a_mats[k], na = _normalize_columns(a_hat, live_rngs, live_flags, f"a{k}")
+            b_mats[k], nb = _normalize_columns(b_hat, live_rngs, live_flags, f"b{k}")
             for n in range(n_terms):
-                cn, gamma = _normalize_nonneg_vector(
-                    mixing_raw[n], rng, flags, f"c{n}"
+                c_vecs[n], gamma = _normalize_nonneg_vectors(
+                    mixing_raw[:, n], live_rngs, live_flags, f"c{n}"
                 )
-                c_vecs[n] = cn
                 if n == k:
-                    w_vecs[k] = np.abs(na) * np.abs(nb) * gamma
+                    w_vecs[k] = np.abs(na) * np.abs(nb) * gamma[:, None]
                 else:
-                    w_vecs[n] = w_vecs[n] * gamma
+                    w_vecs[n] = w_vecs[n] * gamma[:, None]
 
-        gram = regressor.T @ regressor
-        inner = float(np.sum(mixing_raw * (x3 @ regressor).T))
-        model_sq = float(np.sum(mixing_raw * (gram @ mixing_raw)))
-        scale = float(np.sqrt(np.diag(gram)) @ np.linalg.norm(mixing_raw, axis=1))
-        # an underflowed product meets at most two mixing entries
-        reach = float(np.max(mixing_raw))
-        bound = (_gamma(n_round) * (norm_t + scale) ** 2
-                 + n_products * _SUBNORMAL * (1.0 + reach) ** 2)
-        fit = _resolved_fit(norm_sq - 2.0 * inner + model_sq, bound, norm_t, history)
-        if fit is None:
-            recon = _ll1_array([term_slice(n) for n in range(n_terms)], c_vecs)
-            fit = _relative_fit(t, recon, norm_t)
-        history.append(fit)
-        if _converged(history, cfg.rel_tol):
-            converged = True
-            break
+        gram = regressor.swapaxes(1, 2) @ regressor
+        model = gram @ mixing_raw
+        data = (x3 @ regressor).swapaxes(1, 2)
+        keep = np.ones(live.size, dtype=bool)
+        for pos, i in enumerate(live):
+            t, norm_t, shift = scaled[i]
+            # the sums are taken tensor by tensor, in each one's memory order
+            mix = mixing_raw[pos]
+            inner = float(np.sum(mix * data[pos]))
+            model_sq = float(np.sum(mix * model[pos]))
+            scale = float(np.sqrt(np.diag(gram[pos])) @ np.linalg.norm(mix, axis=1))
+            # an underflowed product meets at most two mixing entries
+            reach = float(np.max(mix))
+            bound = (_gamma(n_round) * (norm_t + scale) ** 2
+                     + n_products * _SUBNORMAL * (1.0 + reach) ** 2)
+            history = histories[i]
+            fit = _resolved_fit(norm_sq[i] - 2.0 * inner + model_sq, bound, norm_t,
+                                history)
+            if fit is None:
+                recon = _ll1_array(
+                    [(a_mats[n][pos] * w_vecs[n][pos]) @ b_mats[n][pos].T
+                     for n in range(n_terms)],
+                    [c_vecs[n][pos] for n in range(n_terms)],
+                )
+                fit = _relative_fit(t, recon, norm_t)
+            history.append(fit)
+            converged = _converged(history, cfgs[i].rel_tol)
+            if converged or sweep == cfgs[i].max_sweeps:
+                keep[pos] = False
+                terms = [BlockTerm(a=a_mats[n][pos], b=b_mats[n][pos], c=c_vecs[n][pos],
+                                   weights=np.ldexp(w_vecs[n][pos], shift))
+                         for n in range(n_terms)]
+                flags[i] += [f"zero-mixing-entries:term{n}"
+                             for n, term in enumerate(terms) if np.any(term.c == 0.0)]
+                diag = Diagnostics(sweeps=sweep, converged=converged, fit_history=history,
+                                   flags=flags[i], seed=cfgs[i].seed)
+                results[i] = LL1Factors(terms=terms, fit_history=history, diagnostics=diag)
+        if not keep.all():
+            live = live[keep]
+            x3 = x3[keep]
+            for mats in (a_mats, b_mats, c_vecs, w_vecs):
+                mats[:] = [m[keep] for m in mats]
+    return results
 
-    terms = []
-    for k in range(n_terms):
-        if np.any(c_vecs[k] == 0.0):
-            flags.append(f"zero-mixing-entries:term{k}")
-        terms.append(
-            BlockTerm(a=a_mats[k], b=b_mats[k], c=c_vecs[k],
-                      weights=np.ldexp(w_vecs[k], shift))
-        )
-    diag = Diagnostics(sweeps=sweeps, converged=converged, fit_history=history,
-                       flags=flags, seed=cfg.seed)
-    return LL1Factors(terms=terms, fit_history=history, diagnostics=diag)
+
+def _ll1_init(t: DenseTensor, ranks: list, init: str, rng: np.random.Generator) -> list:
+    """Unnormalized initial (A_k, B_k, c_k) of every term: drawn from rng,
+    or taken from the HOSVD of t with each c_k clipped to >= 0."""
+    O, P, Q = t.shape
+    if init == INIT_RANDOM:
+        return [(rng.standard_normal((O, L)), rng.standard_normal((P, L)),
+                 rng.uniform(0.0, 1.0, size=Q)) for L in ranks]
+    ua, ub, uc = _hosvd_factor_init(t, [sum(ranks), sum(ranks), len(ranks)])
+    uc = _nonneg_columns(uc)
+    ends = np.cumsum(ranks)
+    return [(ua[:, e - L:e].copy(), ub[:, e - L:e].copy(), uc[:, k])
+            for k, (L, e) in enumerate(zip(ranks, ends))]
+
+
+def _dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u[i] . v[i] for every row i, each one BLAS dot product."""
+    return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
 
 
 def _kruskal_array(factors: list[np.ndarray], weights: np.ndarray) -> np.ndarray:

@@ -54,4 +54,6 @@ def read_tensor(path) -> DenseTensor:
     values = np.frombuffer(data, dtype="<f8", count=count, offset=header_end)
     if not np.isfinite(values).all():
         raise DtfFormatError(f"{path}: payload has non-finite values")
-    return DenseTensor.from_flat(shape, values)
+    # the tensor adopts the bytes just read: the payload is not copied
+    values = values.astype(np.float64, copy=False).reshape(shape, order="F")
+    return DenseTensor._wrap(values)

@@ -11,14 +11,14 @@ blocks one column at a time.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import dtf
 from .core import DenseTensor
-from .decomp import DecompConfig, LL1Factors, ll1_nn
+from .decomp import DecompConfig, LL1Factors, _ll1_stack, ll1_nn
 from .kernels import nnls_multi, qr, svd
 
 _EPS = np.finfo(np.float64).eps
@@ -119,26 +119,33 @@ def build_feature_bank(f: LL1Factors) -> CommonFeatureBank:
     return CommonFeatureBank(slices=slices, mixing=mixing, source=f)
 
 
-def fit_feature_bank(t: DenseTensor, ranks, cfg: DecompConfig | None = None,
-                     n_restarts: int = 1) -> CommonFeatureBank:
+def fit_feature_bank(t: DenseTensor | list, ranks, cfg: DecompConfig | list | None = None,
+                     n_restarts: int = 1) -> CommonFeatureBank | list:
     """Decompose a stacked ensemble into a common feature bank.
 
     Runs the block-term decomposition `n_restarts` times with seeds
     cfg.seed, cfg.seed + 1, ... and keeps the run with the best final fit.
+
+    `t` may also be a list of same-shape ensembles and `cfg` a list of one
+    config each: bank i of the list returned is fit_feature_bank(t[i],
+    ranks, cfg[i], n_restarts) bit for bit, each restart fitting the list
+    in one stacked sweep.  A ConvergenceError names the failing ensemble in
+    `index`.
     """
     if n_restarts < 1:
         raise ValueError("n_restarts must be >= 1")
-    cfg = cfg or DecompConfig()
-    best = None
-    best_fit = np.inf
+    single = isinstance(t, DenseTensor)
+    ts = [t] if single else list(t)
+    cfgs = [cfg or DecompConfig()] if single else list(cfg)
+    best, best_fit = [None] * len(ts), [np.inf] * len(ts)
     for r in range(n_restarts):
-        run_cfg = DecompConfig(max_sweeps=cfg.max_sweeps, rel_tol=cfg.rel_tol,
-                               seed=cfg.seed + r, init=cfg.init)
-        result = ll1_nn(t, ranks, run_cfg)
-        fit = result.fit_history[-1]
-        if fit < best_fit:
-            best, best_fit = result, fit
-    return build_feature_bank(best)
+        run_cfgs = [replace(c, seed=c.seed + r) for c in cfgs]
+        runs = [ll1_nn(t, ranks, run_cfgs[0])] if single else _ll1_stack(ts, ranks, run_cfgs)
+        for i, result in enumerate(runs):
+            if result.fit_history[-1] < best_fit[i]:
+                best[i], best_fit[i] = result, result.fit_history[-1]
+    banks = [build_feature_bank(f) for f in best]
+    return banks[0] if single else banks
 
 
 def estimate_mixing(bank: CommonFeatureBank, images: np.ndarray) -> np.ndarray:
@@ -210,15 +217,15 @@ def split_features(t: DenseTensor, bank: CommonFeatureBank,
     elif weights.shape != (n_images, bank.n_features):
         raise ValueError("weights must be n_images x n_features")
 
-    # one buffer holds the common stack, then, once wrapped (a copy), the
-    # individual one: t - common elementwise, as split_single computes it
-    buf = np.zeros(t.shape, order="F")
-    selected = [_mix_common(buf[:, :, q], bank, weights[q], rule)
+    # the common and the individual stack each get one buffer, adopted
+    # without a copy; individual is t - common elementwise, as split_single
+    # computes it
+    common = np.zeros(t.shape, order="F")
+    selected = [_mix_common(common[:, :, q], bank, weights[q], rule)
                 for q in range(n_images)]
-    common = DenseTensor(buf)
-    np.subtract(t.values, common.values, out=buf)
-    return FeatureSplit(common=common, individual=DenseTensor(buf),
-                        selected=selected)
+    individual = np.subtract(t.values, common, order="F")
+    return FeatureSplit(common=DenseTensor._wrap(common),
+                        individual=DenseTensor._wrap(individual), selected=selected)
 
 
 def stacked_pca(xs: list, n_components: int):

@@ -5,11 +5,13 @@ for a given input).  The nonnegative least-squares solver is an active-set
 method in the Lawson-Hanson style, implemented here because its exact
 behaviour (dual tolerance, iteration cap, exact zeros in the solution) is
 part of this package's contract.  There is one iteration, batched over
-right-hand sides: every column of a multi-column problem advances in the
-same few numpy calls, and each column's result is independent of the batch
-it came in.  It is given one of two subproblem solvers: stacked solves of
-the normal equations on a^T a and a^T y, or, for designs whose Gram matrix
-is ill-conditioned, least squares on the design itself.
+right-hand sides and over a stack of same-shape designs: every row of the
+batch carries its own design's Gram matrix, all rows advance in the same
+few numpy calls, and each row's result is independent of the batch it came
+in.  It is given one of two subproblem solvers: stacked solves of the
+normal equations on a^T a and a^T y, or, for designs whose Gram matrix is
+ill-conditioned, least squares on the design itself.  The pseudoinverse
+likewise takes a stack of matrices, each giving pinv's result bit for bit.
 """
 
 from __future__ import annotations
@@ -24,7 +26,12 @@ from .core import _as_matrix
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative solver hit its iteration cap before converging."""
+    """An iterative solver hit its iteration cap before converging; `index`,
+    where known, is the failing problem's position in the stack it was in."""
+
+    def __init__(self, *args, index: int | None = None):
+        super().__init__(*args)
+        self.index = index
 
 
 @dataclass
@@ -54,19 +61,27 @@ def pinv(m, tol: float | None = None) -> np.ndarray:
 
     Default tol is max(rows, cols) * machine epsilon * largest singular value.
     """
-    m = _as_matrix(m)
-    if tol is None and m.shape == (1, 1) and 1e-130 < abs(m[0, 0]) < 1e130:
+    return _pinv_stack(_as_matrix(m)[None], tol)[0]
+
+
+def _pinv_stack(ms: np.ndarray, tol: float | None = None) -> np.ndarray:
+    """pinv of each matrix of an (n, rows, cols) stack, bit for bit."""
+    if tol is None and ms.shape[1:] == (1, 1):
         # the SVD of [[x]] is |x| with unit signs, so 1 / x is the SVD
         # path's result bit for bit where LAPACK does not rescale x
-        return 1.0 / m
-    res = svd(m)
-    s_max = float(res.s[0]) if res.s.size else 0.0
+        size = np.abs(ms)
+        if ((1e-130 < size) & (size < 1e130)).all():
+            return 1.0 / ms
+    if not np.isfinite(ms).all():
+        raise ValueError("svd input has non-finite entries")
+    u, s, vh = np.linalg.svd(ms, full_matrices=False)
     if tol is None:
-        tol = max(m.shape) * np.finfo(np.float64).eps * s_max
+        s_max = s[:, :1] if s.shape[1] else np.zeros((s.shape[0], 1))
+        tol = max(ms.shape[1:]) * np.finfo(np.float64).eps * s_max
     elif tol < 0:
         raise ValueError("tol must be nonnegative")
-    inv = np.divide(1.0, res.s, out=np.zeros_like(res.s), where=res.s > tol)
-    return (res.v * inv) @ res.u.T
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > tol)
+    return (vh.swapaxes(1, 2) * inv[:, None, :]) @ u.swapaxes(1, 2)
 
 
 def qr(m) -> QrResult:
@@ -119,74 +134,96 @@ def nnls_multi(a, ys, tol: float = 1e-10, max_iter: int | None = None) -> np.nda
     least squares on the passive columns of `a`, one column of ys at a
     time.  Either way each column's arithmetic is the same whichever
     columns share the call, so column j equals nnls(a, ys[:, j]) bit for
-    bit.
+    bit.  This is the one-design case of `_nnls_stack`.
     """
     a = _as_matrix(a, "a")
     ys = _as_matrix(ys, "ys")
-    m, n = a.shape
-    if ys.shape[0] != m:
-        raise ValueError(f"a has {m} rows but ys has {ys.shape[0]}")
+    if ys.shape[0] != a.shape[0]:
+        raise ValueError(f"a has {a.shape[0]} rows but ys has {ys.shape[0]}")
+    return _nnls_stack(a[None], ys.T[None], tol, max_iter)[0].T
+
+
+def _nnls_stack(a: np.ndarray, yst: np.ndarray, tol: float = 1e-10,
+                max_iter: int | None = None) -> np.ndarray:
+    """nnls_multi of each design of a stack: for a of shape (d, m, n) and
+    yst of shape (d, r, m), row q of result[i] is nnls(a[i], yst[i, q]) bit
+    for bit.  Each design has its own scale, finiteness and conditioning
+    test; the rows of all well-conditioned designs share one Gram-form
+    iteration, and each ill-conditioned design is solved alone by least
+    squares.  A ConvergenceError names the failing design in `index`."""
+    n_designs, _, n = a.shape
+    n_rhs = yst.shape[1]
     if max_iter is None:
         max_iter = max(30, 10 * n)
-    if n == 0 or ys.shape[1] == 0:
-        return np.zeros((n, ys.shape[1]))
-    shift = 0
-    big = float(np.abs(a).max())
-    if 0.0 < big < math.inf:
-        # Scaling by a power of two is exact and commutes with every
-        # rounding, so every power-of-two multiple of a design gets one
-        # result.  Unscaled, a design far from unit scale overflows or
-        # underflows its Gram matrix, or puts its duals or solution below
-        # the absolute `tol`: wrong supports or a ConvergenceError.
-        shift = math.frexp(big)[1]
-        a = np.ldexp(a, -shift)
-    g = a.T @ a
-    yst = np.ascontiguousarray(ys.T)
-    # one matrix-vector product per column: a column's a^T y must not
-    # depend on how many columns share the call
-    aty = np.matmul(yst[:, None, :], a)[:, 0, :]
-    finite = np.isfinite(g).all() and np.isfinite(aty).all()
-    if not finite and not (np.isfinite(a).all() and np.isfinite(ys).all()):
-        raise ValueError("nnls input has non-finite entries")
-    if finite and not _ill_conditioned(g):
-        x = _lawson_hanson(
-            aty, n, tol, max_iter,
-            dual=lambda b, x: b - np.matmul(x[:, None, :], g)[:, 0, :],
-            solve=partial(_solve_passive, g, np.eye(n)),
-        )
-    else:
-        x = _lawson_hanson(yst, n, tol, max_iter, dual=partial(_residual_dual, a),
-                           solve=partial(_lstsq_passive, a))
-    return (np.ldexp(x, -shift) if shift else x).T
+    if n == 0 or n_rhs == 0:
+        return np.zeros((n_designs, n_rhs, n))
+    # Scaling by a power of two is exact and commutes with every rounding,
+    # so every power-of-two multiple of a design gets one result.
+    # Unscaled, a design far from unit scale overflows or underflows its
+    # Gram matrix, or puts its duals or solution below the absolute `tol`:
+    # wrong supports or a ConvergenceError.
+    big = np.abs(a).max(axis=(1, 2))
+    shift = np.where((0.0 < big) & (big < math.inf), np.frexp(big)[1], 0)
+    a = np.ldexp(a, -shift[:, None, None])
+    g = np.matmul(a.swapaxes(1, 2), a)
+    yst = np.ascontiguousarray(yst)
+    # one matrix-vector product per row: a row's a^T y must not depend on
+    # how many rows share the call
+    aty = np.matmul(yst[:, :, None, :], a[:, None])[:, :, 0, :]
+    finite = np.isfinite(g).all(axis=(1, 2)) & np.isfinite(aty).all(axis=(1, 2))
+    for i in np.flatnonzero(~finite):
+        if not (np.isfinite(a[i]).all() and np.isfinite(yst[i]).all()):
+            raise ValueError("nnls input has non-finite entries")
+    gram = finite.copy()
+    gram[finite] = ~_ill_conditioned(g[finite])
+    x = np.empty(aty.shape)
+    i = None  # the design being solved by least squares
+    try:
+        if gram.any():
+            x[gram] = _lawson_hanson(
+                (aty[gram].reshape(-1, n), np.repeat(g[gram], n_rhs, axis=0)),
+                n, tol, max_iter, solve=partial(_solve_passive, np.eye(n)),
+                dual=lambda b, x: b[0] - np.matmul(x[:, None, :], b[1])[:, 0, :],
+            ).reshape(-1, n_rhs, n)
+        for i in np.flatnonzero(~gram):
+            x[i] = _lawson_hanson((yst[i],), n, tol, max_iter,
+                                  dual=partial(_residual_dual, a[i]),
+                                  solve=partial(_lstsq_passive, a[i]))
+    except ConvergenceError as exc:
+        exc.index = int(np.flatnonzero(gram)[exc.index // n_rhs] if i is None else i)
+        raise
+    return np.ldexp(x, -shift[:, None, None])
 
 
-def _ill_conditioned(g: np.ndarray) -> bool:
-    """Whether the symmetric Gram matrix g has a condition number above
-    GRAM_COND_MAX; a singular g counts as ill-conditioned."""
+def _ill_conditioned(g: np.ndarray) -> np.ndarray:
+    """Whether each symmetric Gram matrix of the stack g has a condition
+    number above GRAM_COND_MAX; a singular one counts as ill-conditioned."""
     eig = np.linalg.eigvalsh(g)  # ascending
-    return not eig[0] * GRAM_COND_MAX > eig[-1]
+    return ~(eig[:, 0] * GRAM_COND_MAX > eig[:, -1])
 
 
-def _lawson_hanson(b: np.ndarray, n: int, tol: float, max_iter: int,
+def _lawson_hanson(b: tuple, n: int, tol: float, max_iter: int,
                    dual, solve) -> np.ndarray:
-    """Lawson-Hanson for every row q of b at once; returns one solution row
-    of length n per row of b.
+    """Lawson-Hanson for every row q of the arrays in b at once; returns one
+    solution row of length n per row.
 
-    `dual(b, x)` gives the dual a^T (y - a x) of each row, and
-    `solve(b, passive)` the least-squares solution of each row on its
-    passive set, with exact zeros off it.  Rows leave the state arrays when
-    they finish (`rows` maps the rest to their rows of b).  All remaining
-    rows admit a coordinate together, so one admission count covers them
-    all.  Feasibility is restored on every remaining row until all are
-    feasible: a row that already is gets the same solve again, which
-    leaves it unchanged.
+    `b` holds the per-row data (right-hand side first, then whatever the
+    representation carries per row); `dual(b, x)` gives the dual
+    a^T (y - a x) of each row, and `solve(b, passive)` the least-squares
+    solution of each row on its passive set, with exact zeros off it.
+    Rows leave the state arrays when they finish (`rows` maps the rest to
+    their rows of b).  All remaining rows admit a coordinate together, so
+    one admission count covers them all.  Feasibility is restored on every
+    remaining row until all are feasible: a row that already is gets the
+    same solve again, which leaves it unchanged.  A ConvergenceError
+    carries the first failing row in `index`.
     """
-    n_rhs = b.shape[0]
-    out = np.zeros((n_rhs, n))
-    rows = np.arange(n_rhs)
-    x = np.zeros((n_rhs, n))
-    passive = np.zeros((n_rhs, n), dtype=bool)
-    blocked = np.zeros((n_rhs, n), dtype=bool)
+    n_rows = b[0].shape[0]
+    out = np.zeros((n_rows, n))
+    rows = np.arange(n_rows)
+    x = np.zeros((n_rows, n))
+    passive = np.zeros((n_rows, n), dtype=bool)
+    blocked = np.zeros((n_rows, n), dtype=bool)
     outer = 0
     while True:
         w = dual(b, x)
@@ -196,15 +233,15 @@ def _lawson_hanson(b: np.ndarray, n: int, tol: float, max_iter: int,
             out[rows[~going]] = x[~going]
             if not going.any():
                 return out
-            rows, b, x, passive, blocked, w = (
-                v[going] for v in (rows, b, x, passive, blocked, w)
+            rows, x, passive, blocked, w = (
+                v[going] for v in (rows, x, passive, blocked, w)
             )
+            b = tuple(v[going] for v in b)
         outer += 1
         if outer > max_iter:
-            raise ConvergenceError(
-                f"nnls failed to converge within {max_iter} iterations "
-                f"(likely an ill-conditioned design matrix)"
-            )
+            raise ConvergenceError(f"nnls failed to converge within {max_iter} iterations "
+                                   f"(likely an ill-conditioned design matrix)",
+                                   index=int(rows[0]))
         j = w.argmax(axis=1)  # the first of the largest candidates
         live = np.arange(rows.size)
         passive[live, j] = True
@@ -219,7 +256,8 @@ def _lawson_hanson(b: np.ndarray, n: int, tol: float, max_iter: int,
                 break
             inner += 1
             if inner > 3 * n:
-                raise ConvergenceError("nnls feasibility restoration failed to settle")
+                raise ConvergenceError("nnls feasibility restoration failed to settle",
+                                       index=int(rows[infeasible][0]))
             # step from x toward z, stopping at the first coordinate to hit 0
             denom = x - z
             steps = np.divide(x, denom, out=np.where(bad, 0.0, np.inf),
@@ -240,28 +278,29 @@ def _lawson_hanson(b: np.ndarray, n: int, tol: float, max_iter: int,
         blocked[~stuck] = False
 
 
-def _solve_passive(g: np.ndarray, eye: np.ndarray, rhs: np.ndarray,
-                   passive: np.ndarray) -> np.ndarray:
+def _solve_passive(eye: np.ndarray, b: tuple, passive: np.ndarray) -> np.ndarray:
     """Per row q, solve g[P, P] z[P] = rhs[q, P] on the passive set P of
-    passive[q], with exact zeros off P: one stacked solve over copies of g
-    whose rows and columns outside P are those of the identity `eye`."""
+    passive[q], g being the row's Gram matrix, with exact zeros off P: one
+    stacked solve over copies of the g whose rows and columns outside P are
+    those of the identity `eye`."""
+    rhs, g = b
     gm = np.where(passive[:, :, None] & passive[:, None, :], g, eye)
     z = np.linalg.solve(gm, np.where(passive, rhs, 0.0)[:, :, None])[:, :, 0]
     return np.where(passive, z, 0.0)
 
 
-def _residual_dual(a: np.ndarray, yst: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _residual_dual(a: np.ndarray, b: tuple, x: np.ndarray) -> np.ndarray:
     """Per row q, the dual a^T (yst[q] - a x[q]); an entry that overflowed
     to NaN becomes -inf, so it is never admitted."""
-    w = np.array([a.T @ (y - a @ xq) for y, xq in zip(yst, x)])
+    w = np.array([a.T @ (y - a @ xq) for y, xq in zip(b[0], x)])
     w[np.isnan(w)] = -np.inf
     return w
 
 
-def _lstsq_passive(a: np.ndarray, yst: np.ndarray, passive: np.ndarray) -> np.ndarray:
+def _lstsq_passive(a: np.ndarray, b: tuple, passive: np.ndarray) -> np.ndarray:
     """Per row q, least squares of yst[q] on the columns of `a` in the
     passive set of passive[q], with exact zeros off it."""
     z = np.zeros(passive.shape)
-    for zq, y, p in zip(z, yst, passive):
+    for zq, y, p in zip(z, b[0], passive):
         zq[p] = np.linalg.lstsq(a[:, p], y, rcond=None)[0]
     return z

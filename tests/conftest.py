@@ -1,4 +1,11 @@
 import numpy as np
+from hypothesis import settings
+from hypothesis import strategies as st
+
+# Every property test runs the same examples on every run (derandomized, no
+# example database) and without a per-example deadline.
+settings.register_profile("tensplit", derandomize=True, database=None, deadline=None)
+settings.load_profile("tensplit")
 
 
 def assert_ll1_invariants(result):
@@ -34,3 +41,25 @@ def nnls_bruteforce(a, y):
             r = y - a[:, cols] @ sol
             best = min(best, float(r @ r))
     return best
+
+
+@st.composite
+def mutated_bytes(draw, seeds, tokens):
+    """One of the `seeds` byte strings after one to four edits: a bit flip,
+    an overwritten byte, an insertion (random bytes or one of `tokens`), a
+    deletion or a cut."""
+    data = bytearray(draw(st.sampled_from(seeds)))
+    for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.integers(0, 4))
+        pos = draw(st.sampled_from(range(len(data) + 1)))
+        if op == 0 and pos < len(data):
+            data[pos] ^= 1 << draw(st.integers(0, 7))
+        elif op == 1:
+            data[pos:pos + 1] = draw(st.binary(min_size=1, max_size=1))
+        elif op == 2:
+            data[pos:pos] = draw(st.binary(max_size=12) | st.sampled_from(tokens))
+        elif op == 3:
+            del data[pos:pos + draw(st.integers(1, 8))]
+        else:
+            del data[pos:]
+    return bytes(data)

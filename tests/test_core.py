@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from tensplit import dtf
 from tensplit.core import (
     DenseTensor,
     fold,
@@ -11,6 +14,8 @@ from tensplit.core import (
     outer_product,
     unfold,
 )
+from tensplit.dataset import EnsembleDataset, group_tensor
+from tensplit.features import CommonFeatureBank, split_features
 
 
 def unfold_by_enumeration(arr, mode):
@@ -78,6 +83,60 @@ class TestDenseTensor:
         assert a == b
         assert a == c  # 2.0 + 1e-16 rounds to 2.0
         assert a != DenseTensor(np.array([[1.0, 2.1]]))
+
+
+def traced_peak(fn):
+    """fn's result and the peak of memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestAdopt:
+    """Arrays the package has just built are adopted, not copied."""
+
+    def test_public_construction_copies(self):
+        arr = np.asfortranarray(np.ones((3, 4)))
+        t = DenseTensor(arr)
+        assert not np.shares_memory(t.values, arr)
+        assert arr.flags.writeable
+
+    def test_wrap_adopts_read_only_and_rejects_foreign_layouts(self):
+        arr = np.zeros((3, 4, 2), order="F")
+        t = DenseTensor._wrap(arr)
+        assert np.shares_memory(t.values, arr) and not arr.flags.writeable
+        for bad in (np.zeros((3, 4)), np.zeros((3, 4), dtype=np.float32, order="F")):
+            with pytest.raises(ValueError, match="F-ordered float64"):
+                DenseTensor._wrap(bad)
+        with pytest.raises(ValueError, match="extent"):
+            DenseTensor._wrap(np.zeros((3, 0), order="F"))
+
+    def test_split_features_peaks_at_two_stacks(self):
+        rng = np.random.default_rng(8)
+        bank = CommonFeatureBank(slices=[rng.uniform(0.5, 1.0, (64, 64)) for _ in range(2)],
+                                 mixing=rng.uniform(0.6, 1.0, (400, 2)))
+        t = DenseTensor(rng.uniform(1.0, 1.2, (64, 64, 400)))
+        split, peak = traced_peak(lambda: split_features(t, bank))
+        # the common and the individual stack, nothing more
+        assert peak < 2.1 * t.values.nbytes
+        assert not np.shares_memory(split.common.values, split.individual.values)
+
+    def test_readers_and_builders_make_one_copy(self, tmp_path):
+        arr = np.random.default_rng(1).standard_normal((32, 32, 64))
+        dtf.write_tensor(DenseTensor(arr), tmp_path / "t.dtf1")
+        t, peak = traced_peak(lambda: dtf.read_tensor(tmp_path / "t.dtf1"))
+        assert t == DenseTensor(arr) and t.values.flags.aligned
+        assert peak < 1.25 * arr.nbytes  # the bytes read, adopted, and a finiteness mask
+        ds = EnsembleDataset(tensor=t, labels=list(range(64)))
+        (sub, labels), peak = traced_peak(lambda: group_tensor(ds, range(0, 64, 2)))
+        assert sub == DenseTensor(arr[:, :, ::2]) and labels == list(range(0, 64, 2))
+        assert peak < 0.6 * arr.nbytes
+        m = unfold(t, 1)
+        back, peak = traced_peak(lambda: fold(m, 1, t.shape))
+        assert back == t and peak < 1.1 * arr.nbytes
 
 
 class TestUnfoldFold:

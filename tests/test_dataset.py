@@ -2,7 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from conftest import mutated_bytes
 from tensplit.core import DenseTensor
 from tensplit.dataset import (
     COLOR_MIXING,
@@ -88,6 +90,34 @@ class TestReadPgm:
         p.write_bytes(payload)
         with pytest.raises(PgmFormatError, match=fragment):
             read_pgm(p)
+
+
+_PGM_SEEDS = [b"P5 3 2 255\n" + bytes([0, 9, 255, 128, 10, 32]),
+              b"P5\n# c\n2 1\n65535\n" + (258).to_bytes(2, "big") + (65535).to_bytes(2, "big"),
+              b"P2\n# a comment\n3 2\n255\n0 1 2\n3 4 255\n"]
+# header and sample tokens that stress the parser: signs, huge values,
+# comments, separators
+_PGM_TOKENS = [b"9" * 400, b"9" * 5000, b"-1", b"+7", b"1_0", b"65536", b"2147483648",
+               b"#", b" ", b"\n", b"P2", b"P5", b"0"]
+
+
+class TestMutatedPgm:
+    @settings(max_examples=400)
+    @given(data=mutated_bytes(_PGM_SEEDS, _PGM_TOKENS))
+    def test_reads_or_raises_format_error(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "mutated.pgm"
+        path.write_bytes(data)
+        try:
+            img = read_pgm(path)
+        except PgmFormatError:
+            return
+        assert img.ndim == 2 and np.all((img >= 0.0) & (img <= 1.0))
+
+    def test_sample_too_large_for_a_float(self, tmp_path):
+        path = tmp_path / "big.pgm"
+        path.write_bytes(b"P2 2 1 255\n1 " + b"9" * 400 + b"\n")
+        with pytest.raises(PgmFormatError, match="exceeds maxval"):
+            read_pgm(path)
 
 
 class TestEnsemble:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import assert_ll1_invariants
@@ -123,7 +123,9 @@ def cpd_khatri_rao_fits(t, rank, cfg):
     else:
         a, b, c = (np.linalg.svd(unfold(t, n), full_matrices=False)[0][:, :rank]
                    for n in range(3))
-        c = np.clip(c, 0.0, None)
+        # a column that clips to all zeros is negated first, as in cpd_als
+        flip = ~np.clip(c, 0.0, None).any(axis=0)
+        c = np.clip(np.where(flip, -c, c), 0.0, None)
     x1, x2, x3 = (unfold(t, n) for n in range(3))
     fits = []
     for _ in range(cfg.max_sweeps):
@@ -251,6 +253,13 @@ class TestCpdAls:
         t = DenseTensor(np.einsum("i,j,k->ijk", a, b, c))
         f = cpd_als(t, 1, DecompConfig(seed=0, init="hosvd"))
         assert fit_error(t, f) < 1e-8
+
+    def test_hosvd_init_flips_all_negative_singular_vectors(self, face_stack):
+        # the face stack's leading mode-2 singular vector is all <= 0; clipped
+        # unflipped, it started C with a zero column and A, B with two more
+        for rank in (4, 6, 8):
+            f = cpd_als(face_stack, rank, DecompConfig(seed=0, max_sweeps=3, init="hosvd"))
+            assert not [fl for fl in f.diagnostics.flags if fl.startswith("zero-column")]
 
     def test_extreme_scales_match_unscaled_fits(self):
         # the squares of entries times 2^-560 underflow, times 2^560 overflow
@@ -517,7 +526,6 @@ def _assert_non_increasing(history):
 
 
 class TestSweepProperties:
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(rank=st.integers(1, 3), **_SMALL_CASES)
     def test_cpd(self, shape, seed, sweeps, nonneg, rank):
         t = _small_tensor(shape, seed, nonneg)
@@ -525,7 +533,6 @@ class TestSweepProperties:
         _assert_non_increasing(f.diagnostics.fit_history)
         _assert_fit_matches_dense(t, f, f.diagnostics.fit_history)
 
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(ranks=st.lists(st.integers(1, 3), min_size=1, max_size=3), **_SMALL_CASES)
     def test_ll1(self, shape, seed, sweeps, nonneg, ranks):
         t = _small_tensor(shape, seed, nonneg)

@@ -2,7 +2,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from conftest import mutated_bytes
 from tensplit.core import DenseTensor
 from tensplit.dtf import DtfFormatError, read_tensor, write_tensor
 
@@ -104,3 +106,27 @@ def test_rejects_non_finite_payload(tmp_path, bad):
     path.write_bytes(pack_reference((2, 2), [1.0, 2.0, bad, 4.0]))
     with pytest.raises(DtfFormatError, match="nonfinite.dtf1.*non-finite"):
         read_tensor(path)
+
+
+_DTF_SEEDS = [pack_reference((3,), [1.0, -2.5, 0.0]),
+              pack_reference((2, 3), [float(v) for v in range(6)]),
+              pack_reference((1, 2, 2), [0.5, 1e300, -1e-300, 7.0])]
+# extents and payload words that stress the header checks
+_DTF_TOKENS = [struct.pack("<Q", 2**64 - 1), struct.pack("<Q", 2**61), struct.pack("<Q", 0),
+               struct.pack("<I", 9), struct.pack("<I", 0), struct.pack("<d", float("nan")),
+               struct.pack("<d", float("inf")), b"DTF1"]
+
+
+@settings(max_examples=400)
+@given(data=mutated_bytes(_DTF_SEEDS, _DTF_TOKENS))
+def test_mutated_files_read_or_raise_format_error(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "mutated.dtf1"
+    path.write_bytes(data)
+    try:
+        t = read_tensor(path)
+    except DtfFormatError:
+        return
+    header = 8 + 8 * t.order
+    assert len(data) == header + 8 * t.size
+    assert np.isfinite(t.values).all()
+    assert t.flat.tobytes() == data[header:]

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import nnls_bruteforce
@@ -285,7 +285,6 @@ class TestNnlsMulti:
 
 
 class TestNnlsProperties:
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(rows=st.integers(3, 10), cols=st.integers(2, 5), rhs=st.integers(1, 3),
            seed=st.integers(0, 2**32 - 1), nonneg=st.booleans(),
            k=st.one_of(st.integers(-560, 560), st.integers(500, 525), st.integers(-525, -500)))
