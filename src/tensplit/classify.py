@@ -10,8 +10,8 @@ cannot be among the nearest.  The remaining candidates are re-ranked by the
 exact norm of the difference, so neighbors, distances and predictions are
 those of a full exact search.  The experiment harness repeats the
 split/decompose/classify cycle over seeded realizations and aggregates one
-report; mean and stddev are computed from the sorted per-run list so
-aggregation order cannot matter.
+report per (method, classifier) cell; mean and stddev are computed from the
+sorted per-run list so aggregation order cannot matter.
 """
 
 from __future__ import annotations
@@ -292,15 +292,10 @@ def _featurize_split(ds: EnsembleDataset, plan: SplitPlan, ranks: list,
             LabeledVectors(vectors=list(unfold(split.individual, 2)), labels=test_labels))
 
 
-def _classify(train: LabeledVectors, test: LabeledVectors, cfg: ExperimentConfig):
-    if cfg.classifier == CLASSIFIER_KNN:
-        return knn_classify(train, test, cfg.k)
-    return nearest_centroid(train, test)
-
-
-def run_experiment(ds: EnsembleDataset, plan: SplitPlan, method: str,
-                   cfg: ExperimentConfig | None = None) -> EvalReport:
-    """Repeat split/featurize/classify over seeded realizations.
+def run_grid(ds: EnsembleDataset, plan: SplitPlan, methods, classifiers,
+             cfg: ExperimentConfig | None = None) -> dict:
+    """Split, featurize and classify over seeded realizations; return
+    {method: {classifier: EvalReport}} (cfg.classifier is unused).
 
     Realization 0 uses the given plan; realization r regenerates the group
     assignment with seed plan.seed + r.  Features per method: raw uses
@@ -308,33 +303,53 @@ def run_experiment(ds: EnsembleDataset, plan: SplitPlan, method: str,
     cfg.ranks, trains on the individual parts, and projects test images
     through the pooled training bank (nonnegative mixing estimate, then
     subtraction); cpd does the same with one rank-1 term per configured
-    block.
+    block, so at all-ones ranks it shares ll1's features.  A realization
+    is featurized once per distinct ranks, one featurization held at a
+    time, and each classifier runs once on it.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
+    for kind, names, known in (("method", methods, METHODS),
+                               ("classifier", classifiers, CLASSIFIERS)):
+        for name in names:
+            if name not in known:
+                raise ValueError(f"unknown {kind} {name!r}, expected one of {known}")
     cfg = cfg or ExperimentConfig()
+    # featurization key: None for raw pixels, else the effective block ranks
+    keys = {m: None if m == METHOD_RAW
+            else tuple([1] * len(cfg.ranks) if m == METHOD_CPD else cfg.ranks)
+            for m in methods}
     class_ids = sorted(set(ds.labels))
     index = {lab: i for i, lab in enumerate(class_ids)}
-    confusion = np.zeros((len(class_ids), len(class_ids)), dtype=np.int64)
-    per_run = []
+    cells = {(m, c): (np.zeros((len(class_ids),) * 2, dtype=np.int64), [])
+             for m in keys for c in classifiers}
     for r in range(cfg.realizations):
         if r == 0:
             p = plan
         else:
             p = make_group_splits(ds, plan.n_groups, len(plan.train_groups),
                                   seed=plan.seed + r)
-        if method == METHOD_RAW:
-            train, test = _featurize_raw(ds, p)
-        else:
-            ranks = [1] * len(cfg.ranks) if method == METHOD_CPD else list(cfg.ranks)
-            train, test = _featurize_split(ds, p, ranks, cfg, r)
-        rep = _classify(train, test, cfg)
-        per_run.append(rep.accuracy)
-        for i, true in enumerate(rep.class_ids):
-            for j, pred in enumerate(rep.class_ids):
-                if rep.confusion[i, j]:
-                    confusion[index[true], index[pred]] += rep.confusion[i, j]
-    return _report(class_ids, confusion, per_run)
+        for key in dict.fromkeys(keys.values()):
+            if key is None:
+                train, test = _featurize_raw(ds, p)
+            else:
+                train, test = _featurize_split(ds, p, list(key), cfg, r)
+            sharing = [m for m in keys if keys[m] == key]
+            for c in dict.fromkeys(classifiers):
+                rep = (knn_classify(train, test, cfg.k) if c == CLASSIFIER_KNN
+                       else nearest_centroid(train, test))
+                at = np.ix_(*[[index[lab] for lab in rep.class_ids]] * 2)
+                for m in sharing:
+                    confusion, per_run = cells[m, c]
+                    confusion[at] += rep.confusion
+                    per_run.append(rep.accuracy)
+            del train, test
+    return {m: {c: _report(class_ids, *cells[m, c]) for c in classifiers} for m in keys}
+
+
+def run_experiment(ds: EnsembleDataset, plan: SplitPlan, method: str,
+                   cfg: ExperimentConfig | None = None) -> EvalReport:
+    """The (method, cfg.classifier) cell of `run_grid`, computed alone."""
+    cfg = cfg or ExperimentConfig()
+    return run_grid(ds, plan, [method], [cfg.classifier], cfg)[method][cfg.classifier]
 
 
 def report_csv(report: EvalReport) -> str:

@@ -27,7 +27,7 @@ from .classify import (
     METHODS,
     ExperimentConfig,
     report_csv,
-    run_experiment,
+    run_grid,
     summary_json,
 )
 from .core import DenseTensor, norm_frobenius
@@ -51,11 +51,18 @@ class CliError(Exception):
         self.code = code
 
 
+class _HelpShown(Exception):
+    """Raised by --help with the usage text, in place of argparse's exit."""
+
+
 class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on bad arguments; remap to the
-    # configuration exit code and keep stdout JSON-only
+    # argparse exits with status 2 on bad arguments and prints --help to
+    # stdout; remap errors to the configuration exit code, keep stdout JSON
     def error(self, message):
         raise CliError(EXIT_CONFIG, message)
+
+    def print_help(self, file=None):
+        raise _HelpShown(self.format_help())
 
 
 def _out_dir(explicit: str | None) -> Path:
@@ -96,10 +103,7 @@ def cmd_decompose(args) -> tuple[dict, int]:
     elif args.method == "hosvd":
         if len(ranks) != 3:
             raise CliError(EXIT_CONFIG, "hosvd takes three ranks, one per mode")
-        try:
-            result = dc.hosvd(t, ranks)
-        except ValueError as exc:
-            raise CliError(EXIT_CONFIG, str(exc)) from exc
+        result = dc.hosvd(t, ranks)
     else:
         result = dc.ll1_nn(t, ranks, cfg)
 
@@ -190,12 +194,10 @@ def load_experiment_config(path) -> dict:
     for field, kind in (("methods", list), ("classifiers", list), ("ranks", list)):
         if not isinstance(cfg[field], kind) or not cfg[field]:
             _config_error(field, "must be a nonempty list")
-    for m in cfg["methods"]:
-        if m not in METHODS:
-            _config_error("methods", f"unknown method {m!r}")
-    for c in cfg["classifiers"]:
-        if c not in CLASSIFIERS:
-            _config_error("classifiers", f"unknown classifier {c!r}")
+    for field, known in (("methods", METHODS), ("classifiers", CLASSIFIERS)):
+        for name in cfg[field]:
+            if name not in known:
+                _config_error(field, f"unknown {field[:-1]} {name!r}")
     for field in ("k", "realizations", "seed", "max_sweeps", "n_restarts"):
         if not isinstance(cfg[field], int) or isinstance(cfg[field], bool):
             _config_error(field, "must be an integer")
@@ -245,13 +247,10 @@ def _build_dataset(entry: dict) -> ds_mod.EnsembleDataset:
 
 def cmd_experiment(args) -> tuple[dict, int]:
     cfg = load_experiment_config(args.config)
-    try:
-        ds = _build_dataset(cfg["dataset"])
-        plan = ds_mod.make_group_splits(
-            ds, cfg["split"]["groups"], cfg["split"]["train"], cfg["split"]["seed"]
-        )
-    except ValueError as exc:
-        raise CliError(EXIT_CONFIG, str(exc)) from exc
+    ds = _build_dataset(cfg["dataset"])
+    plan = ds_mod.make_group_splits(
+        ds, cfg["split"]["groups"], cfg["split"]["train"], cfg["split"]["seed"]
+    )
 
     if args.dry_run:
         payload = {
@@ -268,28 +267,17 @@ def cmd_experiment(args) -> tuple[dict, int]:
         }
         return payload, EXIT_OK
 
+    ecfg = ExperimentConfig(**{k: cfg[k] for k in (
+        "seed", "realizations", "k", "ranks", "tau", "max_sweeps", "rel_tol",
+        "n_restarts")})
     out = _out_dir(args.out if args.out else cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
-    grid: dict = {}
-    cells: dict = {}
-    for method in cfg["methods"]:
-        grid[method] = {}
+    log.info("running methods=%s classifiers=%s", cfg["methods"], cfg["classifiers"])
+    grid = run_grid(ds, plan, cfg["methods"], cfg["classifiers"], ecfg)
+    cells = {}
+    for method, row in grid.items():
         cells[method] = {}
-        for clf in cfg["classifiers"]:
-            log.info("running method=%s classifier=%s", method, clf)
-            ecfg = ExperimentConfig(
-                seed=cfg["seed"],
-                realizations=cfg["realizations"],
-                classifier=clf,
-                k=cfg["k"],
-                ranks=list(cfg["ranks"]),
-                tau=cfg["tau"],
-                max_sweeps=cfg["max_sweeps"],
-                rel_tol=cfg["rel_tol"],
-                n_restarts=cfg["n_restarts"],
-            )
-            report = run_experiment(ds, plan, method, ecfg)
-            grid[method][clf] = report
+        for clf, report in row.items():
             cells[method][clf] = {
                 "accuracy": report.accuracy,
                 "mean": report.mean,
@@ -306,12 +294,10 @@ def cmd_experiment(args) -> tuple[dict, int]:
 def cmd_synth(args) -> tuple[dict, int]:
     if args.kind == "color-ensemble":
         ds = ds_mod.synthetic_color_ensemble(args.height, args.width, args.seed)
-    elif args.kind == "face-fixture":
+    else:
         ds = ds_mod.synthetic_face_fixture(
             height=args.height, width=args.width, seed=args.seed
         )
-    else:
-        raise CliError(EXIT_CONFIG, f"unknown synth kind {args.kind!r}")
     out = _out_dir(args.out)
     ds_mod.save_dataset(ds, out)
     log.info("wrote dataset to %s", out)
@@ -355,7 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
-    p.add_argument("--kind", default="color-ensemble")
+    p.add_argument("--kind", default="color-ensemble",
+                   choices=["color-ensemble", "face-fixture"])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--height", type=int, default=16)
     p.add_argument("--width", type=int, default=16)
@@ -364,35 +351,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
-    sys.stdout.flush()
-
-
 def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(levelname)s %(message)s")
     parser = build_parser()
+    error = None
     try:
         args = parser.parse_args(argv)
         payload, code = args.func(args)
+    except _HelpShown as exc:
+        sys.stderr.write(str(exc))
+        payload, code = {"status": "help"}, EXIT_OK
     except CliError as exc:
-        log.error("%s", exc)
-        _emit({"status": "error", "code": exc.code, "error": str(exc)})
-        return exc.code
-    except (DtfFormatError, PgmFormatError, OSError) as exc:
-        log.error("%s", exc)
-        _emit({"status": "error", "code": EXIT_IO, "error": str(exc)})
-        return EXIT_IO
+        error, code = exc, exc.code
+    except (DtfFormatError, PgmFormatError, OSError, json.JSONDecodeError) as exc:
+        error, code = exc, EXIT_IO
     except ConvergenceError as exc:
-        log.error("%s", exc)
-        _emit({"status": "error", "code": EXIT_NUMERIC, "error": str(exc)})
-        return EXIT_NUMERIC
+        error, code = exc, EXIT_NUMERIC
     except (ValueError, KeyError, TypeError) as exc:
-        log.error("%s", exc)
-        _emit({"status": "error", "code": EXIT_CONFIG, "error": str(exc)})
-        return EXIT_CONFIG
-    _emit(payload)
+        error, code = exc, EXIT_CONFIG
+    if error is not None:
+        log.error("%s", error)
+        payload = {"status": "error", "code": code, "error": str(error)}
+    sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
+    sys.stdout.flush()
     return code
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import dtf
 from .core import DenseTensor
-from .decomp import DecompConfig, LL1Factors, _ll1_stack, ll1_nn
+from .decomp import DecompConfig, LL1Factors, _ll1_stack
 from .kernels import nnls_multi, qr, svd
 
 _EPS = np.finfo(np.float64).eps
@@ -140,8 +140,7 @@ def fit_feature_bank(t: DenseTensor | list, ranks, cfg: DecompConfig | list | No
     best, best_fit = [None] * len(ts), [np.inf] * len(ts)
     for r in range(n_restarts):
         run_cfgs = [replace(c, seed=c.seed + r) for c in cfgs]
-        runs = [ll1_nn(t, ranks, run_cfgs[0])] if single else _ll1_stack(ts, ranks, run_cfgs)
-        for i, result in enumerate(runs):
+        for i, result in enumerate(_ll1_stack(ts, ranks, run_cfgs)):
             if result.fit_history[-1] < best_fit[i]:
                 best[i], best_fit[i] = result, result.fit_history[-1]
     banks = [build_feature_bank(f) for f in best]

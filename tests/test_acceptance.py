@@ -219,13 +219,18 @@ def test_ac7_layout_identities(capsys):
 
 def test_ac8a_fixture_classification(capsys, monkeypatch):
     with criterion(capsys, 8, "fixture classification ordering") as rec:
-        def spying_ll1(t, ranks, cfg=None):
-            f = ll1_nn(t, ranks, cfg)
-            assert_ll1_invariants(f)
-            LL1_RUNS.append(f)
-            return f
+        harness_fits = []
+        ll1_stack = features_mod._ll1_stack
 
-        monkeypatch.setattr(features_mod, "ll1_nn", spying_ll1)
+        def spying_stack(ts, ranks, cfgs):
+            fits = ll1_stack(ts, ranks, cfgs)
+            for f in fits:
+                assert_ll1_invariants(f)
+            harness_fits.extend(fits)
+            LL1_RUNS.extend(fits)
+            return fits
+
+        monkeypatch.setattr(features_mod, "_ll1_stack", spying_stack)
         start = time.perf_counter()
         ds = synthetic_face_fixture()
         plan = make_group_splits(ds, groups=6, train=3, seed=0)
@@ -238,6 +243,7 @@ def test_ac8a_fixture_classification(capsys, monkeypatch):
                          f">= raw mean {raw.mean:.3f}, {elapsed:.1f}s")
         assert ll1.mean >= raw.mean
         assert elapsed < 60.0
+        assert len(harness_fits) == 10 * 3  # realizations x training groups
 
 
 @pytest.mark.skipif("TENSPLIT_ORL_DIR" not in os.environ,

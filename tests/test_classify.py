@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import tensplit.classify as classify_mod
+import tensplit.features as features_mod
 from tensplit.classify import (
     EvalReport,
     ExperimentConfig,
@@ -10,6 +13,7 @@ from tensplit.classify import (
     nearest_centroid,
     report_csv,
     run_experiment,
+    run_grid,
     summary_json,
 )
 from tensplit.core import DenseTensor
@@ -328,6 +332,49 @@ class TestRunExperiment:
         plan = make_group_splits(ds, groups=3, train=1, seed=0)
         with pytest.raises(ValueError, match="method"):
             run_experiment(ds, plan, "pca")
+
+
+class TestRunGrid:
+    @pytest.mark.parametrize("ranks, fits_per_realization", [([1, 1], 1), ([2, 1], 2)])
+    def test_matches_cells_and_shares_featurization(self, monkeypatch, ranks,
+                                                    fits_per_realization):
+        ds = synthetic_face_fixture()
+        plan = make_group_splits(ds, groups=6, train=3, seed=0)
+        cfg = ExperimentConfig(realizations=3, ranks=ranks, max_sweeps=40)
+        methods, classifiers = ["raw", "cpd", "ll1"], ["knn", "centroid"]
+        calls = []
+        ll1_stack = features_mod._ll1_stack
+
+        def spy(ts, ranks, cfgs):
+            calls.append(list(ranks))
+            return ll1_stack(ts, ranks, cfgs)
+
+        monkeypatch.setattr(features_mod, "_ll1_stack", spy)
+        grid = run_grid(ds, plan, methods, classifiers, cfg)
+        # cpd at all-ones ranks reuses ll1's decomposition
+        assert len(calls) == fits_per_realization * cfg.realizations
+        assert list(grid) == methods
+        for method in methods:
+            assert list(grid[method]) == classifiers
+            for clf in classifiers:
+                got = grid[method][clf]
+                want = run_experiment(ds, plan, method,
+                                      replace(cfg, classifier=clf))
+                np.testing.assert_array_equal(got.confusion, want.confusion)
+                assert got.class_ids == want.class_ids
+                assert got.per_run == want.per_run
+                assert (got.accuracy, got.mean, got.stddev) == \
+                    (want.accuracy, want.mean, want.stddev)
+
+    @pytest.mark.parametrize("methods, classifiers", [
+        (["raw", "pca"], ["knn"]),
+        (["raw"], ["knn", "svm"]),
+    ])
+    def test_unknown_method_or_classifier(self, methods, classifiers):
+        ds = single_class_dataset()
+        plan = make_group_splits(ds, groups=3, train=1, seed=0)
+        with pytest.raises(ValueError, match="unknown"):
+            run_grid(ds, plan, methods, classifiers, ExperimentConfig(realizations=1))
 
 
 class TestReports:

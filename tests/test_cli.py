@@ -1,11 +1,21 @@
+import argparse
+import contextlib
+import io
 import json
+import os
+import struct
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tensplit.cli import OUT_ENV, main
+from conftest import mutated_bytes
+from tensplit.cli import OUT_ENV, build_parser, main
 from tensplit.core import DenseTensor
-from tensplit.decomp import LL1Factors, load_factors
+from tensplit.dataset import save_dataset, synthetic_face_fixture
+from tensplit.decomp import DecompConfig, LL1Factors, cpd_als, ll1_nn, load_factors, save_factors
 from tensplit.dtf import read_tensor, write_tensor
 
 
@@ -269,6 +279,13 @@ class TestSplit:
         assert code == 3
         assert "block-term" in payload["error"]
 
+    def test_malformed_bank_manifest_exits_2(self, capsys, tmp_path):
+        tfile, bank = self.fit_bank(capsys, tmp_path)
+        (bank / "manifest.json").write_text("{oops")
+        code, payload = run_cli(capsys, [
+            "split", str(tfile), str(bank), "--out", str(tmp_path / "s")])
+        assert code == 2
+
     def test_rejects_mismatched_slice_shape(self, capsys, tmp_path):
         _, bank = self.fit_bank(capsys, tmp_path)
         other = tmp_path / "o.dtf1"
@@ -338,6 +355,33 @@ class TestExperiment:
         code, payload = run_cli(capsys, ["experiment", str(cfg)])
         assert code == 3
 
+    def test_corrupt_pgm_dataset_exits_2(self, capsys, tmp_path):
+        paths = []
+        for i in range(4):
+            pgm = tmp_path / f"{i}.pgm"
+            pgm.write_bytes(b"P5\n3 2\n255\n" + bytes(6 if i else 4))  # one cut raster
+            paths.append(str(pgm))
+        cfg = experiment_config(tmp_path, dataset={
+            "kind": "pgm", "paths": paths, "labels": [0, 0, 1, 1]})
+        code, payload = run_cli(capsys, ["experiment", str(cfg)])
+        assert code == 2
+
+    @pytest.mark.parametrize("damage", ["tensor", "manifest"])
+    def test_corrupt_dataset_dir_exits_2(self, capsys, tmp_path, damage):
+        data = tmp_path / "data"
+        code, _ = run_cli(capsys, ["synth", "--kind", "face-fixture", "--height", "4",
+                                   "--width", "4", "--out", str(data)])
+        assert code == 0
+        if damage == "tensor":
+            raw = (data / "tensor.dtf1").read_bytes()
+            (data / "tensor.dtf1").write_bytes(b"XTF1" + raw[4:])
+        else:
+            (data / "manifest.json").write_text("{oops")
+        cfg = experiment_config(tmp_path, dataset={"kind": "dataset-dir",
+                                                   "path": str(data)})
+        code, payload = run_cli(capsys, ["experiment", str(cfg)])
+        assert code == 2
+
     def test_missing_config_file_exits_2(self, capsys, tmp_path):
         code, payload = run_cli(capsys, ["experiment", str(tmp_path / "no.json")])
         assert code == 2
@@ -380,3 +424,166 @@ class TestOutputDirectory:
         assert code == 0
         assert payload["out"] == str(explicit)
         assert not (tmp_path / "ignored").exists()
+
+
+
+def _subcommands():
+    """Each subcommand's parser, from the CLI's own parser."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+def _dtf1(shape, values) -> bytes:
+    return (b"DTF1" + struct.pack("<I", len(shape)) + struct.pack(f"<{len(shape)}Q", *shape)
+            + np.asarray(values, dtype="<f8").tobytes(order="F"))
+
+
+# Sampled lists start with their usual values, which a failure shrinks
+# toward; repeated entries weight a draw toward them.
+_DTF_SEEDS = [_dtf1((2, 3, 2), np.arange(1.0, 13.0)), _dtf1((3, 2, 2), np.zeros(12)),
+              _dtf1((1, 2, 2), [0.5, 1e300, 1e-300, 7.0])]
+_DTF_TOKENS = [struct.pack("<Q", 0), struct.pack("<Q", 2**61), struct.pack("<I", 2),
+               struct.pack("<I", 4), struct.pack("<d", -1.0), b"DTF1"]
+_EXTENT = st.sampled_from([2, 3, 1, 4])
+_FLOATS = st.sampled_from(["1e-8", "0.5", "0", "1.1", "-1", "nan", "inf"])
+# one field set to a value the config rejects, or a split no class can fill
+_SPOILERS = [("methods", ["pca"]), ("classifiers", ["svm"]), ("ranks", [0]), ("k", 0),
+             ("tau", -1.0), ("realizations", 0), ("max_sweeps", 0), ("n_restarts", 0),
+             ("split", {"groups": 1, "train": 1}), ("split", {"groups": 9, "train": 2})]
+
+
+@st.composite
+def _tensor_file(draw, root):
+    """A tiny DTF1 file, mutated DTF1 bytes or a missing path."""
+    kind = draw(st.sampled_from(["tensor", "mutated", "missing"]))
+    path = root / f"{kind}{len(list(root.iterdir()))}.dtf1"
+    if kind == "tensor":
+        order = draw(st.sampled_from([3, 3, 3, 2, 4]))
+        shape = tuple(draw(_EXTENT) for _ in range(order))
+        rng = np.random.default_rng(draw(st.integers(0, 3)))
+        values = draw(st.sampled_from([
+            lambda: rng.uniform(0.0, 1.0, shape), lambda: rng.standard_normal(shape),
+            lambda: np.zeros(shape)]))()
+        path.write_bytes(_dtf1(shape, values.ravel(order="F")))
+    elif kind == "mutated":
+        path.write_bytes(draw(mutated_bytes(_DTF_SEEDS, _DTF_TOKENS)))
+    return str(path)
+
+
+@st.composite
+def _bank_dir(draw, root):
+    """A block-term bundle, a bundle of another kind, a file or a missing
+    path.  A bundle's slices take the shape of an order-3 input drawn
+    before it, if there is one, so that some splits can succeed."""
+    kind = draw(st.sampled_from(["ll1", "cpd", "file", "missing"]))
+    path = root / "bank"
+    if kind == "file":
+        return draw(_tensor_file(root))
+    if kind != "missing":
+        rng = np.random.default_rng(draw(st.integers(0, 3)))
+        inputs = [read_tensor(f).shape for f in sorted(root.glob("tensor*.dtf1"))]
+        slices = next((s[:2] for s in inputs if len(s) == 3), (draw(_EXTENT), draw(_EXTENT)))
+        t = DenseTensor(rng.uniform(0.1, 1.0, slices + (draw(st.integers(1, 4)),)))
+        cfg = DecompConfig(max_sweeps=2, seed=0)
+        save_factors(ll1_nn(t, [draw(st.integers(1, 2))], cfg) if kind == "ll1"
+                     else cpd_als(t, 1, cfg), path)
+    return str(path)
+
+
+@st.composite
+def _config_file(draw, root):
+    """A tiny experiment config, maybe with one field spoiled, or any input
+    `_tensor_file` draws."""
+    if draw(st.sampled_from([False, False, False, True])):
+        return draw(_tensor_file(root))
+    dataset = draw(st.sampled_from(["face-fixture", "dataset-dir", "color-ensemble"]))
+    if dataset == "dataset-dir":
+        entry = {"kind": dataset, "path": str(root / "data")}
+        if draw(st.sampled_from([True, True, True, False])):
+            save_dataset(synthetic_face_fixture(height=4, width=3, n_classes=2,
+                                                per_class=4), root / "data")
+    elif dataset == "face-fixture":
+        entry = {"kind": dataset, "height": draw(st.integers(3, 8)),
+                 "width": draw(st.integers(1, 8)), "n_classes": draw(st.integers(2, 3)),
+                 "per_class": draw(st.integers(2, 6))}
+    else:
+        entry = {"kind": dataset, "height": draw(st.integers(1, 8)),
+                 "width": draw(st.integers(1, 8))}
+    groups = draw(st.integers(2, 4))
+    cfg = {
+        "dataset": entry,
+        "split": {"groups": groups, "train": draw(st.integers(1, groups - 1))},
+        "methods": draw(st.lists(st.sampled_from(["raw", "cpd", "ll1"]),
+                                 min_size=1, max_size=3)),
+        "classifiers": draw(st.lists(st.sampled_from(["knn", "centroid"]),
+                                     min_size=1, max_size=2)),
+        "ranks": draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)),
+        "k": draw(st.integers(1, 3)),
+        "tau": draw(st.sampled_from([0.0, 0.5, 1.1])),
+        "realizations": draw(st.integers(1, 2)),
+        "max_sweeps": draw(st.integers(1, 5)),
+    }
+    if draw(st.booleans()):
+        field, value = draw(st.sampled_from(_SPOILERS))
+        cfg[field] = value
+    path = root / "config.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+@st.composite
+def _argv(draw, root):
+    """A subcommand and a draw of its positionals and flags, each taken from
+    the parser: a flag this strategy has no values for fails the test."""
+    name, parser = draw(st.sampled_from(sorted(_subcommands().items())))
+    values = {
+        "input": _tensor_file(root), "bank": _bank_dir(root), "config": _config_file(root),
+        "ranks": st.lists(st.integers(1, 4), min_size=1, max_size=3).map(
+            lambda rs: ",".join(map(str, rs))),
+        "seed": st.integers(0, 3).map(str), "height": st.integers(0, 8).map(str),
+        "width": st.integers(0, 8).map(str), "max_sweeps": st.integers(0, 5).map(str),
+        "tol": _FLOATS, "tau": _FLOATS,
+        "out": st.sampled_from([str(root / "out"), str(root / "taken")]),
+    }
+    argv = [name]
+    for action in parser._actions:
+        if not action.option_strings:
+            argv.append(draw(values[action.dest]))
+            continue
+        # --help is rare and required flags are mostly given, or the parser
+        # would end most runs before the subcommand starts
+        if action.dest == "help":
+            given_flag = draw(st.sampled_from([False] * 9 + [True]))
+        elif action.required:
+            given_flag = draw(st.sampled_from([True] * 9 + [False]))
+        else:
+            given_flag = draw(st.booleans())
+        if given_flag:
+            argv.append(action.option_strings[-1])
+            if action.nargs != 0:
+                argv.append(draw(st.sampled_from(action.choices) if action.choices
+                                 else values[action.dest]))
+    return argv
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_cli_contract_on_random_argv(tmp_path_factory, data):
+    """Any argv of the parser's subcommands and flags, on tiny, corrupt or
+    missing inputs, prints one JSON line and exits with a documented code."""
+    root = tmp_path_factory.mktemp("argv")
+    (root / "taken").write_bytes(b"")  # an --out that cannot be a directory
+    argv = data.draw(_argv(root))
+    stdout = io.StringIO()
+    with mock.patch.dict(os.environ, {OUT_ENV: str(root / "env-out")}), \
+            contextlib.redirect_stdout(stdout):
+        code = main(argv)
+    lines = stdout.getvalue().splitlines()
+    assert len(lines) == 1, f"expected one stdout line, got {lines!r}"
+    payload = json.loads(lines[0])
+    assert code in (0, 2, 3, 4)
+    if payload["status"] == "error":
+        assert payload["code"] == code
+    else:
+        assert code in (0, 4)
