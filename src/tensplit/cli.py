@@ -3,8 +3,9 @@
 Four subcommands: decompose, split, experiment, synth.  Every run prints
 exactly one JSON object line to standard output (including failures) and
 sends human-readable logging to standard error.  Exit codes: 0 success,
-2 input or output failure, 3 invalid configuration or arguments, 4 a
-numeric routine did not converge (artifacts are still written).
+2 input or output failure (a malformed input file or bundle, or an input
+too large for memory), 3 invalid configuration or arguments, 4 a numeric
+routine did not converge (artifacts are still written).
 
 The default output directory is ./out, overridable by the TENSPLIT_OUT
 environment variable; an explicit --out wins over both.
@@ -217,12 +218,6 @@ def load_experiment_config(path) -> dict:
 
 def _build_dataset(entry: dict) -> ds_mod.EnsembleDataset:
     kind = entry.get("kind")
-    if kind == "color-ensemble":
-        return ds_mod.synthetic_color_ensemble(
-            height=entry.get("height", 16),
-            width=entry.get("width", 16),
-            seed=entry.get("seed", 0),
-        )
     if kind == "face-fixture":
         return ds_mod.synthetic_face_fixture(
             height=entry.get("height", 12),
@@ -364,7 +359,7 @@ def main(argv=None) -> int:
         payload, code = {"status": "help"}, EXIT_OK
     except CliError as exc:
         error, code = exc, exc.code
-    except (DtfFormatError, PgmFormatError, OSError, json.JSONDecodeError) as exc:
+    except (DtfFormatError, PgmFormatError, OSError, MemoryError) as exc:
         error, code = exc, EXIT_IO
     except ConvergenceError as exc:
         error, code = exc, EXIT_NUMERIC
@@ -372,7 +367,8 @@ def main(argv=None) -> int:
         error, code = exc, EXIT_CONFIG
     if error is not None:
         log.error("%s", error)
-        payload = {"status": "error", "code": code, "error": str(error)}
+        payload = {"status": "error", "code": code,
+                   "error": str(error) or type(error).__name__}
     sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
     sys.stdout.flush()
     return code

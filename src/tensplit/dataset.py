@@ -9,7 +9,6 @@ Pixel values are scaled to [0, 1] by the header maximum.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -314,24 +313,20 @@ def group_tensor(ds: EnsembleDataset, member_indices) -> tuple[DenseTensor, list
 
 
 def save_dataset(ds: EnsembleDataset, outdir) -> None:
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    dtf.write_tensor(ds.tensor, outdir / "tensor.dtf1")
     manifest = {
         "shape": list(ds.tensor.shape),
         "labels": list(ds.labels),
         "source": ds.meta,
     }
-    (outdir / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n"
-    )
+    dtf.write_bundle(outdir, manifest, {"tensor": ds.tensor})
 
 
 def load_dataset(indir) -> EnsembleDataset:
-    indir = Path(indir)
-    tensor = dtf.read_tensor(indir / "tensor.dtf1")
-    manifest = json.loads((indir / "manifest.json").read_text())
-    if list(tensor.shape) != list(manifest["shape"]):
-        raise ValueError("manifest shape does not match the stored tensor")
-    return EnsembleDataset(tensor=tensor, labels=list(manifest["labels"]),
-                           meta=dict(manifest["source"]))
+    def build(manifest: dict, tensor) -> EnsembleDataset:
+        t = tensor("tensor")
+        if list(t.shape) != list(manifest["shape"]):
+            raise ValueError("manifest shape does not match the stored tensor")
+        return EnsembleDataset(tensor=t, labels=list(manifest["labels"]),
+                               meta=dict(manifest["source"]))
+
+    return dtf.read_bundle(indir, build)

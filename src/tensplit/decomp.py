@@ -25,11 +25,9 @@ sweep, the fit is taken from the dense reconstruction instead.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import reduce
-from pathlib import Path
 
 import numpy as np
 
@@ -680,18 +678,10 @@ def greedy_cosine_match(estimated: np.ndarray, reference: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# factor bundle serialization: a directory of DTF1 files plus manifest.json
-
-_MANIFEST = "manifest.json"
-
-
-def _matrix_tensor(m: np.ndarray) -> DenseTensor:
-    return DenseTensor(np.atleast_2d(m))
+# factor bundles (see dtf.write_bundle)
 
 
 def save_factors(f, outdir) -> None:
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     diag = getattr(f, "diagnostics", None) or Diagnostics()
     manifest = {
         "fit_history": list(diag.fit_history),
@@ -703,31 +693,31 @@ def save_factors(f, outdir) -> None:
     if isinstance(f, KruskalFactors):
         manifest.update(type="cpd", K=f.rank, ranks=[1] * f.rank,
                         **{"lambda": f.weights.tolist()})
-        for n, fac in enumerate(f.factors):
-            dtf.write_tensor(_matrix_tensor(fac), outdir / f"factor{n}.dtf1")
+        tensors = {f"factor{n}": DenseTensor(m) for n, m in enumerate(f.factors)}
     elif isinstance(f, TuckerFactors):
         manifest.update(type="hosvd", K=1, ranks=list(f.core.shape),
                         **{"lambda": []})
-        dtf.write_tensor(f.core, outdir / "core.dtf1")
-        for n, fac in enumerate(f.factors):
-            dtf.write_tensor(_matrix_tensor(fac), outdir / f"factor{n}.dtf1")
+        tensors = {"core": f.core}
+        tensors.update((f"factor{n}", DenseTensor(m)) for n, m in enumerate(f.factors))
     elif isinstance(f, LL1Factors):
         manifest.update(type="ll1", K=len(f.terms),
                         ranks=[t.block_rank for t in f.terms],
                         **{"lambda": [t.weights.tolist() for t in f.terms]})
         manifest["fit_history"] = list(f.fit_history)
+        tensors = {}
         for k, term in enumerate(f.terms):
-            dtf.write_tensor(_matrix_tensor(term.a), outdir / f"term{k:02d}_a.dtf1")
-            dtf.write_tensor(_matrix_tensor(term.b), outdir / f"term{k:02d}_b.dtf1")
-            dtf.write_tensor(_matrix_tensor(term.c[:, None]), outdir / f"term{k:02d}_c.dtf1")
+            for part, m in (("a", term.a), ("b", term.b), ("c", term.c[:, None])):
+                tensors[f"term{k:02d}_{part}"] = DenseTensor(m)
     else:
         raise TypeError(f"cannot serialize {type(f).__name__}")
-    (outdir / _MANIFEST).write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    dtf.write_bundle(outdir, manifest, tensors)
 
 
 def load_factors(indir):
-    indir = Path(indir)
-    manifest = json.loads((indir / _MANIFEST).read_text())
+    return dtf.read_bundle(indir, _factors_from_bundle)
+
+
+def _factors_from_bundle(manifest: dict, tensor):
     diag = Diagnostics(
         sweeps=manifest.get("sweeps", 0),
         converged=manifest.get("converged", True),
@@ -737,20 +727,18 @@ def load_factors(indir):
     )
     kind = manifest["type"]
     if kind == "cpd":
-        factors = [dtf.read_tensor(indir / f"factor{n}.dtf1").to_array() for n in range(3)]
+        factors = [tensor(f"factor{n}").to_array() for n in range(3)]
         weights = np.asarray(manifest["lambda"], dtype=np.float64)
         return KruskalFactors(factors=factors, weights=weights, diagnostics=diag)
     if kind == "hosvd":
-        core = dtf.read_tensor(indir / "core.dtf1")
-        factors = [dtf.read_tensor(indir / f"factor{n}.dtf1").to_array() for n in range(3)]
+        core = tensor("core")
+        factors = [tensor(f"factor{n}").to_array() for n in range(3)]
         return TuckerFactors(core=core, factors=factors)
     if kind == "ll1":
         terms = []
         for k in range(manifest["K"]):
-            a = dtf.read_tensor(indir / f"term{k:02d}_a.dtf1").to_array()
-            b = dtf.read_tensor(indir / f"term{k:02d}_b.dtf1").to_array()
-            c = dtf.read_tensor(indir / f"term{k:02d}_c.dtf1").to_array().ravel()
+            a, b, c = (tensor(f"term{k:02d}_{part}").to_array() for part in "abc")
             weights = np.asarray(manifest["lambda"][k], dtype=np.float64)
-            terms.append(BlockTerm(a=a, b=b, c=c, weights=weights))
+            terms.append(BlockTerm(a=a, b=b, c=c.ravel(), weights=weights))
         return LL1Factors(terms=terms, fit_history=diag.fit_history, diagnostics=diag)
     raise ValueError(f"unknown factor bundle type {kind!r}")

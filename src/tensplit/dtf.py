@@ -1,12 +1,17 @@
-"""DTF1 binary tensor files.
+"""DTF1 binary tensor files, and bundles of them.
 
 Format: 4-byte magic ``DTF1``, uint32 little-endian order N (1..8), then N
 uint64 little-endian extents, then prod(extents) float64 little-endian values
 in layout order (first index fastest).
+
+A bundle is a directory of named tensors, each in ``<name>.dtf1``, plus a
+``manifest.json`` object describing them.  The manifest is written last, so
+a bundle whose writing was cut short has none.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import struct
 from pathlib import Path
@@ -16,10 +21,11 @@ import numpy as np
 from .core import MAX_ORDER, DenseTensor
 
 MAGIC = b"DTF1"
+MANIFEST = "manifest.json"
 
 
 class DtfFormatError(ValueError):
-    """Raised when a DTF1 file is malformed."""
+    """Raised when a DTF1 file or a bundle is malformed."""
 
 
 def write_tensor(t: DenseTensor, path) -> None:
@@ -57,3 +63,31 @@ def read_tensor(path) -> DenseTensor:
     # the tensor adopts the bytes just read: the payload is not copied
     values = values.astype(np.float64, copy=False).reshape(shape, order="F")
     return DenseTensor._wrap(values)
+
+
+def write_bundle(outdir, manifest: dict, tensors: dict) -> None:
+    """Write each tensor of `tensors` (name -> DenseTensor) to
+    ``<name>.dtf1`` in `outdir`, creating it, then `manifest` as JSON."""
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, t in tensors.items():
+        write_tensor(t, outdir / f"{name}.dtf1")
+    (outdir / MANIFEST).write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+
+
+def read_bundle(indir, build):
+    """Return ``build(manifest, tensor)`` for the bundle in `indir`, where
+    `tensor(name)` reads ``<name>.dtf1``.  A manifest that is not a JSON
+    object, or that `build` rejects with KeyError, IndexError, TypeError or
+    ValueError, raises DtfFormatError naming the directory."""
+    indir = Path(indir)
+    raw = (indir / MANIFEST).read_bytes()
+    try:
+        manifest = json.loads(raw.decode("utf-8"))
+        if not isinstance(manifest, dict):
+            raise TypeError(f"expected a JSON object, got {type(manifest).__name__}")
+        return build(manifest, lambda name: read_tensor(indir / f"{name}.dtf1"))
+    except DtfFormatError:
+        raise
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise DtfFormatError(f"{indir}: malformed bundle: {exc!r}") from exc

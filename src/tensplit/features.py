@@ -3,23 +3,20 @@
 A block-term decomposition of a stacked ensemble yields a bank of shared
 feature slices plus per-image nonnegative mixing weights.  Each image then
 splits exactly into the mixed common part and an individual remainder.
-Two matrix baselines are provided: PCA of the vertically stacked blocks,
-and an alternating scheme that grows one shared orthonormal basis across
-blocks one column at a time.
+A matrix baseline is provided: an alternating scheme that grows one shared
+orthonormal basis across blocks one column at a time.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
 from . import dtf
 from .core import DenseTensor
 from .decomp import DecompConfig, LL1Factors, _ll1_stack
-from .kernels import nnls_multi, qr, svd
+from .kernels import nnls_multi, qr
 
 _EPS = np.finfo(np.float64).eps
 
@@ -227,28 +224,6 @@ def split_features(t: DenseTensor, bank: CommonFeatureBank,
                         individual=DenseTensor._wrap(individual), selected=selected)
 
 
-def stacked_pca(xs: list, n_components: int):
-    """PCA of blocks stacked vertically.
-
-    Each block is samples-in-columns (O x Q_i); blocks are transposed and
-    stacked into a (sum Q_i) x O data matrix.  Returns (loadings, scores):
-    loadings is O x M with orthonormal columns, scores is (sum Q_i) x M.
-    """
-    if not xs:
-        raise ValueError("need at least one block")
-    rows = [np.asarray(x, dtype=np.float64).T for x in xs]
-    widths = {r.shape[1] for r in rows}
-    if len(widths) != 1:
-        raise ValueError("blocks must share the feature dimension")
-    data = np.vstack(rows)
-    if not 1 <= n_components <= min(data.shape):
-        raise ValueError(f"n_components out of range 1..{min(data.shape)}")
-    res = svd(data)
-    loadings = res.v[:, :n_components].copy()
-    scores = res.u[:, :n_components] * res.s[:n_components]
-    return loadings, scores
-
-
 def _orthonormal_bases(xs: list) -> list:
     return [qr(np.asarray(x, dtype=np.float64)).q for x in xs]
 
@@ -340,25 +315,18 @@ def common_basis_qr(xs: list, m_max: int, threshold: float | None = None,
 
 
 def save_split(split: FeatureSplit, outdir, tau: float = 0.0) -> None:
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    dtf.write_tensor(split.common, outdir / "common.dtf1")
-    dtf.write_tensor(split.individual, outdir / "individual.dtf1")
     manifest = {
         "tau": tau,
         "shape": list(split.common.shape),
         "selected": [list(map(int, s)) for s in split.selected],
     }
-    (outdir / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n"
-    )
+    dtf.write_bundle(outdir, manifest, {"common": split.common,
+                                        "individual": split.individual})
 
 
 def load_split(indir) -> FeatureSplit:
-    indir = Path(indir)
-    manifest = json.loads((indir / "manifest.json").read_text())
-    return FeatureSplit(
-        common=dtf.read_tensor(indir / "common.dtf1"),
-        individual=dtf.read_tensor(indir / "individual.dtf1"),
+    return dtf.read_bundle(indir, lambda manifest, tensor: FeatureSplit(
+        common=tensor("common"),
+        individual=tensor("individual"),
         selected=[list(s) for s in manifest["selected"]],
-    )
+    ))

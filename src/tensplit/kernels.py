@@ -56,17 +56,15 @@ def svd(m) -> SvdResult:
     return SvdResult(u=u, s=s, v=vh.T)
 
 
-def pinv(m, tol: float | None = None) -> np.ndarray:
-    """Moore-Penrose pseudoinverse; singular values below `tol` are dropped.
-
-    Default tol is max(rows, cols) * machine epsilon * largest singular value.
-    """
-    return _pinv_stack(_as_matrix(m)[None], tol)[0]
+def pinv(m) -> np.ndarray:
+    """Moore-Penrose pseudoinverse; singular values at or below
+    max(rows, cols) * machine epsilon * the largest one are dropped."""
+    return _pinv_stack(_as_matrix(m)[None])[0]
 
 
-def _pinv_stack(ms: np.ndarray, tol: float | None = None) -> np.ndarray:
+def _pinv_stack(ms: np.ndarray) -> np.ndarray:
     """pinv of each matrix of an (n, rows, cols) stack, bit for bit."""
-    if tol is None and ms.shape[1:] == (1, 1):
+    if ms.shape[1:] == (1, 1):
         # the SVD of [[x]] is |x| with unit signs, so 1 / x is the SVD
         # path's result bit for bit where LAPACK does not rescale x
         size = np.abs(ms)
@@ -75,11 +73,8 @@ def _pinv_stack(ms: np.ndarray, tol: float | None = None) -> np.ndarray:
     if not np.isfinite(ms).all():
         raise ValueError("svd input has non-finite entries")
     u, s, vh = np.linalg.svd(ms, full_matrices=False)
-    if tol is None:
-        s_max = s[:, :1] if s.shape[1] else np.zeros((s.shape[0], 1))
-        tol = max(ms.shape[1:]) * np.finfo(np.float64).eps * s_max
-    elif tol < 0:
-        raise ValueError("tol must be nonnegative")
+    s_max = s[:, :1] if s.shape[1] else np.zeros((s.shape[0], 1))
+    tol = max(ms.shape[1:]) * np.finfo(np.float64).eps * s_max
     inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > tol)
     return (vh.swapaxes(1, 2) * inv[:, None, :]) @ u.swapaxes(1, 2)
 

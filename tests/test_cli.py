@@ -12,11 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import mutated_bytes
+from tensplit import cli
 from tensplit.cli import OUT_ENV, build_parser, main
 from tensplit.core import DenseTensor
-from tensplit.dataset import save_dataset, synthetic_face_fixture
+from tensplit.dataset import load_dataset, save_dataset, synthetic_face_fixture
 from tensplit.decomp import DecompConfig, LL1Factors, cpd_als, ll1_nn, load_factors, save_factors
-from tensplit.dtf import read_tensor, write_tensor
+from tensplit.dtf import DtfFormatError, read_tensor, write_tensor
 
 
 def run_cli(capsys, argv):
@@ -46,6 +47,37 @@ def identical_slice_file(path, q=5, seed=0):
     t = DenseTensor(np.repeat(base[:, :, None], q, axis=2))
     write_tensor(t, path)
     return t
+
+
+def _drop(manifest, key):
+    return {k: v for k, v in manifest.items() if k != key}
+
+
+# Damage to a bundle's manifest.json: each maps the manifest a bundle was
+# written with to the bytes that replace it.
+_ANY_DAMAGE = {
+    "not-json": lambda m: b"{oops",
+    "json-list": lambda m: b"[1, 2]",
+    "not-utf8": lambda m: b"\xff\xfe" + json.dumps(m).encode(),
+}
+_BANK_DAMAGE = {
+    **_ANY_DAMAGE,
+    "short-lambda": lambda m: json.dumps({**m, "lambda": m["lambda"][:-1]}).encode(),
+    "no-type": lambda m: json.dumps(_drop(m, "type")).encode(),
+    "K-string": lambda m: json.dumps({**m, "K": str(m["K"])}).encode(),
+}
+_DATASET_DAMAGE = {
+    **_ANY_DAMAGE,
+    "short-labels": lambda m: json.dumps({**m, "labels": m["labels"][:-1]}).encode(),
+    "no-labels": lambda m: json.dumps(_drop(m, "labels")).encode(),
+    "labels-int": lambda m: json.dumps({**m, "labels": 3}).encode(),
+    "shape": lambda m: json.dumps({**m, "shape": m["shape"][:2] + [1]}).encode(),
+}
+
+
+def damage_manifest(bundle, damage) -> None:
+    path = bundle / "manifest.json"
+    path.write_bytes(damage(json.loads(path.read_text())))
 
 
 def experiment_config(tmp_path, **overrides):
@@ -279,12 +311,14 @@ class TestSplit:
         assert code == 3
         assert "block-term" in payload["error"]
 
-    def test_malformed_bank_manifest_exits_2(self, capsys, tmp_path):
+    @pytest.mark.parametrize("damage", sorted(_BANK_DAMAGE))
+    def test_malformed_bank_manifest_exits_2(self, capsys, tmp_path, damage):
         tfile, bank = self.fit_bank(capsys, tmp_path)
-        (bank / "manifest.json").write_text("{oops")
+        damage_manifest(bank, _BANK_DAMAGE[damage])
         code, payload = run_cli(capsys, [
             "split", str(tfile), str(bank), "--out", str(tmp_path / "s")])
         assert code == 2
+        assert str(bank) in payload["error"]
 
     def test_rejects_mismatched_slice_shape(self, capsys, tmp_path):
         _, bank = self.fit_bank(capsys, tmp_path)
@@ -366,7 +400,7 @@ class TestExperiment:
         code, payload = run_cli(capsys, ["experiment", str(cfg)])
         assert code == 2
 
-    @pytest.mark.parametrize("damage", ["tensor", "manifest"])
+    @pytest.mark.parametrize("damage", ["tensor"] + sorted(_DATASET_DAMAGE))
     def test_corrupt_dataset_dir_exits_2(self, capsys, tmp_path, damage):
         data = tmp_path / "data"
         code, _ = run_cli(capsys, ["synth", "--kind", "face-fixture", "--height", "4",
@@ -376,11 +410,29 @@ class TestExperiment:
             raw = (data / "tensor.dtf1").read_bytes()
             (data / "tensor.dtf1").write_bytes(b"XTF1" + raw[4:])
         else:
-            (data / "manifest.json").write_text("{oops")
+            damage_manifest(data, _DATASET_DAMAGE[damage])
         cfg = experiment_config(tmp_path, dataset={"kind": "dataset-dir",
                                                    "path": str(data)})
         code, payload = run_cli(capsys, ["experiment", str(cfg)])
         assert code == 2
+        assert str(data) in payload["error"]
+
+    def test_color_ensemble_kind_exits_3(self, capsys, tmp_path):
+        cfg = experiment_config(tmp_path, dataset={"kind": "color-ensemble",
+                                                   "height": 8, "width": 8})
+        code, payload = run_cli(capsys, ["experiment", str(cfg)])
+        assert code == 3
+        assert "unknown kind" in payload["error"]
+
+    def test_memory_error_exits_2(self, capsys, tmp_path, monkeypatch):
+        def too_large(**kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli.ds_mod, "synthetic_face_fixture", too_large)
+        code, payload = run_cli(capsys, ["experiment", str(experiment_config(tmp_path))])
+        assert code == 2
+        assert payload["status"] == "error"
+        assert payload["error"] == "MemoryError"
 
     def test_missing_config_file_exits_2(self, capsys, tmp_path):
         code, payload = run_cli(capsys, ["experiment", str(tmp_path / "no.json")])
@@ -471,12 +523,27 @@ def _tensor_file(draw, root):
     return str(path)
 
 
+_JSON_TOKENS = [b'"', b"[", b"]", b"{", b"}", b",", b"null", b"NaN", b"-1", b"1e999"]
+
+
+@st.composite
+def _damaged_manifest(draw, bundle, damages):
+    """Replace a bundle's manifest.json by mutated bytes of it, or by one of
+    `damages` applied to it."""
+    path = bundle / "manifest.json"
+    if draw(st.booleans()):
+        path.write_bytes(draw(mutated_bytes([path.read_bytes()], _JSON_TOKENS)))
+    else:
+        damage_manifest(bundle, damages[draw(st.sampled_from(sorted(damages)))])
+
+
 @st.composite
 def _bank_dir(draw, root):
-    """A block-term bundle, a bundle of another kind, a file or a missing
-    path.  A bundle's slices take the shape of an order-3 input drawn
-    before it, if there is one, so that some splits can succeed."""
-    kind = draw(st.sampled_from(["ll1", "cpd", "file", "missing"]))
+    """A block-term bundle, one with a damaged manifest, a bundle of another
+    kind, a file or a missing path.  A bundle's slices take the shape of an
+    order-3 input drawn before it, if there is one, so that some splits can
+    succeed."""
+    kind = draw(st.sampled_from(["ll1", "damaged", "cpd", "file", "missing"]))
     path = root / "bank"
     if kind == "file":
         return draw(_tensor_file(root))
@@ -486,23 +553,28 @@ def _bank_dir(draw, root):
         slices = next((s[:2] for s in inputs if len(s) == 3), (draw(_EXTENT), draw(_EXTENT)))
         t = DenseTensor(rng.uniform(0.1, 1.0, slices + (draw(st.integers(1, 4)),)))
         cfg = DecompConfig(max_sweeps=2, seed=0)
-        save_factors(ll1_nn(t, [draw(st.integers(1, 2))], cfg) if kind == "ll1"
-                     else cpd_als(t, 1, cfg), path)
+        save_factors(cpd_als(t, 1, cfg) if kind == "cpd"
+                     else ll1_nn(t, [draw(st.integers(1, 2))], cfg), path)
+    if kind == "damaged":
+        draw(_damaged_manifest(path, _BANK_DAMAGE))
     return str(path)
 
 
 @st.composite
 def _config_file(draw, root):
-    """A tiny experiment config, maybe with one field spoiled, or any input
-    `_tensor_file` draws."""
+    """A tiny experiment config, maybe with one field spoiled or a damaged
+    dataset directory, or any input `_tensor_file` draws."""
     if draw(st.sampled_from([False, False, False, True])):
         return draw(_tensor_file(root))
     dataset = draw(st.sampled_from(["face-fixture", "dataset-dir", "color-ensemble"]))
     if dataset == "dataset-dir":
         entry = {"kind": dataset, "path": str(root / "data")}
-        if draw(st.sampled_from([True, True, True, False])):
+        state = draw(st.sampled_from(["saved", "damaged", "saved", "missing"]))
+        if state != "missing":
             save_dataset(synthetic_face_fixture(height=4, width=3, n_classes=2,
                                                 per_class=4), root / "data")
+        if state == "damaged":
+            draw(_damaged_manifest(root / "data", _DATASET_DAMAGE))
     elif dataset == "face-fixture":
         entry = {"kind": dataset, "height": draw(st.integers(3, 8)),
                  "width": draw(st.integers(1, 8)), "n_classes": draw(st.integers(2, 3)),
@@ -587,3 +659,8 @@ def test_cli_contract_on_random_argv(tmp_path_factory, data):
         assert payload["code"] == code
     else:
         assert code in (0, 4)
+    # a drawn bundle, damaged or not, loads or is rejected as malformed
+    for bundle, load in (("bank", load_factors), ("data", load_dataset)):
+        if (root / bundle).is_dir():
+            with contextlib.suppress(DtfFormatError, FileNotFoundError):
+                load(root / bundle)

@@ -27,7 +27,6 @@ from tensplit.features import (
     save_split,
     split_features,
     split_single,
-    stacked_pca,
 )
 
 
@@ -291,44 +290,6 @@ class TestEstimateMixing:
             np.testing.assert_array_equal(got[q], estimate_mixing(bank, stack[:, :, q]))
         with pytest.raises(ValueError):
             estimate_mixing(bank, np.zeros((5, 6, 2)))
-
-
-class TestStackedPca:
-    def test_identical_rank1_blocks_need_one_component(self):
-        rng = np.random.default_rng(11)
-        block = np.outer(rng.uniform(0.2, 1, 8), rng.uniform(0.2, 1, 4))
-        loadings, scores = stacked_pca([block, block, block], 1)
-        assert loadings.shape == (8, 1)
-        assert scores.shape == (12, 1)
-        recon = scores @ loadings.T
-        stacked = np.vstack([block.T] * 3)
-        assert np.max(np.abs(recon - stacked)) < 1e-10
-
-    def test_shared_component_leads(self):
-        rng = np.random.default_rng(12)
-        shared = rng.standard_normal(10)
-        shared /= np.linalg.norm(shared)
-        blocks = []
-        for _ in range(3):
-            noise = rng.standard_normal((10, 4)) * 0.1
-            weights = rng.uniform(3.0, 5.0, size=4)
-            blocks.append(np.outer(shared, weights) + noise)
-        loadings, _ = stacked_pca(blocks, 2)
-        assert abs(loadings[:, 0] @ shared) > 0.99
-
-    def test_overlarge_rank_trailing_scores_vanish(self):
-        rng = np.random.default_rng(13)
-        block = np.outer(rng.uniform(0.2, 1, 6), rng.uniform(0.2, 1, 3))
-        loadings, scores = stacked_pca([block, block], 4)
-        assert np.max(np.abs(scores[:, 1:])) < 1e-10
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            stacked_pca([], 1)
-        with pytest.raises(ValueError):
-            stacked_pca([np.ones((3, 2)), np.ones((4, 2))], 1)
-        with pytest.raises(ValueError):
-            stacked_pca([np.ones((3, 2))], 0)
 
 
 class TestCommonBasis:
