@@ -11,7 +11,10 @@ exact norm of the difference, so neighbors, distances and predictions are
 those of a full exact search.  The experiment harness repeats the
 split/decompose/classify cycle over seeded realizations and aggregates one
 report per (method, classifier) cell; mean and stddev are computed from the
-sorted per-run list so aggregation order cannot matter.
+sorted per-run list so aggregation order cannot matter.  It decomposes the
+training groups of consecutive realizations together, in one stacked fit
+per distinct block ranks: as many realizations at a time as keep their
+training stacks within 16 MiB (`_BATCH_BYTES`), and at least one.
 """
 
 from __future__ import annotations
@@ -104,6 +107,9 @@ def _report(class_ids: list, confusion: np.ndarray, per_run: list) -> EvalReport
 _BLOCK_ROWS = 32
 _EPS = np.finfo(np.float64).eps
 _SUBNORMAL = np.finfo(np.float64).smallest_subnormal
+# Training-group bytes that the realizations of one stacked LL1 fit may
+# hold together: bounds the batch's group tensors and the fit's stacked copy.
+_BATCH_BYTES = 16 << 20
 
 
 def _candidates(tmat: np.ndarray, vectors: list, k: int):
@@ -258,38 +264,53 @@ def _featurize_raw(ds: EnsembleDataset, plan: SplitPlan):
     return out[0], out[1]
 
 
-def _featurize_split(ds: EnsembleDataset, plan: SplitPlan, ranks: list,
-                     cfg: ExperimentConfig, realization: int):
-    rule = SubsetRule(cfg.tau)
-    groups = [group_tensor(ds, plan.members[gid]) for gid in plan.train_groups]
+def _fit_banks(plans: list, batch: list, groups: dict, ranks: list,
+               cfg: ExperimentConfig) -> dict:
+    """{r: banks of plans[r].train_groups} for every realization r of the
+    batch, all fitted in one stacked sweep."""
+    where = [(r, gid) for r in batch for gid in plans[r].train_groups]
     dcfgs = [DecompConfig(max_sweeps=cfg.max_sweeps, rel_tol=cfg.rel_tol,
-                          seed=derive_seed(cfg.seed, "realization", realization,
-                                           "group", gid))
-             for gid in plan.train_groups]
+                          seed=derive_seed(cfg.seed, "realization", r, "group", gid))
+             for r, gid in where]
     try:
-        # every training group has one sample per class, so one shape: they
-        # are decomposed together, in one stacked sweep
-        banks = fit_feature_bank([sub for sub, _ in groups], ranks, dcfgs,
-                                 n_restarts=cfg.n_restarts)
+        # every training group has one sample per class, so one shape
+        banks = fit_feature_bank([sub for r in batch for sub, _ in groups[r]], ranks,
+                                 dcfgs, n_restarts=cfg.n_restarts)
     except ConvergenceError as exc:
-        where = (f"group {plan.train_groups[exc.index]}" if exc.index is not None
-                 else f"one of groups {plan.train_groups}")
-        raise ConvergenceError(f"decomposition failed on {where}: {exc}") from exc
-    train_vecs = [v for (sub, _), bank in zip(groups, banks)
-                  for v in unfold(split_features(sub, bank, rule).individual, 2)]
-    train_labels = [lab for _, labels in groups for lab in labels]
-    del groups  # free the training stacks before the held-out split
+        if exc.index is None:
+            at = f"one of the training groups of realizations {batch}"
+        else:
+            r, gid = where[exc.index]
+            at = f"group {gid} of realization {r}"
+        raise ConvergenceError(f"decomposition failed on {at}: {exc}") from exc
+    out = {r: [] for r in batch}
+    for (r, _), bank in zip(where, banks):
+        out[r].append(bank)
+    return out
 
+
+def _train_vectors(groups: list, banks: list, rule: SubsetRule) -> LabeledVectors:
+    """The individual parts of the training groups, split by their own banks."""
+    return LabeledVectors(
+        vectors=[v for (sub, _), bank in zip(groups, banks)
+                 for v in unfold(split_features(sub, bank, rule).individual, 2)],
+        labels=[lab for _, labels in groups for lab in labels],
+    )
+
+
+def _test_vectors(ds: EnsembleDataset, plan: SplitPlan, banks: list,
+                  rule: SubsetRule) -> LabeledVectors:
+    """The individual parts of the held-out images, split through the pooled
+    training banks with nonnegative mixing estimates."""
     pooled_slices = [s for bank in banks for s in bank.slices]
     pooled = CommonFeatureBank(
         slices=pooled_slices, mixing=np.zeros((0, len(pooled_slices)))
     )
     test_idx = [q for gid in plan.test_groups for q in plan.members[gid]]
-    held_out, test_labels = group_tensor(ds, test_idx)
+    held_out, labels = group_tensor(ds, test_idx)
     weights = estimate_mixing(pooled, held_out.values)
     split = split_features(held_out, pooled, rule, weights=weights)
-    return (LabeledVectors(vectors=train_vecs, labels=train_labels),
-            LabeledVectors(vectors=list(unfold(split.individual, 2)), labels=test_labels))
+    return LabeledVectors(vectors=list(unfold(split.individual, 2)), labels=labels)
 
 
 def run_grid(ds: EnsembleDataset, plan: SplitPlan, methods, classifiers,
@@ -303,9 +324,14 @@ def run_grid(ds: EnsembleDataset, plan: SplitPlan, methods, classifiers,
     cfg.ranks, trains on the individual parts, and projects test images
     through the pooled training bank (nonnegative mixing estimate, then
     subtraction); cpd does the same with one rank-1 term per configured
-    block, so at all-ones ranks it shares ll1's features.  A realization
-    is featurized once per distinct ranks, one featurization held at a
-    time, and each classifier runs once on it.
+    block, so at all-ones ranks it shares ll1's features.
+
+    Realizations are taken in consecutive batches whose training groups
+    hold at most _BATCH_BYTES of float64 values together, with at least one
+    realization per batch.  Per distinct ranks, the training groups of a
+    whole batch are decomposed in one stacked fit, each group with the seed
+    it has alone; each realization of the batch is then featurized in turn
+    and each classifier runs once on it.
     """
     for kind, names, known in (("method", methods, METHODS),
                                ("classifier", classifiers, CLASSIFIERS)):
@@ -313,35 +339,52 @@ def run_grid(ds: EnsembleDataset, plan: SplitPlan, methods, classifiers,
             if name not in known:
                 raise ValueError(f"unknown {kind} {name!r}, expected one of {known}")
     cfg = cfg or ExperimentConfig()
+    rule = SubsetRule(cfg.tau)
     # featurization key: None for raw pixels, else the effective block ranks
     keys = {m: None if m == METHOD_RAW
             else tuple([1] * len(cfg.ranks) if m == METHOD_CPD else cfg.ranks)
             for m in methods}
+    fitted = [key for key in dict.fromkeys(keys.values()) if key is not None]
     class_ids = sorted(set(ds.labels))
     index = {lab: i for i, lab in enumerate(class_ids)}
     cells = {(m, c): (np.zeros((len(class_ids),) * 2, dtype=np.int64), [])
              for m in keys for c in classifiers}
-    for r in range(cfg.realizations):
-        if r == 0:
-            p = plan
-        else:
-            p = make_group_splits(ds, plan.n_groups, len(plan.train_groups),
-                                  seed=plan.seed + r)
-        for key in dict.fromkeys(keys.values()):
-            if key is None:
-                train, test = _featurize_raw(ds, p)
-            else:
-                train, test = _featurize_split(ds, p, list(key), cfg, r)
-            sharing = [m for m in keys if keys[m] == key]
-            for c in dict.fromkeys(classifiers):
-                rep = (knn_classify(train, test, cfg.k) if c == CLASSIFIER_KNN
-                       else nearest_centroid(train, test))
-                at = np.ix_(*[[index[lab] for lab in rep.class_ids]] * 2)
-                for m in sharing:
-                    confusion, per_run = cells[m, c]
-                    confusion[at] += rep.confusion
-                    per_run.append(rep.accuracy)
-            del train, test
+    plans = [plan] + [make_group_splits(ds, plan.n_groups, len(plan.train_groups),
+                                        seed=plan.seed + r)
+                      for r in range(1, cfg.realizations)]
+    # a group holds one sample per class, so all realizations train on as
+    # many images as plan does
+    train_bytes = 8 * ds.tensor.shape[0] * ds.tensor.shape[1] * sum(
+        len(plan.members[gid]) for gid in plan.train_groups)
+    per_batch = max(1, _BATCH_BYTES // train_bytes)
+    for start in range(0, cfg.realizations, per_batch):
+        batch = list(range(start, min(start + per_batch, cfg.realizations)))
+        groups = {r: [group_tensor(ds, plans[r].members[gid])
+                      for gid in plans[r].train_groups]
+                  for r in batch} if fitted else {}
+        banks = {key: _fit_banks(plans, batch, groups, list(key), cfg) for key in fitted}
+        for r in batch:
+            for key in dict.fromkeys(keys.values()):
+                if key is None:
+                    train, test = _featurize_raw(ds, plans[r])
+                else:
+                    # held-out split first: its temporaries are freed before
+                    # the training vectors join the training stacks; the last
+                    # featurization of r takes those stacks, freeing them
+                    test = _test_vectors(ds, plans[r], banks[key][r], rule)
+                    train = _train_vectors(
+                        groups.pop(r) if key == fitted[-1] else groups[r],
+                        banks[key].pop(r), rule)
+                sharing = [m for m in keys if keys[m] == key]
+                for c in dict.fromkeys(classifiers):
+                    rep = (knn_classify(train, test, cfg.k) if c == CLASSIFIER_KNN
+                           else nearest_centroid(train, test))
+                    at = np.ix_(*[[index[lab] for lab in rep.class_ids]] * 2)
+                    for m in sharing:
+                        confusion, per_run = cells[m, c]
+                        confusion[at] += rep.confusion
+                        per_run.append(rep.accuracy)
+                del train, test
     return {m: {c: _report(class_ids, *cells[m, c]) for c in classifiers} for m in keys}
 
 

@@ -717,6 +717,14 @@ def load_factors(indir):
     return dtf.read_bundle(indir, _factors_from_bundle)
 
 
+def _bundle_weights(values) -> np.ndarray:
+    """A manifest's `lambda` weights, which must be finite and >= 0."""
+    weights = np.asarray(values, dtype=np.float64)
+    if not (np.all(np.isfinite(weights)) and np.all(weights >= 0.0)):
+        raise ValueError(f"lambda weights must be finite and >= 0, got {values}")
+    return weights
+
+
 def _factors_from_bundle(manifest: dict, tensor):
     diag = Diagnostics(
         sweeps=manifest.get("sweeps", 0),
@@ -728,7 +736,7 @@ def _factors_from_bundle(manifest: dict, tensor):
     kind = manifest["type"]
     if kind == "cpd":
         factors = [tensor(f"factor{n}").to_array() for n in range(3)]
-        weights = np.asarray(manifest["lambda"], dtype=np.float64)
+        weights = _bundle_weights(manifest["lambda"])
         return KruskalFactors(factors=factors, weights=weights, diagnostics=diag)
     if kind == "hosvd":
         core = tensor("core")
@@ -738,7 +746,7 @@ def _factors_from_bundle(manifest: dict, tensor):
         terms = []
         for k in range(manifest["K"]):
             a, b, c = (tensor(f"term{k:02d}_{part}").to_array() for part in "abc")
-            weights = np.asarray(manifest["lambda"][k], dtype=np.float64)
+            weights = _bundle_weights(manifest["lambda"][k])
             terms.append(BlockTerm(a=a, b=b, c=c.ravel(), weights=weights))
         return LL1Factors(terms=terms, fit_history=diag.fit_history, diagnostics=diag)
     raise ValueError(f"unknown factor bundle type {kind!r}")

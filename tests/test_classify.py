@@ -334,25 +334,31 @@ class TestRunExperiment:
             run_experiment(ds, plan, "pca")
 
 
+def spy_stack(monkeypatch):
+    """(ranks, stacked tensors) of every stacked LL1 fit, in call order."""
+    calls = []
+    ll1_stack = features_mod._ll1_stack
+
+    def spy(ts, ranks, cfgs):
+        calls.append((list(ranks), len(ts)))
+        return ll1_stack(ts, ranks, cfgs)
+
+    monkeypatch.setattr(features_mod, "_ll1_stack", spy)
+    return calls
+
+
 class TestRunGrid:
-    @pytest.mark.parametrize("ranks, fits_per_realization", [([1, 1], 1), ([2, 1], 2)])
-    def test_matches_cells_and_shares_featurization(self, monkeypatch, ranks,
-                                                    fits_per_realization):
+    @pytest.mark.parametrize("ranks, n_fits", [([1, 1], 1), ([2, 1], 2)])
+    def test_matches_cells_and_shares_featurization(self, monkeypatch, ranks, n_fits):
         ds = synthetic_face_fixture()
         plan = make_group_splits(ds, groups=6, train=3, seed=0)
         cfg = ExperimentConfig(realizations=3, ranks=ranks, max_sweeps=40)
         methods, classifiers = ["raw", "cpd", "ll1"], ["knn", "centroid"]
-        calls = []
-        ll1_stack = features_mod._ll1_stack
-
-        def spy(ts, ranks, cfgs):
-            calls.append(list(ranks))
-            return ll1_stack(ts, ranks, cfgs)
-
-        monkeypatch.setattr(features_mod, "_ll1_stack", spy)
+        calls = spy_stack(monkeypatch)
         grid = run_grid(ds, plan, methods, classifiers, cfg)
-        # cpd at all-ones ranks reuses ll1's decomposition
-        assert len(calls) == fits_per_realization * cfg.realizations
+        # one stacked fit of the 3 training groups of all 3 realizations per
+        # distinct ranks; cpd at all-ones ranks reuses ll1's decomposition
+        assert calls == [([1, 1], 9), (ranks, 9)][-n_fits:]
         assert list(grid) == methods
         for method in methods:
             assert list(grid[method]) == classifiers
@@ -365,6 +371,48 @@ class TestRunGrid:
                 assert got.per_run == want.per_run
                 assert (got.accuracy, got.mean, got.stddev) == \
                     (want.accuracy, want.mean, want.stddev)
+
+    @pytest.mark.parametrize("ranks", [[1, 1], [2, 1]])
+    def test_batching_changes_nothing(self, monkeypatch, ranks):
+        ds = synthetic_face_fixture()
+        plan = make_group_splits(ds, groups=6, train=3, seed=0)
+        cfg = ExperimentConfig(realizations=3, ranks=ranks, max_sweeps=40)
+        methods, classifiers = ["raw", "cpd", "ll1"], ["knn", "centroid"]
+        together = run_grid(ds, plan, methods, classifiers, cfg)
+        calls = spy_stack(monkeypatch)
+        monkeypatch.setattr(classify_mod, "_BATCH_BYTES", 1)  # every realization alone
+        alone = run_grid(ds, plan, methods, classifiers, cfg)
+        assert [n for _, n in calls] == [3] * 3 * len({(1, 1), tuple(ranks)})
+        for method in methods:
+            for clf in classifiers:
+                got, want = alone[method][clf], together[method][clf]
+                np.testing.assert_array_equal(got.confusion, want.confusion)
+                assert got.per_run == want.per_run
+                assert (got.accuracy, got.mean, got.stddev) == \
+                    (want.accuracy, want.mean, want.stddev)
+
+    def test_batches_close_at_the_byte_bound(self, monkeypatch):
+        ds = synthetic_face_fixture()
+        plan = make_group_splits(ds, groups=6, train=3, seed=0)
+        O, P, _ = ds.tensor.shape
+        train_bytes = 8 * O * P * sum(len(plan.members[g]) for g in plan.train_groups)
+        monkeypatch.setattr(classify_mod, "_BATCH_BYTES", 2 * train_bytes)
+        calls = spy_stack(monkeypatch)
+        run_experiment(ds, plan, "ll1", ExperimentConfig(realizations=5, max_sweeps=5))
+        assert [n for _, n in calls] == [6, 6, 3]
+
+    def test_failure_names_realization_and_group(self, monkeypatch):
+        def stall(ts, ranks, cfgs):
+            raise ConvergenceError("stalled", index=4)
+
+        monkeypatch.setattr(features_mod, "_ll1_stack", stall)
+        ds = synthetic_face_fixture()
+        plan = make_group_splits(ds, groups=6, train=3, seed=0)
+        second = make_group_splits(ds, groups=6, train=3, seed=1)
+        # index 4 of the stack is the second training group of realization 1
+        with pytest.raises(ConvergenceError, match=f"failed on group "
+                           f"{second.train_groups[1]} of realization 1: stalled"):
+            run_experiment(ds, plan, "ll1", ExperimentConfig(realizations=2))
 
     @pytest.mark.parametrize("methods, classifiers", [
         (["raw", "pca"], ["knn"]),

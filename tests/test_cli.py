@@ -12,12 +12,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import mutated_bytes
+import tensplit.features as features_mod
 from tensplit import cli
 from tensplit.cli import OUT_ENV, build_parser, main
 from tensplit.core import DenseTensor
-from tensplit.dataset import load_dataset, save_dataset, synthetic_face_fixture
+from tensplit.dataset import (
+    load_dataset,
+    make_group_splits,
+    save_dataset,
+    synthetic_face_fixture,
+)
 from tensplit.decomp import DecompConfig, LL1Factors, cpd_als, ll1_nn, load_factors, save_factors
 from tensplit.dtf import DtfFormatError, read_tensor, write_tensor
+from tensplit.kernels import ConvergenceError
 
 
 def run_cli(capsys, argv):
@@ -53,6 +60,13 @@ def _drop(manifest, key):
     return {k: v for k, v in manifest.items() if k != key}
 
 
+def _spoil_weight(w):
+    """Damage setting the first `lambda` weight of a block-term manifest to w
+    (JSON has NaN and Infinity)."""
+    return lambda m: json.dumps(
+        {**m, "lambda": [[w, *m["lambda"][0][1:]], *m["lambda"][1:]]}).encode()
+
+
 # Damage to a bundle's manifest.json: each maps the manifest a bundle was
 # written with to the bytes that replace it.
 _ANY_DAMAGE = {
@@ -65,6 +79,9 @@ _BANK_DAMAGE = {
     "short-lambda": lambda m: json.dumps({**m, "lambda": m["lambda"][:-1]}).encode(),
     "no-type": lambda m: json.dumps(_drop(m, "type")).encode(),
     "K-string": lambda m: json.dumps({**m, "K": str(m["K"])}).encode(),
+    "lambda-nan": _spoil_weight(float("nan")),
+    "lambda-inf": _spoil_weight(float("inf")),
+    "lambda-negative": _spoil_weight(-5.0),
 }
 _DATASET_DAMAGE = {
     **_ANY_DAMAGE,
@@ -363,6 +380,22 @@ class TestExperiment:
         first = (out / "summary.json").read_bytes()
         run_cli(capsys, ["experiment", str(cfg), "--out", str(out)])
         assert (out / "summary.json").read_bytes() == first
+
+    def test_decomposition_failure_exits_4(self, capsys, tmp_path, monkeypatch):
+        def stall(ts, ranks, cfgs):
+            raise ConvergenceError("stalled", index=3)
+
+        monkeypatch.setattr(features_mod, "_ll1_stack", stall)
+        cfg = experiment_config(tmp_path, methods=["ll1"])
+        code, payload = run_cli(capsys, ["experiment", str(cfg), "--out",
+                                         str(tmp_path / "results")])
+        assert code == 4
+        # realizations 0 and 1 stack 2 training groups each: index 3 is the
+        # second group of realization 1, whose split seed is 0 + 1
+        ds = synthetic_face_fixture(height=8, width=6, n_classes=2, per_class=4, seed=1)
+        group = make_group_splits(ds, 4, 2, seed=1).train_groups[1]
+        assert payload["error"] == (f"decomposition failed on group {group} "
+                                    "of realization 1: stalled")
 
     def test_malformed_json_exits_3(self, capsys, tmp_path):
         cfg = tmp_path / "config.json"

@@ -22,6 +22,7 @@ from tensplit.decomp import (
     reconstruct,
     save_factors,
 )
+from tensplit.dtf import DtfFormatError
 from tensplit.kernels import nnls_multi, pinv
 
 
@@ -590,6 +591,23 @@ class TestSerialization:
             np.testing.assert_array_equal(ta.c, tb.c)
             np.testing.assert_array_equal(ta.weights, tb.weights)
         assert reconstruct(g) == reconstruct(f)
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -5.0])
+    def test_invalid_weights_are_rejected(self, tmp_path, weight):
+        import json
+
+        t = DenseTensor(np.random.default_rng(22).uniform(0.0, 1.0, size=(4, 5, 6)))
+        cfg = DecompConfig(seed=0, max_sweeps=5)
+        for name, f in (("cpd", cpd_als(t, 2, cfg)), ("ll1", ll1_nn(t, [2, 1], cfg))):
+            save_factors(f, tmp_path / name)
+            path = tmp_path / name / "manifest.json"
+            manifest = json.loads(path.read_text())
+            lam = manifest["lambda"]
+            manifest["lambda"] = ([weight, *lam[1:]] if name == "cpd"
+                                  else [[weight, *lam[0][1:]], *lam[1:]])
+            path.write_text(json.dumps(manifest))
+            with pytest.raises(DtfFormatError, match="lambda weights must be finite"):
+                load_factors(tmp_path / name)
 
     def test_manifest_fields(self, tmp_path):
         import json

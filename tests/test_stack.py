@@ -285,7 +285,7 @@ class TestFeatureBankList:
         plan = make_group_splits(ds, groups=6, train=3, seed=0)
         cfg = ExperimentConfig(seed=0, realizations=3, ranks=[1, 1], max_sweeps=200)
         run_experiment(ds, plan, "ll1", cfg)
-        assert runs == [3, 3, 3]  # one stacked fit of the 3 groups per realization
+        assert runs == [9]  # one stacked fit of the 3 groups of all 3 realizations
 
     def test_failure_names_the_group(self, monkeypatch):
         def stall(ts, ranks, cfgs):
@@ -294,8 +294,8 @@ class TestFeatureBankList:
         monkeypatch.setattr(features_mod, "_ll1_stack", stall)
         ds = synthetic_face_fixture()
         plan = make_group_splits(ds, groups=6, train=3, seed=0)
-        with pytest.raises(ConvergenceError,
-                           match=f"failed on group {plan.train_groups[2]}: stalled"):
+        with pytest.raises(ConvergenceError, match=f"failed on group "
+                           f"{plan.train_groups[2]} of realization 0: stalled"):
             run_experiment(ds, plan, "ll1", ExperimentConfig(realizations=1))
 
 
