@@ -16,11 +16,9 @@ from .classify import (
 from .core import (
     DenseTensor,
     fold,
-    frontal_slice,
     khatri_rao,
     mode_n_product,
     norm_frobenius,
-    outer_product,
     unfold,
 )
 from .dataset import (
@@ -51,25 +49,22 @@ from .decomp import (
 )
 from .dtf import DtfFormatError, read_tensor, write_tensor
 from .features import (
-    CommonBasis,
     CommonFeatureBank,
     FeatureSplit,
     SubsetRule,
     build_feature_bank,
-    common_basis_qr,
     estimate_mixing,
     fit_feature_bank,
     split_features,
     split_single,
 )
-from .kernels import ConvergenceError, nnls, nnls_multi, pinv, qr, svd
+from .kernels import ConvergenceError, nnls, nnls_multi, pinv, svd
 from .seeds import derive_seed, make_rng, seed_sequence
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BlockTerm",
-    "CommonBasis",
     "CommonFeatureBank",
     "ConvergenceError",
     "DecompConfig",
@@ -87,14 +82,12 @@ __all__ = [
     "SubsetRule",
     "TuckerFactors",
     "build_feature_bank",
-    "common_basis_qr",
     "cpd_als",
     "derive_seed",
     "estimate_mixing",
     "fit_error",
     "fit_feature_bank",
     "fold",
-    "frontal_slice",
     "hosvd",
     "khatri_rao",
     "knn_classify",
@@ -109,9 +102,7 @@ __all__ = [
     "nnls",
     "nnls_multi",
     "norm_frobenius",
-    "outer_product",
     "pinv",
-    "qr",
     "read_pgm",
     "read_tensor",
     "reconstruct",

@@ -201,30 +201,19 @@ def knn_classify(train: LabeledVectors, test: LabeledVectors, k: int = 1) -> Eva
 def nearest_centroid(train: LabeledVectors, test: LabeledVectors) -> EvalReport:
     """Assign each test vector to the class with the closest mean vector.
 
-    The distance to a centroid is `np.linalg.norm(x - centroid)`, taken only
-    for the centroids that the GEMM prefilter of `knn_classify`, run with
-    k = 1 against the centroids, keeps.  Distance ties go to the lowest
-    class ID; NaN distances order last.
+    This is `knn_classify` with k = 1 against the class means, each
+    labelled with its class, so the distance to a mean c is the row-wise
+    `np.linalg.norm(c - x)` of its search.  The means are in ascending
+    class order, so distance ties go to the lowest class ID; NaN distances
+    order last.
     """
     if len(train) == 0:
         raise ValueError("training set must be nonempty")
-    if len(test) and train.dim != test.dim:
-        raise ValueError(f"dimension mismatch: train {train.dim} vs test {test.dim}")
-    class_ids = sorted(set(train.labels) | set(test.labels))
-    index = {lab: i for i, lab in enumerate(class_ids)}
     tmat = train.matrix()
     labs = sorted(set(train.labels))
-    cmat = np.stack([
-        tmat[[i for i, l in enumerate(train.labels) if l == lab]].mean(axis=0)
-        for lab in labs
-    ])
-    confusion = np.zeros((len(class_ids), len(class_ids)), dtype=np.int64)
-    for (x, cand), true in zip(_candidates(cmat, test.vectors, 1), test.labels):
-        dist = [float(np.linalg.norm(x - cmat[c])) for c in cand]
-        pred = labs[cand[np.argsort(dist, kind="stable")[0]]]
-        confusion[index[true], index[pred]] += 1
-    per_run = [int(np.trace(confusion)) / len(test)] if len(test) else []
-    return _report(class_ids, confusion, per_run)
+    means = [tmat[[i for i, l in enumerate(train.labels) if l == lab]].mean(axis=0)
+             for lab in labs]
+    return knn_classify(LabeledVectors(vectors=means, labels=labs), test, k=1)
 
 
 @dataclass

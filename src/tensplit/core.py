@@ -10,7 +10,6 @@ of them varying fastest.  Modes are 0-based, like numpy axes.
 from __future__ import annotations
 
 import math
-from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -51,17 +50,6 @@ class DenseTensor:
             raise ValueError(f"every extent must be >= 1, got shape {arr.shape}")
         arr.flags.writeable = False
         self._arr = arr
-
-    @classmethod
-    def from_flat(cls, shape: Sequence[int], flat) -> "DenseTensor":
-        """Build a tensor from its flat layout-order representation."""
-        shape = tuple(int(e) for e in shape)
-        flat = np.asarray(flat, dtype=np.float64).ravel()
-        if math.prod(shape) != flat.size:
-            raise ValueError(
-                f"flat data has {flat.size} elements, shape {shape} needs {math.prod(shape)}"
-            )
-        return cls(flat.reshape(shape, order="F"))
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -157,19 +145,6 @@ def mode_n_product(t: DenseTensor, m, mode: int) -> DenseTensor:
     return fold(m @ unfold(t, mode), mode, new_shape)
 
 
-def outer_product(vectors: Sequence) -> DenseTensor:
-    """Outer product of N >= 2 vectors: a rank-1 tensor of order N."""
-    if len(vectors) < 2:
-        raise ValueError("outer_product needs at least 2 vectors")
-    vs = []
-    for i, v in enumerate(vectors):
-        v = np.asarray(v, dtype=np.float64)
-        if v.ndim != 1 or v.size == 0:
-            raise ValueError(f"input {i} is not a nonempty vector")
-        vs.append(v)
-    return DenseTensor(reduce(np.multiply.outer, vs))
-
-
 def khatri_rao(a, b) -> np.ndarray:
     """Column-wise Kronecker product.
 
@@ -185,15 +160,6 @@ def khatri_rao(a, b) -> np.ndarray:
     m, k = a.shape
     n = b.shape[0]
     return (a[:, None, :] * b[None, :, :]).reshape(m * n, k)
-
-
-def frontal_slice(t: DenseTensor, q: int) -> np.ndarray:
-    """Frontal slice t[:, :, q] of an order-3 tensor, as a fresh matrix."""
-    if t.order != 3:
-        raise ValueError(f"frontal_slice needs an order-3 tensor, got order {t.order}")
-    if not 0 <= q < t.shape[2]:
-        raise ValueError(f"slice index {q} out of range for extent {t.shape[2]}")
-    return np.array(t.values[:, :, q], order="F")
 
 
 def norm_frobenius(t) -> float:

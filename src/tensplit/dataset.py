@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dtf
-from .core import DenseTensor, frontal_slice
+from .core import DenseTensor
 from .seeds import make_rng
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
@@ -44,9 +44,6 @@ class EnsembleDataset:
     @property
     def n_images(self) -> int:
         return self.tensor.shape[2]
-
-    def image(self, q: int) -> np.ndarray:
-        return frontal_slice(self.tensor, q)
 
 
 @dataclass

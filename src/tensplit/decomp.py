@@ -122,6 +122,8 @@ class BlockTerm:
     weights: np.ndarray  # length L, >= 0
 
     def __post_init__(self):
+        if self.a.ndim != 2 or self.b.ndim != 2 or self.c.ndim != 1:
+            raise ValueError("a and b must be matrices and c a vector")
         if self.a.shape[1] != self.b.shape[1] or self.a.shape[1] != self.weights.size:
             raise ValueError("a, b and weights must agree on the block rank L")
         if self.a.shape[1] < 1:
@@ -145,6 +147,8 @@ class LL1Factors:
     def __post_init__(self):
         if len(self.terms) < 1:
             raise ValueError("need at least one block term")
+        if len({(t.a.shape[0], t.b.shape[0], t.c.size) for t in self.terms}) > 1:
+            raise ValueError("block terms have inconsistent dimensions")
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -632,10 +636,6 @@ def reconstruct(f) -> DenseTensor:
             out = mode_n_product(out, fac, n)
         return out
     if isinstance(f, LL1Factors):
-        O, P, Q = f.shape
-        for term in f.terms:
-            if (term.a.shape[0], term.b.shape[0], term.c.size) != (O, P, Q):
-                raise ValueError("block terms have inconsistent dimensions")
         return DenseTensor(_ll1_array([term.slice() for term in f.terms],
                                       [term.c for term in f.terms]))
     raise TypeError(f"cannot reconstruct from {type(f).__name__}")
@@ -747,6 +747,9 @@ def _factors_from_bundle(manifest: dict, tensor):
         for k in range(manifest["K"]):
             a, b, c = (tensor(f"term{k:02d}_{part}").to_array() for part in "abc")
             weights = _bundle_weights(manifest["lambda"][k])
-            terms.append(BlockTerm(a=a, b=b, c=c.ravel(), weights=weights))
+            c = c.ravel()
+            if not (np.all(np.isfinite(c)) and np.all(c >= 0.0)):
+                raise ValueError(f"term {k} mixing entries must be finite and >= 0")
+            terms.append(BlockTerm(a=a, b=b, c=c, weights=weights))
         return LL1Factors(terms=terms, fit_history=diag.fit_history, diagnostics=diag)
     raise ValueError(f"unknown factor bundle type {kind!r}")

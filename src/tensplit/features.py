@@ -3,8 +3,6 @@
 A block-term decomposition of a stacked ensemble yields a bank of shared
 feature slices plus per-image nonnegative mixing weights.  Each image then
 splits exactly into the mixed common part and an individual remainder.
-A matrix baseline is provided: an alternating scheme that grows one shared
-orthonormal basis across blocks one column at a time.
 """
 
 from __future__ import annotations
@@ -16,9 +14,7 @@ import numpy as np
 from . import dtf
 from .core import DenseTensor
 from .decomp import DecompConfig, LL1Factors, _ll1_stack
-from .kernels import nnls_multi, qr
-
-_EPS = np.finfo(np.float64).eps
+from .kernels import nnls_multi
 
 
 @dataclass
@@ -83,26 +79,6 @@ class FeatureSplit:
             raise ValueError("feature splits are stacks of matrix slices")
         if len(self.selected) != self.common.shape[2]:
             raise ValueError("need one selection per image")
-
-
-@dataclass
-class CommonBasis:
-    """Shared orthonormal columns found across blocks, with per-column cost."""
-
-    basis: np.ndarray  # O x M
-    residual_costs: list  # final cost J per accepted column
-    iterations: list  # alternating iterations spent per column
-    histories: list = field(default_factory=list)  # cost per iteration, per column
-
-    def __post_init__(self):
-        if self.basis.ndim != 2:
-            raise ValueError("basis must be a matrix")
-        if len(self.residual_costs) != self.basis.shape[1]:
-            raise ValueError("one cost per basis column required")
-
-    @property
-    def n_columns(self) -> int:
-        return self.basis.shape[1]
 
 
 def build_feature_bank(f: LL1Factors) -> CommonFeatureBank:
@@ -222,96 +198,6 @@ def split_features(t: DenseTensor, bank: CommonFeatureBank,
     individual = np.subtract(t.values, common, order="F")
     return FeatureSplit(common=DenseTensor._wrap(common),
                         individual=DenseTensor._wrap(individual), selected=selected)
-
-
-def _orthonormal_bases(xs: list) -> list:
-    return [qr(np.asarray(x, dtype=np.float64)).q for x in xs]
-
-
-def common_basis_qr(xs: list, m_max: int, threshold: float | None = None,
-                    seed: int = 0, max_iter: int = 200,
-                    rel_tol: float = 1e-9) -> CommonBasis:
-    """Grow a shared orthonormal basis across blocks, one column at a time.
-
-    Each candidate column a alternates between per-block projections
-    z_i = Q_i^T a and the normalized mean of the projections Q_i z_i, kept
-    orthogonal to the columns already accepted; its cost is
-    J = sum_i ||Q_i z_i - a||^2, non-increasing across iterations.  The
-    iteration stops on a relative cost change below rel_tol or at max_iter.
-    A column is accepted while J < threshold (default 0.01 * number of
-    blocks), then deflated from every block; extraction stops at the first
-    rejection or at m_max.
-    """
-    if not xs:
-        raise ValueError("need at least one block")
-    if m_max < 1:
-        raise ValueError("m_max must be >= 1")
-    dims = {np.asarray(x).shape[0] for x in xs}
-    if len(dims) != 1:
-        raise ValueError("blocks must share the row dimension")
-    n_rows = dims.pop()
-    n_blocks = len(xs)
-    if threshold is None:
-        threshold = 0.01 * n_blocks
-    rng = np.random.default_rng(seed)
-
-    bases = _orthonormal_bases(xs)
-    accepted: list[np.ndarray] = []
-    costs: list[float] = []
-    iterations: list[int] = []
-    histories: list[list] = []
-
-    def orthogonalize(v: np.ndarray) -> np.ndarray:
-        for col in accepted:
-            v = v - col * (col @ v)
-        return v
-
-    for _ in range(m_max):
-        if any(q.shape[1] == 0 for q in bases):
-            break
-        a = orthogonalize(rng.standard_normal(n_rows))
-        norm = np.linalg.norm(a)
-        if norm == 0.0:
-            break
-        a /= norm
-        history: list[float] = []
-        iters = 0
-        for iters in range(1, max_iter + 1):
-            mean = np.zeros(n_rows)
-            for q in bases:
-                mean += q @ (q.T @ a)
-            mean = orthogonalize(mean)
-            norm = np.linalg.norm(mean)
-            if norm == 0.0:
-                history.append(float(n_blocks))
-                break
-            a = mean / norm
-            cost = 0.0
-            for q in bases:
-                z = q.T @ a
-                cost += float(np.sum((q @ z - a) ** 2))
-            history.append(cost)
-            if len(history) >= 2 and abs(history[-2] - cost) <= rel_tol * abs(history[-2]):
-                break
-        cost = history[-1]
-        if not cost < threshold:
-            break
-        accepted.append(a.copy())
-        costs.append(cost)
-        iterations.append(iters)
-        histories.append(history)
-        # deflate the accepted direction, then restore orthonormal columns
-        new_bases = []
-        for q in bases:
-            deflated = q - np.outer(a, a @ q)
-            u, s, _ = np.linalg.svd(deflated, full_matrices=False)
-            keep = s > max(deflated.shape) * _EPS * (s[0] if s.size else 0.0)
-            new_bases.append(u[:, : int(np.count_nonzero(keep))])
-        bases = new_bases
-
-    basis = np.column_stack(accepted) if accepted else np.zeros((n_rows, 0))
-    return CommonBasis(basis=basis, residual_costs=costs, iterations=iterations,
-                       histories=histories)
 
 
 def save_split(split: FeatureSplit, outdir, tau: float = 0.0) -> None:

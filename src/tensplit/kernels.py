@@ -1,6 +1,6 @@
 """Matrix factorizations and constrained least squares.
 
-SVD, QR and the pseudoinverse are thin wrappers over LAPACK (deterministic
+SVD and the pseudoinverse are thin wrappers over LAPACK (deterministic
 for a given input).  The nonnegative least-squares solver is an active-set
 method in the Lawson-Hanson style, implemented here because its exact
 behaviour (dual tolerance, iteration cap, exact zeros in the solution) is
@@ -41,12 +41,6 @@ class SvdResult:
     v: np.ndarray  # orthonormal columns; u @ diag(s) @ v.T reconstructs
 
 
-@dataclass
-class QrResult:
-    q: np.ndarray  # orthonormal columns
-    r: np.ndarray  # upper triangular
-
-
 def svd(m) -> SvdResult:
     """Thin singular value decomposition."""
     m = _as_matrix(m)
@@ -77,15 +71,6 @@ def _pinv_stack(ms: np.ndarray) -> np.ndarray:
     tol = max(ms.shape[1:]) * np.finfo(np.float64).eps * s_max
     inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > tol)
     return (vh.swapaxes(1, 2) * inv[:, None, :]) @ u.swapaxes(1, 2)
-
-
-def qr(m) -> QrResult:
-    """Thin QR factorization; requires rows >= cols."""
-    m = _as_matrix(m)
-    if m.shape[0] < m.shape[1]:
-        raise ValueError(f"qr needs rows >= cols, got shape {m.shape}")
-    q, r = np.linalg.qr(m, mode="reduced")
-    return QrResult(q=q, r=r)
 
 
 # Normal equations square the design's condition number, so a Gram matrix

@@ -34,7 +34,7 @@ from tensplit.decomp import (
     hosvd,
     ll1_nn,
 )
-from tensplit.features import common_basis_qr, fit_feature_bank, split_features
+from tensplit.features import fit_feature_bank, split_features
 from tensplit.kernels import nnls
 
 LL1_RUNS = []
@@ -269,29 +269,3 @@ def test_ac8b_external_faces_classification(capsys):
         rec["detail"] = (f"{len(paths)} images, 20 realizations: individual "
                          f"{ll1.mean:.3f} vs raw {raw.mean:.3f}")
         assert ll1.mean > raw.mean
-
-
-def test_ac9_common_basis_baseline(capsys):
-    with criterion(capsys, 9, "alternating common-basis baseline") as rec:
-        rng = np.random.default_rng(0)
-        shared = rng.standard_normal(10)
-        shared /= np.linalg.norm(shared)
-        xs = [np.column_stack([shared * rng.uniform(1, 3),
-                               rng.standard_normal((10, 3))]) for _ in range(4)]
-        cb = common_basis_qr(xs, m_max=3, seed=1)
-        assert cb.n_columns >= 1
-        cost = cb.residual_costs[0]
-
-        ortho = [np.eye(12)[:, 3 * i : 3 * i + 3] for i in range(4)]
-        cb0 = common_basis_qr(ortho, m_max=2, threshold=0.1 * 4, seed=2)
-
-        histories_ok = all(
-            all(h[i + 1] <= h[i] + 1e-9 for i in range(len(h) - 1))
-            for h in cb.histories + cb0.histories
-        )
-        rec["detail"] = (f"shared-column cost {cost:.1e}, orthogonal blocks "
-                         f"accepted {cb0.n_columns}, costs non-increasing "
-                         f"{histories_ok}")
-        assert cost < 1e-10
-        assert cb0.n_columns == 0
-        assert histories_ok

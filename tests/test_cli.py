@@ -83,6 +83,14 @@ _BANK_DAMAGE = {
     "lambda-inf": _spoil_weight(float("inf")),
     "lambda-negative": _spoil_weight(-5.0),
 }
+# Damage to one tensor file of a two-term block-term bundle: each names the
+# file and maps the array written there to the array that replaces it.
+_TERM_DAMAGE = {
+    "a-rows": ("term01_a", lambda m: np.ones((m.shape[0] - 1, m.shape[1]))),
+    "a-order-3": ("term00_a", lambda m: m[:, :, None]),
+    "c-negative": ("term01_c", lambda m: np.concatenate([-m[:1], m[1:]])),
+    "c-length": ("term01_c", lambda m: m[:-1]),
+}
 _DATASET_DAMAGE = {
     **_ANY_DAMAGE,
     "short-labels": lambda m: json.dumps({**m, "labels": m["labels"][:-1]}).encode(),
@@ -252,12 +260,12 @@ class TestDecompose:
 
 
 class TestSplit:
-    def fit_bank(self, capsys, tmp_path):
+    def fit_bank(self, capsys, tmp_path, ranks="2"):
         tfile = tmp_path / "t.dtf1"
         identical_slice_file(tfile)
         bank = tmp_path / "bank"
         code, _ = run_cli(capsys, [
-            "decompose", str(tfile), "--method", "ll1", "--ranks", "2",
+            "decompose", str(tfile), "--method", "ll1", "--ranks", ranks,
             "--out", str(bank),
         ])
         assert code == 0
@@ -332,6 +340,17 @@ class TestSplit:
     def test_malformed_bank_manifest_exits_2(self, capsys, tmp_path, damage):
         tfile, bank = self.fit_bank(capsys, tmp_path)
         damage_manifest(bank, _BANK_DAMAGE[damage])
+        code, payload = run_cli(capsys, [
+            "split", str(tfile), str(bank), "--out", str(tmp_path / "s")])
+        assert code == 2
+        assert str(bank) in payload["error"]
+
+    @pytest.mark.parametrize("damage", sorted(_TERM_DAMAGE))
+    def test_malformed_bank_term_exits_2(self, capsys, tmp_path, damage):
+        tfile, bank = self.fit_bank(capsys, tmp_path, ranks="1,1")
+        name, spoil = _TERM_DAMAGE[damage]
+        path = bank / f"{name}.dtf1"
+        write_tensor(DenseTensor(spoil(read_tensor(path).to_array())), path)
         code, payload = run_cli(capsys, [
             "split", str(tfile), str(bank), "--out", str(tmp_path / "s")])
         assert code == 2

@@ -7,11 +7,9 @@ from tensplit import dtf
 from tensplit.core import (
     DenseTensor,
     fold,
-    frontal_slice,
     khatri_rao,
     mode_n_product,
     norm_frobenius,
-    outer_product,
     unfold,
 )
 from tensplit.dataset import EnsembleDataset, group_tensor
@@ -60,13 +58,6 @@ class TestDenseTensor:
     def test_flat_is_first_index_fastest(self):
         arr = np.array([[1.0, 3.0], [2.0, 4.0]])
         assert list(DenseTensor(arr).flat) == [1.0, 2.0, 3.0, 4.0]
-
-    def test_from_flat_round_trip(self):
-        rng = np.random.default_rng(0)
-        arr = rng.standard_normal((3, 4, 2))
-        t = DenseTensor(arr)
-        again = DenseTensor.from_flat(t.shape, t.flat)
-        assert again == t
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
@@ -213,24 +204,6 @@ class TestModeProduct:
 
 
 class TestProducts:
-    def test_outer_product_small(self):
-        t = outer_product([np.array([1.0, 2.0]), np.array([3.0, 4.0, 5.0])])
-        np.testing.assert_array_equal(
-            t.to_array(), np.array([[3.0, 4.0, 5.0], [6.0, 8.0, 10.0]])
-        )
-
-    def test_outer_product_three_way(self):
-        a, b, c = np.array([1.0, 2.0]), np.array([1.0, 3.0]), np.array([2.0, 5.0])
-        t = outer_product([a, b, c])
-        want = np.einsum("i,j,k->ijk", a, b, c)
-        np.testing.assert_array_equal(t.to_array(), want)
-
-    def test_outer_product_validation(self):
-        with pytest.raises(ValueError):
-            outer_product([np.array([1.0])])
-        with pytest.raises(ValueError):
-            outer_product([np.array([1.0]), np.array([])])
-
     def test_khatri_rao_single_columns_is_kron(self):
         a = np.array([[1.0], [2.0]])
         b = np.array([[3.0], [4.0], [5.0]])
@@ -261,17 +234,6 @@ class TestProducts:
 
 
 class TestSlicesAndNorm:
-    def test_frontal_slice(self):
-        rng = np.random.default_rng(7)
-        arr = rng.standard_normal((3, 4, 5))
-        t = DenseTensor(arr)
-        for q in range(5):
-            np.testing.assert_array_equal(frontal_slice(t, q), arr[:, :, q])
-        with pytest.raises(ValueError):
-            frontal_slice(t, 5)
-        with pytest.raises(ValueError):
-            frontal_slice(DenseTensor(arr[:, :, 0]), 0)
-
     def test_norm_frobenius(self):
         arr = np.array([[3.0, 0.0], [0.0, 4.0]])
         assert norm_frobenius(DenseTensor(arr)) == 5.0

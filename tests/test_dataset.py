@@ -133,7 +133,7 @@ class TestEnsemble:
         assert ds.labels == [5, 6, 7]
         assert ds.meta["kind"] == "pgm"
         for q, p in enumerate(paths):
-            np.testing.assert_array_equal(ds.image(q), read_pgm(p))
+            np.testing.assert_array_equal(ds.tensor.values[:, :, q], read_pgm(p))
 
     def test_load_pgm_ensemble_validation(self, tmp_path):
         p1 = write_p5(tmp_path / "a.pgm", 2, 2, 255, bytes(4))
@@ -185,7 +185,7 @@ class TestSyntheticColor:
         ]
         design = np.column_stack([b.ravel() for b in bases])
         for q in range(5):
-            coef, *_ = np.linalg.lstsq(design, ds.image(q).ravel(), rcond=None)
+            coef, *_ = np.linalg.lstsq(design, ds.tensor.values[:, :, q].ravel(), rcond=None)
             np.testing.assert_allclose(coef, COLOR_MIXING[q], atol=1e-10)
 
     def test_deterministic_per_seed(self):
@@ -274,8 +274,8 @@ class TestGroupSplits:
         sub, labels = group_tensor(ds, [4, 0])
         assert sub.shape == (4, 10, 2)
         assert labels == [ds.labels[4], ds.labels[0]]
-        np.testing.assert_array_equal(sub.to_array()[:, :, 0], ds.image(4))
-        np.testing.assert_array_equal(sub.to_array()[:, :, 1], ds.image(0))
+        np.testing.assert_array_equal(sub.to_array()[:, :, 0], ds.tensor.values[:, :, 4])
+        np.testing.assert_array_equal(sub.to_array()[:, :, 1], ds.tensor.values[:, :, 0])
 
 
 class TestDatasetSerialization:

@@ -16,11 +16,9 @@ from tensplit.decomp import (
     reconstruct,
 )
 from tensplit.features import (
-    CommonBasis,
     CommonFeatureBank,
     SubsetRule,
     build_feature_bank,
-    common_basis_qr,
     estimate_mixing,
     fit_feature_bank,
     load_split,
@@ -290,72 +288,6 @@ class TestEstimateMixing:
             np.testing.assert_array_equal(got[q], estimate_mixing(bank, stack[:, :, q]))
         with pytest.raises(ValueError):
             estimate_mixing(bank, np.zeros((5, 6, 2)))
-
-
-class TestCommonBasis:
-    def test_shared_column_accepted_with_tiny_cost(self):
-        rng = np.random.default_rng(14)
-        shared = rng.standard_normal(10)
-        shared /= np.linalg.norm(shared)
-        xs = [np.column_stack([shared * rng.uniform(1, 3),
-                               rng.standard_normal((10, 3))]) for _ in range(4)]
-        cb = common_basis_qr(xs, m_max=3, seed=1)
-        assert cb.n_columns == 1
-        assert cb.residual_costs[0] < 1e-10
-        assert abs(abs(cb.basis[:, 0] @ shared) - 1.0) < 1e-8
-
-    def test_orthogonal_blocks_accept_nothing(self):
-        xs = [np.eye(12)[:, 3 * i : 3 * i + 3] for i in range(4)]
-        cb = common_basis_qr(xs, m_max=2, threshold=0.1 * 4, seed=2)
-        assert cb.n_columns == 0
-
-    def test_two_block_shared_plane(self):
-        rng = np.random.default_rng(15)
-        s1 = rng.standard_normal(10)
-        s1 /= np.linalg.norm(s1)
-        s2 = rng.standard_normal(10)
-        s2 -= s1 * (s1 @ s2)
-        s2 /= np.linalg.norm(s2)
-        span = np.column_stack([s1, s2])
-        xs = []
-        for _ in range(2):
-            mix = rng.standard_normal((2, 2)) + 2 * np.eye(2)
-            xs.append(np.column_stack([span @ mix, rng.standard_normal((10, 2))]))
-        cb = common_basis_qr(xs, m_max=4, seed=3)
-        assert cb.n_columns == 2
-        svals = np.linalg.svd(cb.basis.T @ span, compute_uv=False)
-        angles = np.arccos(np.clip(svals, -1.0, 1.0))
-        assert np.max(angles) < 1e-4
-
-    def test_cost_histories_non_increasing(self):
-        rng = np.random.default_rng(16)
-        shared = rng.standard_normal(8)
-        xs = [np.column_stack([shared, rng.standard_normal((8, 2))])
-              for _ in range(3)]
-        cb = common_basis_qr(xs, m_max=2, seed=4)
-        assert cb.histories
-        for h in cb.histories:
-            assert all(h[i + 1] <= h[i] + 1e-9 for i in range(len(h) - 1))
-
-    def test_basis_orthonormal(self):
-        rng = np.random.default_rng(17)
-        span = np.linalg.qr(rng.standard_normal((12, 3)))[0][:, :3]
-        xs = [np.column_stack([span @ (np.eye(3) + 0.1 * rng.standard_normal((3, 3))),
-                               rng.standard_normal((12, 2))]) for _ in range(3)]
-        cb = common_basis_qr(xs, m_max=3, seed=5)
-        if cb.n_columns:
-            eye = np.eye(cb.n_columns)
-            assert np.max(np.abs(cb.basis.T @ cb.basis - eye)) < 1e-8
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            common_basis_qr([], 1)
-        with pytest.raises(ValueError):
-            common_basis_qr([np.ones((3, 2)), np.ones((4, 2))], 1)
-        with pytest.raises(ValueError):
-            common_basis_qr([np.ones((3, 2))], 0)
-        with pytest.raises(ValueError):
-            CommonBasis(basis=np.ones((3, 2)), residual_costs=[1.0], iterations=[1])
 
 
 class TestSplitSerialization:

@@ -10,7 +10,6 @@ from tensplit.kernels import (
     nnls,
     nnls_multi,
     pinv,
-    qr,
     svd,
 )
 
@@ -88,20 +87,6 @@ class TestPinv:
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="non-finite"):
                 pinv(np.array([[bad]]))
-
-
-class TestQr:
-    def test_orthonormal_and_reconstructs(self):
-        rng = np.random.default_rng(4)
-        m = rng.standard_normal((7, 4))
-        res = qr(m)
-        assert np.max(np.abs(res.q.T @ res.q - np.eye(4))) < 1e-12
-        assert np.max(np.abs(res.q @ res.r - m)) < 1e-12
-        assert np.max(np.abs(np.tril(res.r, -1))) == 0.0
-
-    def test_wide_rejected(self):
-        with pytest.raises(ValueError):
-            qr(np.zeros((2, 4)))
 
 
 class TestNnls:
