@@ -52,28 +52,28 @@ CLASSIFIERS = (CLASSIFIER_KNN, CLASSIFIER_CENTROID)
 
 @dataclass
 class LabeledVectors:
-    vectors: list  # equal-length 1-D float arrays
+    """Feature vectors as the rows of one n x d float64 matrix, row i with
+    label labels[i].  It is converted once, on construction: a list of
+    equal-length rows is accepted too, and an empty list gives 0 rows."""
+
+    vectors: np.ndarray
     labels: list
 
     def __post_init__(self):
+        self.vectors = np.asarray(self.vectors, dtype=np.float64)
+        if self.vectors.shape == (0,):
+            self.vectors = self.vectors.reshape(0, 0)
+        if self.vectors.ndim != 2:
+            raise ValueError("vectors must be the rows of one matrix")
         if len(self.vectors) != len(self.labels):
             raise ValueError("one label per vector required")
-        dims = {np.asarray(v).shape for v in self.vectors}
-        if len(dims) > 1:
-            raise ValueError("vectors must share one length")
-        for d in dims:
-            if len(d) != 1:
-                raise ValueError("vectors must be one-dimensional")
 
     def __len__(self) -> int:
         return len(self.vectors)
 
     @property
     def dim(self) -> int:
-        return int(np.asarray(self.vectors[0]).size) if self.vectors else 0
-
-    def matrix(self) -> np.ndarray:
-        return np.asarray(self.vectors, dtype=np.float64)
+        return self.vectors.shape[1]
 
 
 @dataclass
@@ -102,8 +102,8 @@ def _report(class_ids: list, confusion: np.ndarray, per_run: list) -> EvalReport
                       mean=mean, stddev=stddev, class_ids=list(class_ids))
 
 
-# Test vectors stacked per distance GEMM: bounds the block's copy of the
-# vectors and its query-by-training distance matrices.
+# Test vectors per distance GEMM: bounds the block's query-by-training
+# distance matrices.
 _BLOCK_ROWS = 32
 _EPS = np.finfo(np.float64).eps
 _SUBNORMAL = np.finfo(np.float64).smallest_subnormal
@@ -112,13 +112,13 @@ _SUBNORMAL = np.finfo(np.float64).smallest_subnormal
 _BATCH_BYTES = 16 << 20
 
 
-def _candidates(tmat: np.ndarray, vectors: list, k: int):
-    """Yield (x, candidates) for every test vector x, in order: the ascending
+def _candidates(tmat: np.ndarray, xmat: np.ndarray, k: int):
+    """Yield (x, candidates) for every row x of xmat, in order: the ascending
     indices of the rows t of tmat that can be among the k nearest to x under
     the exact distance ||t - x||.
 
-    Vectors are stacked `_BLOCK_ROWS` at a time; one GEMM per block expands
-    the squared distances as ||x||^2 + ||t||^2 - 2 x.t, widened by the slack
+    Rows are taken `_BLOCK_ROWS` at a time; one GEMM per block expands the
+    squared distances as ||x||^2 + ||t||^2 - 2 x.t, widened by the slack
     below.  A vector with any non-finite entry in its row keeps every index.
     """
     # Slack derivation (Higham, Accuracy and Stability of Numerical
@@ -148,8 +148,8 @@ def _candidates(tmat: np.ndarray, vectors: list, k: int):
     n = tmat.shape[1]
     k = min(k, tmat.shape[0])
     tsq = np.einsum("ij,ij->i", tmat, tmat)
-    for start in range(0, len(vectors), _BLOCK_ROWS):
-        xb = np.asarray(vectors[start:start + _BLOCK_ROWS], dtype=np.float64)
+    for start in range(0, len(xmat), _BLOCK_ROWS):
+        xb = xmat[start:start + _BLOCK_ROWS]
         scale = np.einsum("ij,ij->i", xb, xb)[:, None] + tsq
         approx = scale - 2.0 * (xb @ tmat.T)
         slack = 4.0 * (n + 4) * (_EPS * scale + _SUBNORMAL)
@@ -181,7 +181,7 @@ def knn_classify(train: LabeledVectors, test: LabeledVectors, k: int = 1) -> Eva
     class_ids = sorted(set(train.labels) | set(test.labels))
     index = {lab: i for i, lab in enumerate(class_ids)}
     confusion = np.zeros((len(class_ids), len(class_ids)), dtype=np.int64)
-    tmat = train.matrix()
+    tmat = train.vectors
     for (x, cand), true in zip(_candidates(tmat, test.vectors, k), test.labels):
         dist = np.linalg.norm(tmat[cand] - x, axis=1)
         counts: dict = {}
@@ -209,10 +209,9 @@ def nearest_centroid(train: LabeledVectors, test: LabeledVectors) -> EvalReport:
     """
     if len(train) == 0:
         raise ValueError("training set must be nonempty")
-    tmat = train.matrix()
     labs = sorted(set(train.labels))
-    means = [tmat[[i for i, l in enumerate(train.labels) if l == lab]].mean(axis=0)
-             for lab in labs]
+    means = [train.vectors[[i for i, l in enumerate(train.labels) if l == lab]]
+             .mean(axis=0) for lab in labs]
     return knn_classify(LabeledVectors(vectors=means, labels=labs), test, k=1)
 
 
@@ -226,7 +225,6 @@ class ExperimentConfig:
     tau: float = 0.0
     max_sweeps: int = 200
     rel_tol: float = 1e-8
-    n_restarts: int = 1
 
     def __post_init__(self):
         if self.realizations < 1:
@@ -244,12 +242,8 @@ def _featurize_raw(ds: EnsembleDataset, plan: SplitPlan):
     rows = unfold(ds.tensor, 2)  # row q: image q, vectorized; a view
     out = []
     for groups in (plan.train_groups, plan.test_groups):
-        vecs, labels = [], []
-        for gid in groups:
-            for q in plan.members[gid]:
-                vecs.append(rows[q])
-                labels.append(ds.labels[q])
-        out.append(LabeledVectors(vectors=vecs, labels=labels))
+        idx = [q for gid in groups for q in plan.members[gid]]
+        out.append(LabeledVectors(vectors=rows[idx], labels=[ds.labels[q] for q in idx]))
     return out[0], out[1]
 
 
@@ -263,8 +257,7 @@ def _fit_banks(plans: list, batch: list, groups: dict, ranks: list,
              for r, gid in where]
     try:
         # every training group has one sample per class, so one shape
-        banks = fit_feature_bank([sub for r in batch for sub, _ in groups[r]], ranks,
-                                 dcfgs, n_restarts=cfg.n_restarts)
+        banks = fit_feature_bank([sub for r in batch for sub, _ in groups[r]], ranks, dcfgs)
     except ConvergenceError as exc:
         if exc.index is None:
             at = f"one of the training groups of realizations {batch}"
@@ -281,8 +274,8 @@ def _fit_banks(plans: list, batch: list, groups: dict, ranks: list,
 def _train_vectors(groups: list, banks: list, rule: SubsetRule) -> LabeledVectors:
     """The individual parts of the training groups, split by their own banks."""
     return LabeledVectors(
-        vectors=[v for (sub, _), bank in zip(groups, banks)
-                 for v in unfold(split_features(sub, bank, rule).individual, 2)],
+        vectors=np.concatenate([unfold(split_features(sub, bank, rule).individual, 2)
+                                for (sub, _), bank in zip(groups, banks)]),
         labels=[lab for _, labels in groups for lab in labels],
     )
 
@@ -299,7 +292,7 @@ def _test_vectors(ds: EnsembleDataset, plan: SplitPlan, banks: list,
     held_out, labels = group_tensor(ds, test_idx)
     weights = estimate_mixing(pooled, held_out.values)
     split = split_features(held_out, pooled, rule, weights=weights)
-    return LabeledVectors(vectors=list(unfold(split.individual, 2)), labels=labels)
+    return LabeledVectors(vectors=unfold(split.individual, 2), labels=labels)
 
 
 def run_grid(ds: EnsembleDataset, plan: SplitPlan, methods, classifiers,

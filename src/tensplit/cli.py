@@ -161,9 +161,12 @@ _CONFIG_DEFAULTS = {
     "seed": 0,
     "max_sweeps": 200,
     "rel_tol": 1e-8,
-    "n_restarts": 1,
     "out": None,
 }
+
+_DATASET_KEYS = {  # the keys `_build_dataset` reads, per dataset kind
+    "face-fixture": {"kind", "height", "width", "seed", "n_classes", "per_class"},
+    "pgm": {"kind", "paths", "labels"}, "dataset-dir": {"kind", "path"}}
 
 
 def _config_error(field: str, message: str):
@@ -191,6 +194,14 @@ def load_experiment_config(path) -> dict:
         _config_error("split", "required object")
     cfg["dataset"] = dict(raw["dataset"])
     cfg["split"] = dict(raw["split"])
+    kind = cfg["dataset"].get("kind")
+    if not isinstance(kind, str) or kind not in _DATASET_KEYS:
+        _config_error("dataset.kind", f"unknown kind {kind!r}")
+    allowed = {"dataset": _DATASET_KEYS[kind], "split": {"groups", "train", "seed"}}
+    for obj, keys in allowed.items():
+        for key in cfg[obj]:
+            if key not in keys:
+                _config_error(f"{obj}.{key}", "unknown field")
 
     for field, kind in (("methods", list), ("classifiers", list), ("ranks", list)):
         if not isinstance(cfg[field], kind) or not cfg[field]:
@@ -199,7 +210,7 @@ def load_experiment_config(path) -> dict:
         for name in cfg[field]:
             if name not in known:
                 _config_error(field, f"unknown {field[:-1]} {name!r}")
-    for field in ("k", "realizations", "seed", "max_sweeps", "n_restarts"):
+    for field in ("k", "realizations", "seed", "max_sweeps"):
         if not isinstance(cfg[field], int) or isinstance(cfg[field], bool):
             _config_error(field, "must be an integer")
     for field in ("tau", "rel_tol"):
@@ -217,27 +228,19 @@ def load_experiment_config(path) -> dict:
 
 
 def _build_dataset(entry: dict) -> ds_mod.EnsembleDataset:
-    kind = entry.get("kind")
-    if kind == "face-fixture":
-        return ds_mod.synthetic_face_fixture(
-            height=entry.get("height", 12),
-            width=entry.get("width", 10),
-            seed=entry.get("seed", 0),
-            n_classes=entry.get("n_classes", 4),
-            per_class=entry.get("per_class", 6),
-        )
+    kind = entry["kind"]  # checked, with the keys, by load_experiment_config
+    if kind == "face-fixture":  # its keys are the generator's keywords
+        return ds_mod.synthetic_face_fixture(**{k: v for k, v in entry.items() if k != "kind"})
     if kind == "pgm":
         paths = entry.get("paths")
         labels = entry.get("labels")
         if not isinstance(paths, list) or not isinstance(labels, list):
             _config_error("dataset", "pgm kind needs 'paths' and 'labels' lists")
         return ds_mod.load_pgm_ensemble(paths, labels)
-    if kind == "dataset-dir":
-        path = entry.get("path")
-        if not isinstance(path, str):
-            _config_error("dataset", "dataset-dir kind needs a 'path' string")
-        return ds_mod.load_dataset(path)
-    _config_error("dataset.kind", f"unknown kind {kind!r}")
+    path = entry.get("path")  # the dataset-dir kind
+    if not isinstance(path, str):
+        _config_error("dataset", "dataset-dir kind needs a 'path' string")
+    return ds_mod.load_dataset(path)
 
 
 def cmd_experiment(args) -> tuple[dict, int]:
@@ -263,8 +266,7 @@ def cmd_experiment(args) -> tuple[dict, int]:
         return payload, EXIT_OK
 
     ecfg = ExperimentConfig(**{k: cfg[k] for k in (
-        "seed", "realizations", "k", "ranks", "tau", "max_sweeps", "rel_tol",
-        "n_restarts")})
+        "seed", "realizations", "k", "ranks", "tau", "max_sweeps", "rel_tol")})
     out = _out_dir(args.out if args.out else cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     log.info("running methods=%s classifiers=%s", cfg["methods"], cfg["classifiers"])

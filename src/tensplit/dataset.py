@@ -166,19 +166,21 @@ def read_pgm(path) -> np.ndarray:
 
 
 def load_pgm_ensemble(paths: list, labels: list) -> EnsembleDataset:
-    """Stack PGM images along the last mode in argument order."""
+    """Stack PGM images along the last mode in argument order, copying each
+    into one buffer as it is decoded; a size mismatch stops the reading."""
     if not paths:
         raise ValueError("need at least one image path")
     if len(paths) != len(labels):
         raise ValueError("one label per image path required")
-    slices = [read_pgm(p) for p in paths]
-    shape = slices[0].shape
-    for p, s in zip(paths, slices):
-        if s.shape != shape:
-            raise ValueError(f"image {p} has size {s.shape}, expected {shape}")
-    stack = np.stack(slices, axis=2)
-    meta = {"kind": "pgm", "paths": [str(p) for p in paths]}
-    return EnsembleDataset(tensor=DenseTensor(stack), labels=list(labels), meta=meta)
+    first = read_pgm(paths[0])
+    stack = np.empty(first.shape + (len(paths),), order="F")
+    for q, p in enumerate(paths):
+        image = read_pgm(p) if q else first
+        if image.shape != first.shape:
+            raise ValueError(f"image {p} has size {image.shape}, expected {first.shape}")
+        stack[:, :, q] = image
+    return EnsembleDataset(tensor=DenseTensor._wrap(stack), labels=list(labels),
+                           meta={"kind": "pgm", "paths": [str(p) for p in paths]})
 
 
 COLOR_MIXING = np.array(
@@ -206,7 +208,7 @@ def synthetic_color_ensemble(height: int, width: int, seed: int) -> EnsembleData
         np.outer(rng.uniform(0.0, 1.0, size=height), rng.uniform(0.0, 1.0, size=width))
         for _ in range(3)
     ]
-    stack = np.zeros((height, width, COLOR_MIXING.shape[0]))
+    stack = np.zeros((height, width, COLOR_MIXING.shape[0]), order="F")
     for q in range(COLOR_MIXING.shape[0]):
         for k in range(3):
             stack[:, :, q] += COLOR_MIXING[q, k] * bases[k]
@@ -215,11 +217,8 @@ def synthetic_color_ensemble(height: int, width: int, seed: int) -> EnsembleData
         "seed": seed,
         "mixing": COLOR_MIXING.tolist(),
     }
-    return EnsembleDataset(
-        tensor=DenseTensor(stack),
-        labels=list(range(COLOR_MIXING.shape[0])),
-        meta=meta,
-    )
+    return EnsembleDataset(tensor=DenseTensor._wrap(stack),
+                           labels=list(range(COLOR_MIXING.shape[0])), meta=meta)
 
 
 def synthetic_face_fixture(height: int = 12, width: int = 10, seed: int = 0,
@@ -250,7 +249,7 @@ def synthetic_face_fixture(height: int = 12, width: int = 10, seed: int = 0,
         bump[lo:hi, :] = rng.uniform(0.5, 1.0, size=(hi - lo, width))
         bumps.append(0.08 * bump)
 
-    stack = np.zeros((height, width, n_classes * per_class))
+    stack = np.zeros((height, width, n_classes * per_class), order="F")
     labels = []
     q = 0
     for c in range(n_classes):
@@ -266,7 +265,7 @@ def synthetic_face_fixture(height: int = 12, width: int = 10, seed: int = 0,
         "n_classes": n_classes,
         "per_class": per_class,
     }
-    return EnsembleDataset(tensor=DenseTensor(stack), labels=labels, meta=meta)
+    return EnsembleDataset(tensor=DenseTensor._wrap(stack), labels=labels, meta=meta)
 
 
 def make_group_splits(ds: EnsembleDataset, groups: int, train: int, seed: int) -> SplitPlan:

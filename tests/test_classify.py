@@ -33,7 +33,7 @@ def vecs(points, labels):
 class TestLabeledVectors:
     def test_matrix_shape(self):
         lv = vecs([[1, 2], [3, 4], [5, 6]], [0, 1, 0])
-        assert lv.matrix().shape == (3, 2)
+        assert lv.vectors.shape == (3, 2)
         assert len(lv) == 3
         assert lv.dim == 2
 
@@ -44,6 +44,8 @@ class TestLabeledVectors:
             vecs([[1, 2], [1, 2, 3]], [0, 1])
         with pytest.raises(ValueError):
             LabeledVectors(vectors=[np.ones((2, 2))], labels=[0])
+        with pytest.raises(ValueError):
+            LabeledVectors(vectors=np.ones(3), labels=[0, 0, 0])
 
 
 class TestKnn:
@@ -413,6 +415,27 @@ class TestRunGrid:
         with pytest.raises(ConvergenceError, match=f"failed on group "
                            f"{second.train_groups[1]} of realization 1: stalled"):
             run_experiment(ds, plan, "ll1", ExperimentConfig(realizations=2))
+
+    def test_every_featurization_gives_one_float_matrix(self, monkeypatch):
+        seen = []
+        original = classify_mod.knn_classify
+
+        def spy(train, test, k=1):
+            seen.append((train.vectors, test.vectors))
+            return original(train, test, k)
+
+        monkeypatch.setattr(classify_mod, "knn_classify", spy)
+        ds = synthetic_face_fixture()
+        plan = make_group_splits(ds, groups=6, train=3, seed=0)
+        run_grid(ds, plan, ["raw", "cpd", "ll1"], ["knn", "centroid"],
+                 ExperimentConfig(realizations=1, ranks=[2, 1], max_sweeps=5))
+        # raw, cpd and ll1 features, each searched by both classifiers
+        assert len(seen) == 6
+        O, P, _ = ds.tensor.shape
+        for train, test in seen:
+            for m in (train, test):
+                assert isinstance(m, np.ndarray) and m.dtype == np.float64
+                assert m.ndim == 2 and m.shape[1] == O * P
 
     @pytest.mark.parametrize("methods, classifiers", [
         (["raw", "pca"], ["knn"]),

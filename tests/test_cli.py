@@ -423,11 +423,20 @@ class TestExperiment:
         assert code == 3
         assert "malformed config" in payload["error"]
 
-    def test_unknown_field_exits_3(self, capsys, tmp_path):
-        cfg = experiment_config(tmp_path, classifers=["knn"])  # typo on purpose
+    @pytest.mark.parametrize("field, overrides", [
+        ("classifers", {"classifers": ["knn"]}),
+        ("n_restarts", {"n_restarts": 1}),
+        ("dataset.heigth", {"dataset": {"kind": "face-fixture", "heigth": 40}}),
+        ("dataset.n_clases", {"dataset": {"kind": "face-fixture", "n_clases": 9}}),
+        ("dataset.path", {"dataset": {"kind": "face-fixture", "path": "data"}}),
+        ("split.sed", {"split": {"groups": 4, "train": 2, "sed": 4}}),
+    ])
+    def test_unknown_field_exits_3(self, capsys, tmp_path, field, overrides):
+        cfg = experiment_config(tmp_path, **overrides)  # a typo or a stray key on purpose
         code, payload = run_cli(capsys, ["experiment", str(cfg)])
         assert code == 3
         assert "unknown field" in payload["error"]
+        assert payload["error"] == f"config field {field!r}: unknown field"
 
     def test_missing_dataset_exits_3(self, capsys, tmp_path):
         cfg = tmp_path / "config.json"
@@ -554,7 +563,8 @@ _FLOATS = st.sampled_from(["1e-8", "0.5", "0", "1.1", "-1", "nan", "inf"])
 # one field set to a value the config rejects, or a split no class can fill
 _SPOILERS = [("methods", ["pca"]), ("classifiers", ["svm"]), ("ranks", [0]), ("k", 0),
              ("tau", -1.0), ("realizations", 0), ("max_sweeps", 0), ("n_restarts", 0),
-             ("split", {"groups": 1, "train": 1}), ("split", {"groups": 9, "train": 2})]
+             ("split", {"groups": 1, "train": 1}), ("split", {"groups": 9, "train": 2}),
+             ("split", {"groups": 4, "train": 2, "sed": 1})]
 
 
 @st.composite
