@@ -18,9 +18,11 @@ its one-tensor case.
 
 CPD and LL1 record the relative fit of every sweep in Gram form,
 ||T - T^||^2 = ||T||^2 - 2 <T, T^> + ||T^||^2, from products the sweep
-already holds, so no dense model is built.  Where a rounding-error bound
-says the expansion cannot resolve the fit or its change since the last
-sweep, the fit is taken from the dense reconstruction instead.
+already holds, so no dense model is built.  The stacked LL1 sweep takes
+<T, T^>, ||T^||^2 and the rounding bound's inputs for the whole stack in
+one reduction each, equal to each tensor's own sums bit for bit.  Where
+the bound says the expansion cannot resolve the fit or its change since
+the last sweep, the fit is taken from the dense reconstruction instead.
 """
 
 from __future__ import annotations
@@ -450,10 +452,11 @@ def _ll1_stack(ts: list, ranks, cfgs: list) -> list:
 
     The tensors are stacked, one copy each, and each step of the sweep
     runs once for the stack (batched GEMMs and pseudoinverses, one mixing
-    NNLS).  Scaling, init and replacement draws, flags, the fit with its
-    guard and the convergence test stay per tensor; a tensor leaves the
-    stack when it converges or reaches its sweep cap.  A ConvergenceError
-    names the failing tensor in `index`.
+    NNLS), as do the four statistics of the Gram-form fit (`_fit_terms`).
+    Scaling, init and replacement draws, flags, the resolved fit with its
+    dense fallback and the convergence test stay per tensor; a tensor
+    leaves the stack when it converges or reaches its sweep cap.  A
+    ConvergenceError names the failing tensor in `index`.
     """
     for t in ts:
         _require_order3(t, "ll1_nn")
@@ -485,9 +488,6 @@ def _ll1_stack(ts: list, ranks, cfgs: list) -> list:
         c_vecs.append(c)
         w_vecs.append(np.abs(na) * np.abs(nb) * nc[:, None])
 
-    def term_slices(n: int) -> np.ndarray:
-        return (a_mats[n] * w_vecs[n][:, None, :]) @ b_mats[n].swapaxes(1, 2)
-
     # X_3 of each tensor, Q x (O*P) with columns in layout order of each
     # slice; a view of a lone tensor
     x3 = (unfold(scaled[0][0], 2)[None] if len(ts) == 1
@@ -498,6 +498,7 @@ def _ll1_stack(ts: list, ranks, cfgs: list) -> list:
     # two products, sum of KQ); products formed: the squares of T, X_3 R,
     # R^T R, R^T R M and the two elementwise ones
     n_round = max((O * P * Q).bit_length() + 23, O * P + n_terms + n_terms * Q) + 2
+    gamma_fit = _gamma(n_round)
     n_products = (O * P * Q * (1 + n_terms) + (O * P + Q) * n_terms ** 2
                   + 2 * n_terms * Q)
     histories: list[list[float]] = [[] for _ in ts]
@@ -510,11 +511,12 @@ def _ll1_stack(ts: list, ranks, cfgs: list) -> list:
         live_flags = [flags[i] for i in live]
         for k in range(n_terms):
             ck = c_vecs[k]
-            slices = [term_slices(n) for n in range(n_terms)]
             # T x_3 c_k as one matrix-vector product per tensor on x3
             m_k = np.matmul(ck[:, None, :], x3).reshape(-1, P, O).swapaxes(1, 2)
+            slices = [None] * n_terms  # term k's is built from its update
             for n in range(n_terms):
                 if n != k:
+                    slices[n] = (a_mats[n] * w_vecs[n][:, None, :]) @ b_mats[n].swapaxes(1, 2)
                     m_k -= _dots(c_vecs[n], ck)[:, None, None] * slices[n]
             ck_sq = _dots(ck, ck)[:, None, None]
             bk = b_mats[k]
@@ -547,20 +549,12 @@ def _ll1_stack(ts: list, ranks, cfgs: list) -> list:
                 else:
                     w_vecs[n] = w_vecs[n] * gamma[:, None]
 
-        gram = regressor.swapaxes(1, 2) @ regressor
-        model = gram @ mixing_raw
-        data = (x3 @ regressor).swapaxes(1, 2)
+        stats = zip(live.tolist(), *_fit_terms(regressor, mixing_raw, x3))
         keep = np.ones(live.size, dtype=bool)
-        for pos, i in enumerate(live):
+        for pos, (i, inner, model_sq, scale, reach) in enumerate(stats):
             t, norm_t, shift = scaled[i]
-            # the sums are taken tensor by tensor, in each one's memory order
-            mix = mixing_raw[pos]
-            inner = float(np.sum(mix * data[pos]))
-            model_sq = float(np.sum(mix * model[pos]))
-            scale = float(np.sqrt(np.diag(gram[pos])) @ np.linalg.norm(mix, axis=1))
             # an underflowed product meets at most two mixing entries
-            reach = float(np.max(mix))
-            bound = (_gamma(n_round) * (norm_t + scale) ** 2
+            bound = (gamma_fit * (norm_t + scale) ** 2
                      + n_products * _SUBNORMAL * (1.0 + reach) ** 2)
             history = histories[i]
             fit = _resolved_fit(norm_sq[i] - 2.0 * inner + model_sq, bound, norm_t,
@@ -609,6 +603,23 @@ def _ll1_init(t: DenseTensor, ranks: list, init: str, rng: np.random.Generator) 
 def _dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """u[i] . v[i] for every row i, each one BLAS dot product."""
     return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
+
+
+def _fit_terms(regressor: np.ndarray, mixing: np.ndarray, x3: np.ndarray) -> tuple:
+    """<T, T^> = sum(M * (X_3 R)^T), ||T^||^2 = sum(M * R^T R M), the
+    bound's S = sum_k ||R_k|| ||M_k|| and max(M) of each model R M of a
+    stack, as lists, each one reduction over the stack.  Each equals the
+    tensor's own bit for bit while every tensor's block of the reduced
+    array is one contiguous run of memory laid out as its own array:
+    numpy then sums each block in one pairwise loop in memory order.
+    """
+    gram = regressor.swapaxes(1, 2) @ regressor
+    inner = np.add.reduce(mixing * (x3 @ regressor).swapaxes(1, 2), axis=(1, 2))
+    model_sq = np.add.reduce(mixing * (gram @ mixing), axis=(1, 2))
+    scale = _dots(np.sqrt(np.diagonal(gram, axis1=1, axis2=2)),
+                  np.linalg.norm(mixing, axis=2))
+    reach = np.maximum.reduce(mixing, axis=(1, 2))
+    return inner.tolist(), model_sq.tolist(), scale.tolist(), reach.tolist()
 
 
 def _kruskal_array(factors: list[np.ndarray], weights: np.ndarray) -> np.ndarray:

@@ -16,7 +16,6 @@ likewise takes a stack of matrices, each giving pinv's result bit for bit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -141,9 +140,9 @@ def _nnls_stack(a: np.ndarray, yst: np.ndarray, tol: float = 1e-10,
     # so every power-of-two multiple of a design gets one result.
     # Unscaled, a design far from unit scale overflows or underflows its
     # Gram matrix, or puts its duals or solution below the absolute `tol`:
-    # wrong supports or a ConvergenceError.
-    big = np.abs(a).max(axis=(1, 2))
-    shift = np.where((0.0 < big) & (big < math.inf), np.frexp(big)[1], 0)
+    # wrong supports or a ConvergenceError.  frexp gives a zero design the
+    # shift 0; a non-finite design raises below, whatever its shift.
+    shift = np.frexp(np.maximum.reduce(np.abs(a), axis=(1, 2)))[1]
     a = np.ldexp(a, -shift[:, None, None])
     g = np.matmul(a.swapaxes(1, 2), a)
     yst = np.ascontiguousarray(yst)
@@ -151,11 +150,11 @@ def _nnls_stack(a: np.ndarray, yst: np.ndarray, tol: float = 1e-10,
     # how many rows share the call
     aty = np.matmul(yst[:, :, None, :], a[:, None])[:, :, 0, :]
     finite = np.isfinite(g).all(axis=(1, 2)) & np.isfinite(aty).all(axis=(1, 2))
-    for i in np.flatnonzero(~finite):
+    for i in (~finite).nonzero()[0]:
         if not (np.isfinite(a[i]).all() and np.isfinite(yst[i]).all()):
             raise ValueError("nnls input has non-finite entries")
-    gram = finite.copy()
-    gram[finite] = ~_ill_conditioned(g[finite])
+    # g is finite now: a finite design scaled below 1 has |g| <= its rows
+    gram = finite & ~_ill_conditioned(g)
     x = np.empty(aty.shape)
     i = None  # the design being solved by least squares
     try:
@@ -165,12 +164,12 @@ def _nnls_stack(a: np.ndarray, yst: np.ndarray, tol: float = 1e-10,
                 n, tol, max_iter, solve=partial(_solve_passive, np.eye(n)),
                 dual=lambda b, x: b[0] - np.matmul(x[:, None, :], b[1])[:, 0, :],
             ).reshape(-1, n_rhs, n)
-        for i in np.flatnonzero(~gram):
+        for i in (~gram).nonzero()[0]:
             x[i] = _lawson_hanson((yst[i],), n, tol, max_iter,
                                   dual=partial(_residual_dual, a[i]),
                                   solve=partial(_lstsq_passive, a[i]))
     except ConvergenceError as exc:
-        exc.index = int(np.flatnonzero(gram)[exc.index // n_rhs] if i is None else i)
+        exc.index = int(gram.nonzero()[0][exc.index // n_rhs] if i is None else i)
         raise
     return np.ldexp(x, -shift[:, None, None])
 
@@ -208,7 +207,7 @@ def _lawson_hanson(b: tuple, n: int, tol: float, max_iter: int,
     while True:
         w = dual(b, x)
         w[passive | blocked] = -np.inf
-        going = w.max(axis=1) > tol
+        going = np.maximum.reduce(w, axis=1) > tol
         if not going.all():
             out[rows[~going]] = x[~going]
             if not going.any():
@@ -230,10 +229,10 @@ def _lawson_hanson(b: tuple, n: int, tol: float, max_iter: int,
         while True:
             z = solve(b, passive)
             bad = passive & (z <= 0.0)
-            infeasible = bad.any(axis=1)
-            if not infeasible.any():
+            if not bad.any():
                 x = z
                 break
+            infeasible = bad.any(axis=1)
             inner += 1
             if inner > 3 * n:
                 raise ConvergenceError("nnls feasibility restoration failed to settle",
@@ -249,13 +248,17 @@ def _lawson_hanson(b: tuple, n: int, tol: float, max_iter: int,
             passive &= ~drop
             x[~passive.any(axis=1)] = 0.0
         # an admission that went nowhere is shelved until x moves
-        stuck = (x == x_before).all(axis=1)
+        stuck = np.logical_and.reduce(x == x_before, axis=1)
         if stuck.any():
             shelved, js = live[stuck], j[stuck]
             passive[shelved, js] = False
             x[shelved, js] = 0.0
             blocked[shelved, js] = True
-        blocked[~stuck] = False
+        blocked &= stuck[:, None]
+        # rows with full passive sets have nothing left to admit: no dual
+        if outer >= n and passive.all():
+            out[rows] = x
+            return out
 
 
 def _solve_passive(eye: np.ndarray, b: tuple, passive: np.ndarray) -> np.ndarray:

@@ -299,6 +299,40 @@ class TestFeatureBankList:
             run_experiment(ds, plan, "ll1", ExperimentConfig(realizations=1))
 
 
+def fit_terms_per_tensor(regressor, mixing, x3):
+    """Oracle: the Gram-form fit statistics of `decomp._fit_terms`, taken
+    one tensor at a time by np.sum, np.diag, np.linalg.norm and np.max."""
+    gram = regressor.swapaxes(1, 2) @ regressor
+    model = gram @ mixing
+    data = (x3 @ regressor).swapaxes(1, 2)
+    out = []
+    for pos, mix in enumerate(mixing):
+        out.append((float(np.sum(mix * data[pos])), float(np.sum(mix * model[pos])),
+                    float(np.sqrt(np.diag(gram[pos])) @ np.linalg.norm(mix, axis=1)),
+                    float(np.max(mix))))
+    return out
+
+
+class TestFitTerms:
+    # Q * K runs across numpy's 8- and 128-term pairwise summation blocks
+    @given(tensors=st.integers(1, 7), terms=st.integers(1, 5), q=st.integers(1, 300),
+           rows=st.integers(1, 12), zeros=st.floats(0.0, 0.5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_per_tensor_sums(self, tensors, terms, q, rows, zeros, seed):
+        rng = np.random.default_rng(seed)
+        regressor = rng.standard_normal((tensors, rows, terms))
+        x3 = rng.standard_normal((tensors, q, rows))
+        # laid out as in the sweep: the NNLS rows (tensors, Q, K), viewed as
+        # (tensors, K, Q), with the exact zeros NNLS leaves
+        mixing = rng.uniform(0.0, 1.0, (tensors, q, terms))
+        mixing[rng.uniform(size=mixing.shape) < zeros] = 0.0
+        mixing = mixing.swapaxes(1, 2)
+        got = np.array(list(zip(*decomp._fit_terms(regressor, mixing, x3))))
+        want = np.array(fit_terms_per_tensor(regressor, mixing, x3))
+        assert got.shape == (tensors, 4)
+        assert got.tobytes() == want.tobytes()
+
+
 def _design(rng, kind, m, n):
     if kind == 0:
         return rng.standard_normal((m, n))
@@ -325,6 +359,26 @@ class TestNnlsStack:
         for i in range(designs):
             want = nnls_multi(a[i], yst[i].T)
             assert x[i].T.tobytes() == np.ascontiguousarray(want).tobytes()
+
+    def test_full_passive_sets_finish_without_a_dual(self, monkeypatch):
+        # every row's solution is positive in both coordinates, so after two
+        # admissions every passive set is full and the rows finish there
+        rng = np.random.default_rng(5)
+        a = rng.uniform(0.5, 1.0, (2, 8, 2))
+        yst = (a @ rng.uniform(0.5, 1.0, (2, 2, 3))).swapaxes(1, 2)
+        rows_per_dual = []
+        real = kernels._lawson_hanson
+
+        def spy(b, n, tol, max_iter, dual, solve):
+            def counted(b, x):
+                rows_per_dual.append(len(x))
+                return dual(b, x)
+            return real(b, n, tol, max_iter, dual=counted, solve=solve)
+
+        monkeypatch.setattr(kernels, "_lawson_hanson", spy)
+        x = kernels._nnls_stack(a, yst)
+        assert (x > 0.0).all()
+        assert rows_per_dual == [6, 6]
 
     def test_failing_design_is_named(self):
         rng = np.random.default_rng(2)
