@@ -14,7 +14,9 @@ report per (method, classifier) cell; mean and stddev are computed from the
 sorted per-run list so aggregation order cannot matter.  It decomposes the
 training groups of consecutive realizations together, in one stacked fit
 per distinct block ranks: as many realizations at a time as keep their
-training stacks within 16 MiB (`_BATCH_BYTES`), and at least one.
+training stacks within 16 MiB (`_BATCH_BYTES`), and at least one.  The
+group tensors live only for that fit: each realization is then featurized
+from the dataset, its split plan and its banks, one group at a time.
 """
 
 from __future__ import annotations
@@ -107,8 +109,9 @@ def _report(class_ids: list, confusion: np.ndarray, per_run: list) -> EvalReport
 _BLOCK_ROWS = 32
 _EPS = np.finfo(np.float64).eps
 _SUBNORMAL = np.finfo(np.float64).smallest_subnormal
-# Training-group bytes that the realizations of one stacked LL1 fit may
-# hold together: bounds the batch's group tensors and the fit's stacked copy.
+# Training-group bytes of the realizations fitted in one stacked LL1 sweep:
+# bounds the group tensors gathered for the fit and the fit's stacked copy,
+# both freed when the fit returns.
 _BATCH_BYTES = 16 << 20
 
 
@@ -247,17 +250,18 @@ def _featurize_raw(ds: EnsembleDataset, plan: SplitPlan):
     return out[0], out[1]
 
 
-def _fit_banks(plans: list, batch: list, groups: dict, ranks: list,
+def _fit_banks(ds: EnsembleDataset, plans: list, batch: list, ranks: list,
                cfg: ExperimentConfig) -> dict:
     """{r: banks of plans[r].train_groups} for every realization r of the
-    batch, all fitted in one stacked sweep."""
+    batch, all fitted in one stacked sweep of group tensors gathered for it."""
     where = [(r, gid) for r in batch for gid in plans[r].train_groups]
     dcfgs = [DecompConfig(max_sweeps=cfg.max_sweeps, rel_tol=cfg.rel_tol,
                           seed=derive_seed(cfg.seed, "realization", r, "group", gid))
              for r, gid in where]
     try:
         # every training group has one sample per class, so one shape
-        banks = fit_feature_bank([sub for r in batch for sub, _ in groups[r]], ranks, dcfgs)
+        banks = fit_feature_bank([group_tensor(ds, plans[r].members[gid])[0]
+                                  for r, gid in where], ranks, dcfgs)
     except ConvergenceError as exc:
         if exc.index is None:
             at = f"one of the training groups of realizations {batch}"
@@ -271,13 +275,18 @@ def _fit_banks(plans: list, batch: list, groups: dict, ranks: list,
     return out
 
 
-def _train_vectors(groups: list, banks: list, rule: SubsetRule) -> LabeledVectors:
-    """The individual parts of the training groups, split by their own banks."""
-    return LabeledVectors(
-        vectors=np.concatenate([unfold(split_features(sub, bank, rule).individual, 2)
-                                for (sub, _), bank in zip(groups, banks)]),
-        labels=[lab for _, labels in groups for lab in labels],
-    )
+def _train_vectors(ds: EnsembleDataset, plan: SplitPlan, banks: list,
+                   rule: SubsetRule) -> LabeledVectors:
+    """The individual parts of the training groups, split by their own banks
+    one group at a time into the rows of one n x (O P) matrix."""
+    idx = [q for gid in plan.train_groups for q in plan.members[gid]]
+    vectors = np.empty((len(idx), ds.tensor.shape[0] * ds.tensor.shape[1]))
+    row = 0
+    for gid, bank in zip(plan.train_groups, banks):
+        ind = split_features(group_tensor(ds, plan.members[gid])[0], bank, rule).individual
+        vectors[row:row + ind.shape[2]] = unfold(ind, 2)
+        row += ind.shape[2]
+    return LabeledVectors(vectors=vectors, labels=[ds.labels[q] for q in idx])
 
 
 def _test_vectors(ds: EnsembleDataset, plan: SplitPlan, banks: list,
@@ -312,8 +321,9 @@ def run_grid(ds: EnsembleDataset, plan: SplitPlan, methods, classifiers,
     hold at most _BATCH_BYTES of float64 values together, with at least one
     realization per batch.  Per distinct ranks, the training groups of a
     whole batch are decomposed in one stacked fit, each group with the seed
-    it has alone; each realization of the batch is then featurized in turn
-    and each classifier runs once on it.
+    it has alone, and the group tensors are freed when the fit returns; each
+    realization of the batch is then featurized in turn, from ds and its
+    plan, and each classifier runs once on it.
     """
     for kind, names, known in (("method", methods, METHODS),
                                ("classifier", classifiers, CLASSIFIERS)):
@@ -341,22 +351,14 @@ def run_grid(ds: EnsembleDataset, plan: SplitPlan, methods, classifiers,
     per_batch = max(1, _BATCH_BYTES // train_bytes)
     for start in range(0, cfg.realizations, per_batch):
         batch = list(range(start, min(start + per_batch, cfg.realizations)))
-        groups = {r: [group_tensor(ds, plans[r].members[gid])
-                      for gid in plans[r].train_groups]
-                  for r in batch} if fitted else {}
-        banks = {key: _fit_banks(plans, batch, groups, list(key), cfg) for key in fitted}
+        banks = {key: _fit_banks(ds, plans, batch, list(key), cfg) for key in fitted}
         for r in batch:
             for key in dict.fromkeys(keys.values()):
                 if key is None:
                     train, test = _featurize_raw(ds, plans[r])
                 else:
-                    # held-out split first: its temporaries are freed before
-                    # the training vectors join the training stacks; the last
-                    # featurization of r takes those stacks, freeing them
                     test = _test_vectors(ds, plans[r], banks[key][r], rule)
-                    train = _train_vectors(
-                        groups.pop(r) if key == fitted[-1] else groups[r],
-                        banks[key].pop(r), rule)
+                    train = _train_vectors(ds, plans[r], banks[key][r], rule)
                 sharing = [m for m in keys if keys[m] == key]
                 for c in dict.fromkeys(classifiers):
                     rep = (knn_classify(train, test, cfg.k) if c == CLASSIFIER_KNN
@@ -389,16 +391,15 @@ def report_csv(report: EvalReport) -> str:
     return buf.getvalue()
 
 
+def cell_records(grid: dict) -> dict:
+    """{method: {classifier: record}} of a {method: {classifier: EvalReport}}
+    grid: the cells of `summary_json` and of the CLI experiment payload."""
+    return {method: {clf: {"accuracy": rep.accuracy, "mean": rep.mean,
+                           "stddev": rep.stddev, "realizations": len(rep.per_run)}
+                     for clf, rep in row.items()}
+            for method, row in grid.items()}
+
+
 def summary_json(grid: dict) -> str:
     """JSON summary of a {method: {classifier: EvalReport}} grid."""
-    out = {}
-    for method, row in grid.items():
-        out[method] = {}
-        for clf, rep in row.items():
-            out[method][clf] = {
-                "accuracy": rep.accuracy,
-                "mean": rep.mean,
-                "stddev": rep.stddev,
-                "realizations": len(rep.per_run),
-            }
-    return json.dumps(out, sort_keys=True, indent=2) + "\n"
+    return json.dumps(cell_records(grid), sort_keys=True, indent=2) + "\n"

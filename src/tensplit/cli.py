@@ -27,6 +27,7 @@ from .classify import (
     CLASSIFIERS,
     METHODS,
     ExperimentConfig,
+    cell_records,
     report_csv,
     run_grid,
     summary_json,
@@ -271,21 +272,14 @@ def cmd_experiment(args) -> tuple[dict, int]:
     out.mkdir(parents=True, exist_ok=True)
     log.info("running methods=%s classifiers=%s", cfg["methods"], cfg["classifiers"])
     grid = run_grid(ds, plan, cfg["methods"], cfg["classifiers"], ecfg)
-    cells = {}
     for method, row in grid.items():
-        cells[method] = {}
         for clf, report in row.items():
-            cells[method][clf] = {
-                "accuracy": report.accuracy,
-                "mean": report.mean,
-                "stddev": report.stddev,
-            }
             (out / f"{method}_{clf}.csv").write_text(report_csv(report))
     (out / "summary.json").write_text(summary_json(grid))
     resolved = {k: v for k, v in cfg.items() if k != "out"}
     (out / "config.json").write_text(json.dumps(resolved, sort_keys=True, indent=2) + "\n")
     log.info("wrote reports to %s", out)
-    return {"status": "ok", "out": str(out), "cells": cells}, EXIT_OK
+    return {"status": "ok", "out": str(out), "cells": cell_records(grid)}, EXIT_OK
 
 
 def cmd_synth(args) -> tuple[dict, int]:

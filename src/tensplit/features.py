@@ -19,13 +19,15 @@ from .kernels import nnls_multi
 
 @dataclass
 class CommonFeatureBank:
-    """Shared O x P feature slices and the Q x K nonnegative mixing matrix."""
+    """Shared O x P feature slices and the Q x K nonnegative mixing matrix.
+    Each slice is held as an F-ordered float64 matrix, like the image stacks."""
 
     slices: list  # K matrices, each O x P
     mixing: np.ndarray  # Q x K, entries >= 0, unit columns
     source: LL1Factors | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        self.slices = [np.asfortranarray(s, dtype=np.float64) for s in self.slices]
         if len(self.slices) != self.mixing.shape[1]:
             raise ValueError("one mixing column per feature slice required")
         shapes = {s.shape for s in self.slices}
@@ -143,25 +145,16 @@ def estimate_mixing(bank: CommonFeatureBank, images: np.ndarray) -> np.ndarray:
 
 def split_single(bank: CommonFeatureBank, image: np.ndarray,
                  weights: np.ndarray, rule: SubsetRule | None = None):
-    """Split one image given its mixing weights.
+    """Split one O x P image given its K mixing weights: the one-image case
+    of `split_features`.
 
-    Returns (common, individual, selected_indices) with
+    Returns writable (common, individual, selected_indices) with
     common + individual == image exactly.
     """
-    image = np.asarray(image, dtype=np.float64)
-    common = np.zeros_like(image)
-    kept = _mix_common(common, bank, weights, rule or SubsetRule())
-    return common, image - common, kept
-
-
-def _mix_common(out: np.ndarray, bank: CommonFeatureBank, weights: np.ndarray,
-                rule: SubsetRule) -> list:
-    """Add the common part, sum_k weights[k] * slice_k over the features the
-    rule keeps, to the zeroed `out`; return their indices."""
-    kept = np.flatnonzero(rule.select(np.asarray(weights, dtype=np.float64)))
-    for k in kept:
-        out += weights[k] * bank.slices[k]
-    return kept.tolist()
+    split = split_features(DenseTensor(np.expand_dims(image, -1)), bank, rule,
+                           weights=np.reshape(weights, (1, -1)))
+    return (split.common.to_array()[:, :, 0], split.individual.to_array()[:, :, 0],
+            split.selected[0])
 
 
 def split_features(t: DenseTensor, bank: CommonFeatureBank,
@@ -172,6 +165,8 @@ def split_features(t: DenseTensor, bank: CommonFeatureBank,
 
     By default the bank's own mixing rows are used; pass `weights` (Q x K)
     to split held-out images with externally estimated mixing instead.
+    Image q's common part is sum_k weights[q, k] * slice_k, added in
+    ascending k over the features the rule keeps for weights[q].
     """
     if t.order != 3:
         raise ValueError("expected a stacked ensemble of matrix slices")
@@ -190,11 +185,15 @@ def split_features(t: DenseTensor, bank: CommonFeatureBank,
         raise ValueError("weights must be n_images x n_features")
 
     # the common and the individual stack each get one buffer, adopted
-    # without a copy; individual is t - common elementwise, as split_single
-    # computes it
+    # without a copy; individual is t - common elementwise
     common = np.zeros(t.shape, order="F")
-    selected = [_mix_common(common[:, :, q], bank, weights[q], rule)
-                for q in range(n_images)]
+    selected = []
+    for q, row in enumerate(weights):
+        kept = np.flatnonzero(rule.select(row))
+        out = common[:, :, q]
+        for k in kept:
+            out += row[k] * bank.slices[k]
+        selected.append(kept.tolist())
     individual = np.subtract(t.values, common, order="F")
     return FeatureSplit(common=DenseTensor._wrap(common),
                         individual=DenseTensor._wrap(individual), selected=selected)

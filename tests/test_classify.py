@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -436,6 +437,22 @@ class TestRunGrid:
             for m in (train, test):
                 assert isinstance(m, np.ndarray) and m.dtype == np.float64
                 assert m.ndim == 2 and m.shape[1] == O * P
+
+    def test_group_tensors_are_held_for_the_fit_alone(self):
+        # five training groups of 40 images each: the fit's group tensors
+        # and stacked copy are freed before the held-out split, and the
+        # training groups are split one at a time into one matrix
+        ds = synthetic_face_fixture(height=48, width=40, n_classes=40, per_class=10)
+        plan = make_group_splits(ds, groups=10, train=5, seed=0)
+        train_bytes = 8 * 48 * 40 * 5 * 40
+        tracemalloc.start()
+        try:
+            run_grid(ds, plan, ["ll1"], ["knn"],
+                     ExperimentConfig(realizations=1, max_sweeps=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * train_bytes
 
     @pytest.mark.parametrize("methods, classifiers", [
         (["raw", "pca"], ["knn"]),

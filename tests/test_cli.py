@@ -386,8 +386,7 @@ class TestExperiment:
         summary = json.loads((out / "summary.json").read_text())
         assert set(summary) == {"raw", "ll1"}
         assert summary["raw"]["knn"]["realizations"] == 2
-        assert payload["cells"]["raw"]["knn"]["accuracy"] == \
-            summary["raw"]["knn"]["accuracy"]
+        assert payload["cells"] == summary
         resolved = json.loads((out / "config.json").read_text())
         assert resolved["methods"] == ["raw", "ll1"]
         assert "out" not in resolved

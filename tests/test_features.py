@@ -208,14 +208,32 @@ class TestSplit:
         slices = [np.outer(rng.uniform(0.2, 1, 5), rng.uniform(0.2, 1, 4))
                   for _ in range(2)]
         mixing = rng.uniform(0.1, 1.0, size=(3, 2))
-        bank = CommonFeatureBank(slices=slices, mixing=mixing)
         t = DenseTensor(rng.uniform(0.0, 1.0, size=(5, 4, 3)))
-        split = split_features(t, bank)
-        for q in range(3):
-            com, ind, kept = split_single(bank, t.to_array()[:, :, q], mixing[q])
-            np.testing.assert_array_equal(com, split.common.to_array()[:, :, q])
-            np.testing.assert_array_equal(ind, split.individual.to_array()[:, :, q])
-            assert kept == split.selected[q]
+        for order in ("C", "F"):
+            bank = CommonFeatureBank(slices=[np.asarray(s, order=order) for s in slices],
+                                     mixing=mixing)
+            split = split_features(t, bank)
+            for q in range(3):
+                com, ind, kept = split_single(bank, t.to_array()[:, :, q], mixing[q])
+                assert com.flags.writeable and ind.flags.writeable
+                np.testing.assert_array_equal(com, split.common.to_array()[:, :, q])
+                np.testing.assert_array_equal(ind, split.individual.to_array()[:, :, q])
+                assert kept == split.selected[q]
+
+    def test_banks_hold_f_ordered_slices(self):
+        rng = np.random.default_rng(18)
+        t = DenseTensor(rng.uniform(0.1, 1.0, size=(7, 6, 5)))
+        fitted = build_feature_bank(ll1_nn(t, [2, 1], DecompConfig(seed=0, max_sweeps=20)))
+        c_ordered = [np.ascontiguousarray(s) for s in fitted.slices]
+        assert all(s.flags.c_contiguous and not s.flags.f_contiguous for s in c_ordered)
+        built = CommonFeatureBank(slices=c_ordered, mixing=fitted.mixing)
+        for bank in (fitted, built):
+            assert all(s.flags.f_contiguous and s.dtype == np.float64 for s in bank.slices)
+        want = split_features(t, fitted)
+        got = split_features(t, built)
+        np.testing.assert_array_equal(got.common.values, want.common.values)
+        np.testing.assert_array_equal(got.individual.values, want.individual.values)
+        assert got.selected == want.selected
 
     def test_stack_split_is_exact_and_lean(self):
         # images in [1, 1.2] and common parts in [0.6, 2): each difference
