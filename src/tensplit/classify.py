@@ -16,7 +16,7 @@ training groups of consecutive realizations together, in one stacked fit
 per distinct block ranks: as many realizations at a time as keep their
 training stacks within 16 MiB (`_BATCH_BYTES`), and at least one.  The
 group tensors live only for that fit: each realization is then featurized
-from the dataset, its split plan and its banks, one group at a time.
+in place, in one copy each of its training and held-out image rows.
 """
 
 from __future__ import annotations
@@ -35,9 +35,9 @@ from .decomp import DecompConfig
 from .features import (
     CommonFeatureBank,
     SubsetRule,
+    _subtract_common,
     estimate_mixing,
     fit_feature_bank,
-    split_features,
 )
 from .kernels import ConvergenceError
 from .seeds import derive_seed
@@ -111,7 +111,7 @@ _EPS = np.finfo(np.float64).eps
 _SUBNORMAL = np.finfo(np.float64).smallest_subnormal
 # Training-group bytes of the realizations fitted in one stacked LL1 sweep:
 # bounds the group tensors gathered for the fit and the fit's stacked copy,
-# both freed when the fit returns.
+# both freed when the fit returns, before any image rows are featurized.
 _BATCH_BYTES = 16 << 20
 
 
@@ -238,16 +238,8 @@ class ExperimentConfig:
             raise ValueError("k must be >= 1")
         if not self.ranks or any(int(L) < 1 for L in self.ranks):
             raise ValueError("ranks must be a nonempty list of positive integers")
-        SubsetRule(self.tau)  # range check
-
-
-def _featurize_raw(ds: EnsembleDataset, plan: SplitPlan):
-    rows = unfold(ds.tensor, 2)  # row q: image q, vectorized; a view
-    out = []
-    for groups in (plan.train_groups, plan.test_groups):
-        idx = [q for gid in groups for q in plan.members[gid]]
-        out.append(LabeledVectors(vectors=rows[idx], labels=[ds.labels[q] for q in idx]))
-    return out[0], out[1]
+        SubsetRule(self.tau)  # range checks
+        DecompConfig(max_sweeps=self.max_sweeps, rel_tol=self.rel_tol)
 
 
 def _fit_banks(ds: EnsembleDataset, plans: list, batch: list, ranks: list,
@@ -259,7 +251,6 @@ def _fit_banks(ds: EnsembleDataset, plans: list, batch: list, ranks: list,
                           seed=derive_seed(cfg.seed, "realization", r, "group", gid))
              for r, gid in where]
     try:
-        # every training group has one sample per class, so one shape
         banks = fit_feature_bank([group_tensor(ds, plans[r].members[gid])[0]
                                   for r, gid in where], ranks, dcfgs)
     except ConvergenceError as exc:
@@ -275,33 +266,26 @@ def _fit_banks(ds: EnsembleDataset, plans: list, batch: list, ranks: list,
     return out
 
 
-def _train_vectors(ds: EnsembleDataset, plan: SplitPlan, banks: list,
-                   rule: SubsetRule) -> LabeledVectors:
-    """The individual parts of the training groups, split by their own banks
-    one group at a time into the rows of one n x (O P) matrix."""
-    idx = [q for gid in plan.train_groups for q in plan.members[gid]]
-    vectors = np.empty((len(idx), ds.tensor.shape[0] * ds.tensor.shape[1]))
-    row = 0
-    for gid, bank in zip(plan.train_groups, banks):
-        ind = split_features(group_tensor(ds, plan.members[gid])[0], bank, rule).individual
-        vectors[row:row + ind.shape[2]] = unfold(ind, 2)
-        row += ind.shape[2]
-    return LabeledVectors(vectors=vectors, labels=[ds.labels[q] for q in idx])
-
-
-def _test_vectors(ds: EnsembleDataset, plan: SplitPlan, banks: list,
-                  rule: SubsetRule) -> LabeledVectors:
-    """The individual parts of the held-out images, split through the pooled
-    training banks with nonnegative mixing estimates."""
-    pooled_slices = [s for bank in banks for s in bank.slices]
-    pooled = CommonFeatureBank(
-        slices=pooled_slices, mixing=np.zeros((0, len(pooled_slices)))
-    )
-    test_idx = [q for gid in plan.test_groups for q in plan.members[gid]]
-    held_out, labels = group_tensor(ds, test_idx)
-    weights = estimate_mixing(pooled, held_out.values)
-    split = split_features(held_out, pooled, rule, weights=weights)
-    return LabeledVectors(vectors=unfold(split.individual, 2), labels=labels)
+def _featurize(ds: EnsembleDataset, plan: SplitPlan, banks: list | None,
+               rule: SubsetRule) -> tuple:
+    """Training and held-out vectors of one realization, gathered once each
+    from the dataset's image rows: raw pixels without banks, else their
+    individual parts, split in place.  Each (equal-sized) training group is
+    split by its own bank, the held-out images through the pooled banks
+    with nonnegative mixing estimates."""
+    rows = unfold(ds.tensor, 2)  # row q: image q, vectorized; a view
+    idx = [[q for gid in groups for q in plan.members[gid]]
+           for groups in (plan.train_groups, plan.test_groups)]
+    train, test = (LabeledVectors(vectors=rows[i], labels=[ds.labels[q] for q in i])
+                   for i in idx)
+    if banks is not None:
+        for part, bank in zip(np.split(train.vectors, len(banks)), banks):
+            _subtract_common(part, bank.slices, bank.mixing, rule)
+        slices = [s for bank in banks for s in bank.slices]
+        pooled = CommonFeatureBank(slices=slices, mixing=np.zeros((0, len(slices))))
+        held_out = test.vectors.T.reshape(*ds.tensor.shape[:2], -1, order="F")
+        _subtract_common(test.vectors, slices, estimate_mixing(pooled, held_out), rule)
+    return train, test
 
 
 def run_grid(ds: EnsembleDataset, plan: SplitPlan, methods, classifiers,
@@ -322,8 +306,9 @@ def run_grid(ds: EnsembleDataset, plan: SplitPlan, methods, classifiers,
     realization per batch.  Per distinct ranks, the training groups of a
     whole batch are decomposed in one stacked fit, each group with the seed
     it has alone, and the group tensors are freed when the fit returns; each
-    realization of the batch is then featurized in turn, from ds and its
-    plan, and each classifier runs once on it.
+    realization of the batch is then split in place in one copy each of its
+    training and held-out image rows, and each classifier runs once on it.
+    Training groups that differ in size raise ValueError if a method is fit.
     """
     for kind, names, known in (("method", methods, METHODS),
                                ("classifier", classifiers, CLASSIFIERS)):
@@ -337,6 +322,9 @@ def run_grid(ds: EnsembleDataset, plan: SplitPlan, methods, classifiers,
             else tuple([1] * len(cfg.ranks) if m == METHOD_CPD else cfg.ranks)
             for m in methods}
     fitted = [key for key in dict.fromkeys(keys.values()) if key is not None]
+    sizes = [len(plan.members[gid]) for gid in plan.train_groups]
+    if fitted and len(set(sizes)) > 1:
+        raise ValueError(f"training groups of sizes {sizes} cannot be fitted together")
     class_ids = sorted(set(ds.labels))
     index = {lab: i for i, lab in enumerate(class_ids)}
     cells = {(m, c): (np.zeros((len(class_ids),) * 2, dtype=np.int64), [])
@@ -346,19 +334,14 @@ def run_grid(ds: EnsembleDataset, plan: SplitPlan, methods, classifiers,
                       for r in range(1, cfg.realizations)]
     # a group holds one sample per class, so all realizations train on as
     # many images as plan does
-    train_bytes = 8 * ds.tensor.shape[0] * ds.tensor.shape[1] * sum(
-        len(plan.members[gid]) for gid in plan.train_groups)
+    train_bytes = 8 * ds.tensor.shape[0] * ds.tensor.shape[1] * sum(sizes)
     per_batch = max(1, _BATCH_BYTES // train_bytes)
     for start in range(0, cfg.realizations, per_batch):
         batch = list(range(start, min(start + per_batch, cfg.realizations)))
         banks = {key: _fit_banks(ds, plans, batch, list(key), cfg) for key in fitted}
         for r in batch:
             for key in dict.fromkeys(keys.values()):
-                if key is None:
-                    train, test = _featurize_raw(ds, plans[r])
-                else:
-                    test = _test_vectors(ds, plans[r], banks[key][r], rule)
-                    train = _train_vectors(ds, plans[r], banks[key][r], rule)
+                train, test = _featurize(ds, plans[r], banks[key][r] if key else None, rule)
                 sharing = [m for m in keys if keys[m] == key]
                 for c in dict.fromkeys(classifiers):
                     rep = (knn_classify(train, test, cfg.k) if c == CLASSIFIER_KNN

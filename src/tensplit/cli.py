@@ -211,19 +211,20 @@ def load_experiment_config(path) -> dict:
         for name in cfg[field]:
             if name not in known:
                 _config_error(field, f"unknown {field[:-1]} {name!r}")
+    # JSON true and false are bools, which isinstance counts as ints
     for field in ("k", "realizations", "seed", "max_sweeps"):
-        if not isinstance(cfg[field], int) or isinstance(cfg[field], bool):
+        if type(cfg[field]) is not int:
             _config_error(field, "must be an integer")
     for field in ("tau", "rel_tol"):
-        if not isinstance(cfg[field], (int, float)) or isinstance(cfg[field], bool):
+        if type(cfg[field]) not in (int, float):
             _config_error(field, "must be a number")
-    if not all(isinstance(r, int) and r >= 1 for r in cfg["ranks"]):
+    if not all(type(r) is int and r >= 1 for r in cfg["ranks"]):
         _config_error("ranks", "must be positive integers")
     for field in ("groups", "train"):
-        if field not in cfg["split"] or not isinstance(cfg["split"][field], int):
+        if type(cfg["split"].get(field)) is not int:
             _config_error(f"split.{field}", "required integer")
     cfg["split"].setdefault("seed", cfg["seed"])
-    if not isinstance(cfg["split"]["seed"], int):
+    if type(cfg["split"]["seed"]) is not int:
         _config_error("split.seed", "must be an integer")
     return cfg
 

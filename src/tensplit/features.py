@@ -157,6 +157,24 @@ def split_single(bank: CommonFeatureBank, image: np.ndarray,
             split.selected[0])
 
 
+def _subtract_common(rows: np.ndarray, slices: list, weights: np.ndarray,
+                     rule: SubsetRule, common: np.ndarray | None = None) -> list:
+    """Subtract from each image row q of `rows`, in place, its common part:
+    sum_k weights[q, k] * slice_k, added in ascending k over the features
+    the rule keeps for weights[q], into a zero row or into row q of a zero
+    `common`.  Returns the indices kept per row."""
+    flat = [s.reshape(-1, order="F") for s in slices]  # F-ordered: views
+    selected = []
+    for q, row in enumerate(weights):
+        kept = np.flatnonzero(rule.select(row))
+        out = np.zeros(rows.shape[1]) if common is None else common[q]
+        for k in kept:
+            out += row[k] * flat[k]
+        rows[q] -= out
+        selected.append(kept.tolist())
+    return selected
+
+
 def split_features(t: DenseTensor, bank: CommonFeatureBank,
                    rule: SubsetRule | None = None,
                    weights: np.ndarray | None = None) -> FeatureSplit:
@@ -166,7 +184,8 @@ def split_features(t: DenseTensor, bank: CommonFeatureBank,
     By default the bank's own mixing rows are used; pass `weights` (Q x K)
     to split held-out images with externally estimated mixing instead.
     Image q's common part is sum_k weights[q, k] * slice_k, added in
-    ascending k over the features the rule keeps for weights[q].
+    ascending k over the features the rule keeps for weights[q]; its
+    individual part is slice q minus that, elementwise.
     """
     if t.order != 3:
         raise ValueError("expected a stacked ensemble of matrix slices")
@@ -184,17 +203,13 @@ def split_features(t: DenseTensor, bank: CommonFeatureBank,
     elif weights.shape != (n_images, bank.n_features):
         raise ValueError("weights must be n_images x n_features")
 
-    # the common and the individual stack each get one buffer, adopted
-    # without a copy; individual is t - common elementwise
+    # the individual stack starts as an F-ordered copy of t, the common one
+    # at zero; both are split through their Q x (O P) row views, in place
+    individual = np.array(t.values, order="F")
     common = np.zeros(t.shape, order="F")
-    selected = []
-    for q, row in enumerate(weights):
-        kept = np.flatnonzero(rule.select(row))
-        out = common[:, :, q]
-        for k in kept:
-            out += row[k] * bank.slices[k]
-        selected.append(kept.tolist())
-    individual = np.subtract(t.values, common, order="F")
+    selected = _subtract_common(individual.reshape(-1, n_images, order="F").T,
+                                bank.slices, weights, rule,
+                                common=common.reshape(-1, n_images, order="F").T)
     return FeatureSplit(common=DenseTensor._wrap(common),
                         individual=DenseTensor._wrap(individual), selected=selected)
 

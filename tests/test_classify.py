@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -17,12 +18,14 @@ from tensplit.classify import (
     run_grid,
     summary_json,
 )
-from tensplit.core import DenseTensor
+from tensplit.core import DenseTensor, unfold
 from tensplit.dataset import (
     EnsembleDataset,
+    group_tensor,
     make_group_splits,
     synthetic_face_fixture,
 )
+from tensplit.features import CommonFeatureBank, SubsetRule, estimate_mixing, split_features
 from tensplit.kernels import ConvergenceError
 
 
@@ -250,6 +253,10 @@ class TestExperimentConfig:
             {"ranks": []},
             {"ranks": [1, 0]},
             {"tau": -0.5},
+            {"max_sweeps": 0},
+            {"rel_tol": -1},
+            {"rel_tol": 0.0},
+            {"rel_tol": float("nan")},
         ],
     )
     def test_validation(self, kwargs):
@@ -439,9 +446,9 @@ class TestRunGrid:
                 assert m.ndim == 2 and m.shape[1] == O * P
 
     def test_group_tensors_are_held_for_the_fit_alone(self):
-        # five training groups of 40 images each: the fit's group tensors
-        # and stacked copy are freed before the held-out split, and the
-        # training groups are split one at a time into one matrix
+        # five training groups of 40 images each: the fit holds the group
+        # tensors and their stacked copy, and frees both before one copy
+        # each of the training and held-out image rows is split in place
         ds = synthetic_face_fixture(height=48, width=40, n_classes=40, per_class=10)
         plan = make_group_splits(ds, groups=10, train=5, seed=0)
         train_bytes = 8 * 48 * 40 * 5 * 40
@@ -452,7 +459,53 @@ class TestRunGrid:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.5 * train_bytes
+        assert peak <= 2.5 * train_bytes
+
+    def test_unequal_training_groups_fail_before_any_fit(self, monkeypatch):
+        ds = synthetic_face_fixture()
+        plan = make_group_splits(ds, groups=6, train=3, seed=0)
+        members = [list(m) for m in plan.members]
+        a, b = plan.train_groups[:2]
+        members[b].append(members[a].pop())
+        uneven = replace(plan, members=members)
+        calls = spy_stack(monkeypatch)
+        sizes = [len(members[g]) for g in plan.train_groups]
+        with pytest.raises(ValueError, match=re.escape(f"sizes {sizes}")):
+            run_grid(ds, uneven, ["raw", "ll1"], ["knn"], ExperimentConfig(realizations=2))
+        assert calls == []
+        # raw pixels fit nothing, so they take any plan
+        run_grid(ds, uneven, ["raw"], ["knn"], ExperimentConfig(realizations=2))
+
+    @pytest.mark.parametrize("tau", [0.0, 0.3])
+    @pytest.mark.parametrize("order", ["F", "C"])
+    def test_featurize_matches_the_per_group_split(self, tau, order):
+        ds = synthetic_face_fixture()
+        plan = make_group_splits(ds, groups=6, train=3, seed=0)
+        cfg = ExperimentConfig(realizations=1, ranks=[2, 1], max_sweeps=30)
+        banks = classify_mod._fit_banks(ds, [plan], [0], [2, 1], cfg)[0]
+        if order == "C":  # slices set after construction keep their layout
+            for bank in banks:
+                bank.slices = [np.ascontiguousarray(s) for s in bank.slices]
+        rule = SubsetRule(tau)
+        train, test = classify_mod._featurize(ds, plan, banks, rule)
+        # oracle: the split of each training group's tensor by its own bank,
+        # and of the held-out tensor through the pooled bank
+        want = [unfold(split_features(group_tensor(ds, plan.members[g])[0], bank,
+                                      rule).individual, 2)
+                for g, bank in zip(plan.train_groups, banks)]
+        slices = [s for bank in banks for s in bank.slices]
+        pooled = CommonFeatureBank(slices=slices, mixing=np.zeros((0, len(slices))))
+        held_out, labels = group_tensor(
+            ds, [q for g in plan.test_groups for q in plan.members[g]])
+        weights = estimate_mixing(pooled, held_out.values)
+        split = split_features(held_out, pooled, rule, weights=weights)
+        assert np.array_equal(train.vectors, np.concatenate(want))
+        assert np.array_equal(test.vectors, unfold(split.individual, 2))
+        assert test.labels == labels
+        assert train.labels == [ds.labels[q] for g in plan.train_groups
+                                for q in plan.members[g]]
+        if tau:  # the rule drops features, so the split is not the full mix
+            assert any(len(s) < len(slices) for s in split.selected)
 
     @pytest.mark.parametrize("methods, classifiers", [
         (["raw", "pca"], ["knn"]),

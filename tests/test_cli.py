@@ -437,6 +437,33 @@ class TestExperiment:
         assert "unknown field" in payload["error"]
         assert payload["error"] == f"config field {field!r}: unknown field"
 
+    @pytest.mark.parametrize("field, overrides", [
+        ("split.train", {"split": {"groups": 6, "train": True, "seed": False}}),
+        ("split.groups", {"split": {"groups": True, "train": 1}}),
+        ("split.seed", {"split": {"groups": 4, "train": 2, "seed": False}}),
+        ("ranks", {"ranks": [True]}),
+    ])
+    def test_boolean_integers_exit_3(self, capsys, tmp_path, field, overrides):
+        # JSON true and false are no integers, although isinstance(True, int)
+        cfg = experiment_config(tmp_path, **overrides)
+        out = tmp_path / "results"
+        code, payload = run_cli(capsys, ["experiment", str(cfg), "--out", str(out)])
+        assert code == 3
+        assert payload["error"].startswith(f"config field {field!r}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("methods", [["raw"], ["ll1"]])
+    @pytest.mark.parametrize("overrides", [{"max_sweeps": 0}, {"rel_tol": -1},
+                                           {"max_sweeps": 0, "rel_tol": -1}])
+    def test_out_of_range_fit_settings_exit_3_before_writing(self, capsys, tmp_path,
+                                                             methods, overrides):
+        cfg = experiment_config(tmp_path, methods=methods, **overrides)
+        out = tmp_path / "results"
+        code, payload = run_cli(capsys, ["experiment", str(cfg), "--out", str(out)])
+        assert code == 3
+        assert ("max_sweeps" if "max_sweeps" in overrides else "rel_tol") in payload["error"]
+        assert not out.exists()
+
     def test_missing_dataset_exits_3(self, capsys, tmp_path):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"split": {"groups": 4, "train": 2}}))

@@ -220,6 +220,28 @@ class TestSplit:
                 np.testing.assert_array_equal(ind, split.individual.to_array()[:, :, q])
                 assert kept == split.selected[q]
 
+    @pytest.mark.parametrize("tau", [0.0, 0.3])
+    def test_split_is_the_per_image_accumulation(self, tau):
+        # oracle: image q's common part built on O x P slices from zero, one
+        # kept feature at a time in ascending k, then subtracted from image q
+        rng = np.random.default_rng(19)
+        slices = [rng.standard_normal((7, 6)) for _ in range(4)]
+        weights = rng.uniform(0.0, 1.0, size=(5, 4)) * (rng.uniform(size=(5, 4)) > 0.3)
+        t = DenseTensor(rng.standard_normal((7, 6, 5)))
+        rule = SubsetRule(tau)
+        common = np.zeros(t.shape)
+        for q, row in enumerate(weights):
+            for k in np.flatnonzero(rule.select(row)):
+                common[:, :, q] += row[k] * slices[k]
+        bank = CommonFeatureBank(slices=slices, mixing=weights)
+        for layout in ("F", "C"):  # slices set after construction keep their layout
+            bank.slices = [np.asarray(s, order=layout) for s in slices]
+            split = split_features(t, bank, rule)
+            assert np.array_equal(split.common.values, common)
+            assert np.array_equal(split.individual.values, t.values - common)
+            assert split.selected == [np.flatnonzero(rule.select(r)).tolist()
+                                      for r in weights]
+
     def test_banks_hold_f_ordered_slices(self):
         rng = np.random.default_rng(18)
         t = DenseTensor(rng.uniform(0.1, 1.0, size=(7, 6, 5)))
