@@ -6,9 +6,12 @@ training index) and every tie falls back to the lowest class ID.  The search
 runs in two steps.  One GEMM per block of test vectors expands every squared
 distance as ||x||^2 + ||t||^2 - 2 x.t; widened by its rounding-error bound,
 that expansion discards the training vectors (or class centroids) that
-cannot be among the nearest.  The remaining candidates are re-ranked by the
-exact norm of the difference, so neighbors, distances and predictions are
-those of a full exact search.  The experiment harness repeats the
+cannot be among the nearest.  A block takes as many test vectors as keep
+its test-by-training matrices within 1 MiB each (`_BLOCK_BYTES`), and at
+least one.  The exact norm of the difference is computed only where it can
+change the prediction: to rank more than k remaining candidates, or to
+break a tied vote among exactly k.  So neighbors, votes and predictions
+are those of a full exact search.  The experiment harness repeats the
 split/decompose/classify cycle over seeded realizations and aggregates one
 report per (method, classifier) cell; mean and stddev are computed from the
 sorted per-run list so aggregation order cannot matter.  It decomposes the
@@ -25,6 +28,7 @@ import csv
 import io
 import json
 import statistics
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,31 +108,32 @@ def _report(class_ids: list, confusion: np.ndarray, per_run: list) -> EvalReport
                       mean=mean, stddev=stddev, class_ids=list(class_ids))
 
 
-# Test vectors per distance GEMM: bounds the block's query-by-training
-# distance matrices.
-_BLOCK_ROWS = 32
 _EPS = np.finfo(np.float64).eps
 _SUBNORMAL = np.finfo(np.float64).smallest_subnormal
+# Bytes of each query-by-training float64 matrix of one distance block: a
+# block holds three of them (and two boolean ones) while it is filtered.
+_BLOCK_BYTES = 1 << 20
 # Training-group bytes of the realizations fitted in one stacked LL1 sweep:
 # bounds the group tensors gathered for the fit and the fit's stacked copy,
 # both freed when the fit returns, before any image rows are featurized.
 _BATCH_BYTES = 16 << 20
 
 
-def _candidates(tmat: np.ndarray, xmat: np.ndarray, k: int):
-    """Yield (x, candidates) for every row x of xmat, in order: the ascending
-    indices of the rows t of tmat that can be among the k nearest to x under
-    the exact distance ||t - x||.
+def _prefilter(xb: np.ndarray, tmat: np.ndarray, tsq: np.ndarray, k: int) -> np.ndarray:
+    """Boolean matrix, row i true at every row t of tmat that can be among
+    the k nearest to xb[i] under the exact distance ||t - x||, for
+    1 <= k <= len(tmat); tsq holds the squared norms of the rows of tmat.
 
-    Rows are taken `_BLOCK_ROWS` at a time; one GEMM per block expands the
-    squared distances as ||x||^2 + ||t||^2 - 2 x.t, widened by the slack
-    below.  A vector with any non-finite entry in its row keeps every index.
+    One GEMM expands the squared distances as ||x||^2 + ||t||^2 - 2 x.t,
+    widened by the slack below.  A vector with any non-finite entry in its
+    row keeps every index.
     """
     # Slack derivation (Higham, Accuracy and Stability of Numerical
     # Algorithms, 2nd ed., section 3.1), with u = eps / 2, gamma_m = m u /
     # (1 - m u), S = ||x||^2 + ||t||^2 and D = ||x - t||^2 <= 2 S.  A
-    # computed dot product of length n, in any summation order, is within
-    # gamma_n |x|.|y| of the exact one (eq. 3.5), so:
+    # computed dot product of length n, in any summation order and so in
+    # any blocking of the rows, is within gamma_n |x|.|y| of the exact one
+    # (eq. 3.5), so:
     #   * the norms err by gamma_n ||x||^2 and gamma_n ||t||^2, the GEMM
     #     entry by gamma_n |x|.|t| <= gamma_n S / 2 (doubled in `approx`),
     #     and the sum and the difference forming `approx` add u S and
@@ -146,21 +151,55 @@ def _candidates(tmat: np.ndarray, xmat: np.ndarray, k: int):
     # subnormals cover.  So with tau the k-th smallest approx + slack of a
     # vector, at least k rows have d^2 <= tau, and a row with
     # approx - slack > tau has d^2 > tau: with k rows strictly nearer, it
-    # cannot be among the k nearest whatever the tie order.  Requiring approx + 2 S to be finite also keeps the exact
-    # path, whose partial sums stay near or below 2 S, from overflowing.
+    # cannot be among the k nearest whatever the tie order.  Requiring
+    # approx + 2 S to be finite also keeps the exact path, whose partial
+    # sums stay near or below 2 S, from overflowing.
+    #
+    # Formed in place, in three matrices: (-2 g) + scale is scale - 2 g
+    # exactly, for the GEMM entry g.
     n = tmat.shape[1]
-    k = min(k, tmat.shape[0])
+    scale = np.einsum("ij,ij->i", xb, xb)[:, None] + tsq
+    approx = xb @ tmat.T
+    approx *= -2.0
+    approx += scale
+    bound = scale * 2.0
+    bound += approx
+    finite = np.all(np.isfinite(bound), axis=1)
+    slack = scale
+    slack *= _EPS
+    slack += _SUBNORMAL
+    slack *= 4.0 * (n + 4)
+    np.add(approx, slack, out=bound)
+    bound.partition(k - 1, axis=1)
+    approx -= slack
+    keep = approx <= bound[:, k - 1:k]
+    keep[~finite] = True
+    return keep
+
+
+def _candidates(tmat: np.ndarray, xmat: np.ndarray, k: int):
+    """Yield (x, candidates) for every row x of xmat, in order: the ascending
+    indices of the rows of tmat that `_prefilter` keeps for x.
+
+    Rows are filtered in blocks, as many at a time as keep each block's
+    query-by-training matrix within `_BLOCK_BYTES`, and at least one; so a
+    block's GEMM packs tmat once for all of its rows.
+    """
     tsq = np.einsum("ij,ij->i", tmat, tmat)
-    for start in range(0, len(xmat), _BLOCK_ROWS):
-        xb = xmat[start:start + _BLOCK_ROWS]
-        scale = np.einsum("ij,ij->i", xb, xb)[:, None] + tsq
-        approx = scale - 2.0 * (xb @ tmat.T)
-        slack = 4.0 * (n + 4) * (_EPS * scale + _SUBNORMAL)
-        tau = np.partition(approx + slack, k - 1, axis=1)[:, k - 1:k]
-        keep = approx - slack <= tau
-        keep[~np.all(np.isfinite(approx + 2.0 * scale), axis=1)] = True
-        for x, row in zip(xb, keep):
+    rows = max(1, _BLOCK_BYTES // (8 * len(tmat)))
+    for start in range(0, len(xmat), rows):
+        xb = xmat[start:start + rows]
+        for x, row in zip(xb, _prefilter(xb, tmat, tsq, k)):
             yield x, np.flatnonzero(row)
+
+
+def _nearest(tmat: np.ndarray, x: np.ndarray, cand: np.ndarray, k: int) -> tuple:
+    """(indices, distances) of the k rows of tmat among cand nearest to x,
+    ordered by (distance, index); the distance is `np.linalg.norm(t - x)`
+    row by row, and NaN distances order last."""
+    dist = np.linalg.norm(tmat[cand] - x, axis=1)
+    order = np.argsort(dist, kind="stable")[:k]
+    return cand[order], dist[order]
 
 
 def knn_classify(train: LabeledVectors, test: LabeledVectors, k: int = 1) -> EvalReport:
@@ -169,11 +208,13 @@ def knn_classify(train: LabeledVectors, test: LabeledVectors, k: int = 1) -> Eva
     Neighbors are ordered by (distance, training index), where the distance
     of training vector t is `np.linalg.norm(t - x)` row by row.  A GEMM
     expansion of the squared distances, widened by its rounding-error bound,
-    first discards the training vectors that cannot be among the k nearest;
-    only the rest get the exact distance, so the neighbors and their
-    distances are those of a full search.  NaN distances order last.  Vote
-    ties go to the tied class with the smallest summed neighbor distance,
-    then to the lowest class ID.
+    first discards the training vectors that cannot be among the k nearest.
+    Exact distances are computed only where they can change the prediction:
+    among more than k remaining candidates, to find the k nearest, and
+    among the k nearest when their vote ties.  So the neighbors, the votes
+    and the predictions are those of a full search.  NaN distances order
+    last.  Vote ties go to the tied class with the smallest summed neighbor
+    distance, then to the lowest class ID.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -184,18 +225,23 @@ def knn_classify(train: LabeledVectors, test: LabeledVectors, k: int = 1) -> Eva
     class_ids = sorted(set(train.labels) | set(test.labels))
     index = {lab: i for i, lab in enumerate(class_ids)}
     confusion = np.zeros((len(class_ids), len(class_ids)), dtype=np.int64)
-    tmat = train.vectors
+    tmat, labels = train.vectors, train.labels
+    k = min(k, len(train))
     for (x, cand), true in zip(_candidates(tmat, test.vectors, k), test.labels):
-        dist = np.linalg.norm(tmat[cand] - x, axis=1)
-        counts: dict = {}
-        totals: dict = {}
-        for i in np.argsort(dist, kind="stable")[:k]:
-            lab = train.labels[cand[i]]
-            counts[lab] = counts.get(lab, 0) + 1
-            totals[lab] = totals.get(lab, 0.0) + float(dist[i])
+        dist = None
+        if len(cand) > k:
+            cand, dist = _nearest(tmat, x, cand, k)
+        counts = Counter(labels[i] for i in cand)
         best = max(counts.values())
         tied = [lab for lab, n in counts.items() if n == best]
-        pred = min(tied, key=lambda lab: (totals[lab], lab))
+        pred = tied[0]
+        if len(tied) > 1:
+            if dist is None:
+                cand, dist = _nearest(tmat, x, cand, k)
+            totals: dict = {}
+            for i, d in zip(cand, dist):
+                totals[labels[i]] = totals.get(labels[i], 0.0) + float(d)
+            pred = min(tied, key=lambda lab: (totals[lab], lab))
         confusion[index[true], index[pred]] += 1
     per_run = [int(np.trace(confusion)) / len(test)] if len(test) else []
     return _report(class_ids, confusion, per_run)
@@ -212,9 +258,13 @@ def nearest_centroid(train: LabeledVectors, test: LabeledVectors) -> EvalReport:
     """
     if len(train) == 0:
         raise ValueError("training set must be nonempty")
-    labs = sorted(set(train.labels))
-    means = [train.vectors[[i for i, l in enumerate(train.labels) if l == lab]]
-             .mean(axis=0) for lab in labs]
+    rows: dict = {}
+    for i, lab in enumerate(train.labels):
+        rows.setdefault(lab, []).append(i)
+    labs = sorted(rows)
+    means = np.empty((len(labs), train.dim))
+    for lab, mean in zip(labs, means):
+        np.mean(train.vectors[rows[lab]], axis=0, out=mean)
     return knn_classify(LabeledVectors(vectors=means, labels=labs), test, k=1)
 
 

@@ -251,6 +251,8 @@ def cmd_experiment(args) -> tuple[dict, int]:
     plan = ds_mod.make_group_splits(
         ds, cfg["split"]["groups"], cfg["split"]["train"], cfg["split"]["seed"]
     )
+    ecfg = ExperimentConfig(**{k: cfg[k] for k in (
+        "seed", "realizations", "k", "ranks", "tau", "max_sweeps", "rel_tol")})
 
     if args.dry_run:
         payload = {
@@ -267,8 +269,6 @@ def cmd_experiment(args) -> tuple[dict, int]:
         }
         return payload, EXIT_OK
 
-    ecfg = ExperimentConfig(**{k: cfg[k] for k in (
-        "seed", "realizations", "k", "ranks", "tau", "max_sweeps", "rel_tol")})
     out = _out_dir(args.out if args.out else cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     log.info("running methods=%s classifiers=%s", cfg["methods"], cfg["classifiers"])

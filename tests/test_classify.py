@@ -157,6 +157,11 @@ def clustered(rng):
     return train, train_labs, test, test_labs
 
 
+# distance blocks of one test vector each, and of the whole test set
+BLOCK_BUDGETS = pytest.mark.parametrize("budget", [1, 1 << 62],
+                                        ids=["one-row", "whole-set"])
+
+
 class TestKnnOracle:
     @pytest.mark.parametrize("case", [duplicated_rows, large_offset, vote_ties,
                                       nan_test_vector, clustered])
@@ -166,6 +171,66 @@ class TestKnnOracle:
         rep = knn_classify(vecs(train_pts, train_labs), vecs(test_pts, test_labs), k)
         expect = knn_oracle(train_pts, train_labs, test_pts, test_labs, k)
         np.testing.assert_array_equal(rep.confusion, expect)
+
+    @BLOCK_BUDGETS
+    @pytest.mark.parametrize("case", [duplicated_rows, large_offset, vote_ties,
+                                      nan_test_vector, clustered])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 1000])
+    def test_matches_full_search_in_any_blocking(self, monkeypatch, budget, case, k):
+        monkeypatch.setattr(classify_mod, "_BLOCK_BYTES", budget)
+        self.test_matches_full_search(case, k)
+
+
+def spy_on(monkeypatch, name):
+    """Record the first argument of every call of classify's `name`."""
+    calls = []
+    real = getattr(classify_mod, name)
+
+    def spy(first, *args):
+        calls.append(first)
+        return real(first, *args)
+
+    monkeypatch.setattr(classify_mod, name, spy)
+    return calls
+
+
+class TestSearchWork:
+    def test_orl_sized_search_packs_the_training_matrix_at_most_twice(self, monkeypatch):
+        # 200 x 200 vectors of 10,304 values: one GEMM per distance block
+        rng = np.random.default_rng(3)
+        labels = [i % 40 for i in range(200)]
+        train = LabeledVectors(vectors=rng.standard_normal((200, 10_304)), labels=labels)
+        test = LabeledVectors(vectors=train.vectors + 0.1, labels=labels)
+        blocks = spy_on(monkeypatch, "_prefilter")
+        assert knn_classify(train, test, 1).accuracy == 1.0
+        assert len(blocks) <= 2
+        assert sum(len(xb) for xb in blocks) == 200
+
+    def test_no_exact_distance_when_the_k_nearest_vote_without_tie(self, monkeypatch):
+        train = vecs([[0, 0], [0, 1], [10, 10], [10, 11], [30, 0], [31, 0]],
+                     [0, 0, 1, 1, 2, 2])
+        test = vecs([[0.2, 0.4], [9.8, 10.6], [29, 0]], [0, 1, 2])
+        exact = spy_on(monkeypatch, "_nearest")
+        for k in (1, 2):
+            assert knn_classify(train, test, k).accuracy == 1.0
+        assert nearest_centroid(train, test).accuracy == 1.0
+        assert exact == []
+
+    def test_equidistant_candidates_go_to_the_lowest_index(self, monkeypatch):
+        # k = 1 keeps both candidates: the exact path ranks them, and the
+        # lower training index wins although its class ID is higher
+        train = vecs([[1, 0], [-1, 0], [9, 9]], [7, 3, 5])
+        exact = spy_on(monkeypatch, "_nearest")
+        rep = knn_classify(train, vecs([[0, 0]], [7]), k=1)
+        assert rep.accuracy == 1.0
+        assert len(exact) == 1
+
+    def test_tied_vote_of_exactly_k_candidates_gets_its_distances(self, monkeypatch):
+        train = vecs([[1, 0], [-0.5, 0], [100, 0]], [0, 1, 2])
+        exact = spy_on(monkeypatch, "_nearest")
+        rep = knn_classify(train, vecs([[0, 0]], [1]), k=2)
+        assert rep.accuracy == 1.0  # class 1 is nearer, wins the 1-1 vote
+        assert len(exact) == 1
 
 
 class TestNearestCentroid:
@@ -222,6 +287,26 @@ class TestNearestCentroid:
                        key=lambda lab: (np.linalg.norm(x - cents[lab]), lab))
             expect[true, pred] += 1
         np.testing.assert_array_equal(rep.confusion, expect)
+
+    @BLOCK_BUDGETS
+    def test_bruteforce_tables_in_any_blocking(self, monkeypatch, budget):
+        monkeypatch.setattr(classify_mod, "_BLOCK_BYTES", budget)
+        self.test_matches_bruteforce_table()
+        self.test_large_offset_matches_bruteforce_table()
+
+    def test_means_are_the_per_class_means(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        pts = rng.standard_normal((14, 6))
+        labs = [int(l) for l in rng.integers(0, 4, size=14)]
+        seen = []
+        monkeypatch.setattr(classify_mod, "knn_classify",
+                            lambda train, test, k: seen.append(train))
+        nearest_centroid(vecs(pts, labs), vecs(pts[:2], labs[:2]))
+        (means,) = seen
+        assert means.labels == sorted(set(labs))
+        for lab, row in zip(means.labels, means.vectors):
+            expect = pts[[i for i, l in enumerate(labs) if l == lab]].mean(axis=0)
+            assert row.tobytes() == expect.tobytes()
 
 
 class TestEvalReport:

@@ -375,6 +375,15 @@ class TestExperiment:
         assert sorted(plan["train_groups"] + plan["test_groups"]) == [0, 1, 2, 3]
         assert len(plan["members"]) == 4
 
+    def test_dry_run_validates_the_config_like_a_run(self, capsys, tmp_path):
+        cfg = experiment_config(tmp_path, realizations=0, k=0, max_sweeps=0)
+        out = tmp_path / "results"
+        dry = run_cli(capsys, ["experiment", str(cfg), "--dry-run"])
+        assert dry[0] == 3
+        assert dry == run_cli(capsys, ["experiment", str(cfg), "--out", str(out)])
+        assert dry[1]["error"] == "realizations must be >= 1"
+        assert not out.exists()
+
     def test_grid_artifacts(self, capsys, tmp_path):
         cfg = experiment_config(tmp_path, methods=["raw", "ll1"],
                                 ranks=[1, 1], max_sweeps=60)
