@@ -7,7 +7,9 @@ The CPD sweep contracts the input with one factor at a time, a dimension
 tree (Phan, Tichavsky & Cichocki, IEEE Trans. Signal Process. 2013):
 T x_3 C^T serves both the A and the B update and T x_1 A^T the C update,
 so a sweep runs two tensor-times-matrix GEMMs and forms no Khatri-Rao
-product.  The LL1 sweep updates each term's two matrix factors in turn (Gauss-Seidel)
+product; each update then solves one R x R Gram system, or takes its
+pseudoinverse where pinv would drop a singular value.  The LL1 sweep
+updates each term's two matrix factors in turn (Gauss-Seidel)
 by least squares on an O x P matrix: the input contracted with the term's
 mixing vector, less the other terms' slices weighted by how much their
 mixing vectors overlap it.  It then refreshes the whole mixing matrix by
@@ -298,8 +300,9 @@ def cpd_als(t: DenseTensor, rank: int, cfg: DecompConfig | None = None) -> Krusk
 
     Each mode update solves its exact least-squares subproblem: the input
     contracted with the other two factors (X_n times their Khatri-Rao
-    product) times the pseudoinverse of the Hadamard product of their Gram
-    matrices, so the relative fit recorded per sweep is non-increasing.
+    product) solved against the Hadamard product of their Gram matrices,
+    or times its pseudoinverse where pinv would drop a singular value, so
+    the relative fit recorded per sweep is non-increasing.
     The contractions share a dimension tree.  Y = T x_3 C^T, one GEMM
     viewed as R x J x I, is summed against B over j for the A update and
     against the new A over i for the B update; Z = T x_1 A^T, the second
@@ -359,14 +362,14 @@ def cpd_als(t: DenseTensor, rank: int, cfg: DecompConfig | None = None) -> Krusk
     for sweeps in range(1, cfg.max_sweeps + 1):
         # y[r, j, i] = sum_k T[i, j, k] C[k, r] serves the A and B updates
         y = np.reshape(c.T @ x3, (rank, J, I))
-        a = np.matmul(b.T[:, None, :], y)[:, 0, :].T @ pinv(hadamard_gram(c, b))
+        a = _times_inverse(np.matmul(b.T[:, None, :], y)[:, 0, :].T, hadamard_gram(c, b))
         a = _normalize_columns(a[None], [rng], [flags], "mode0")[0][0]
-        b = np.matmul(y, a.T[:, :, None])[:, :, 0].T @ pinv(hadamard_gram(c, a))
+        b = _times_inverse(np.matmul(y, a.T[:, :, None])[:, :, 0].T, hadamard_gram(c, a))
         b = _normalize_columns(b[None], [rng], [flags], "mode1")[0][0]
         # z[r, k, j] = sum_i T[i, j, k] A[i, r]
         z = np.reshape(a.T @ x1, (rank, K, J))
         m3 = np.matmul(z, b.T[:, :, None])[:, :, 0].T
-        c = m3 @ pinv(hadamard_gram(b, a))
+        c = _times_inverse(m3, hadamard_gram(b, a))
         c, weights = (v[0] for v in _normalize_columns(c[None], [rng], [flags], "mode2"))
 
         inner = float(np.sum(m3 * (c * weights)))
@@ -390,6 +393,15 @@ def cpd_als(t: DenseTensor, rank: int, cfg: DecompConfig | None = None) -> Krusk
     diag = Diagnostics(sweeps=sweeps, converged=converged, fit_history=history,
                        flags=flags, seed=cfg.seed)
     return KruskalFactors(factors=[a, b, c], weights=weights, diagnostics=diag)
+
+
+def _times_inverse(m: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """m @ pinv(g) for a symmetric positive semidefinite g, by a solve
+    where g's smallest eigenvalue is above pinv's cutoff."""
+    eig = np.linalg.eigvalsh(g)  # ascending
+    if eig[0] > g.shape[0] * _EPS * eig[-1]:
+        return np.linalg.solve(g, m.T).T
+    return m @ pinv(g)
 
 
 def hadamard_gram(u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -10,8 +10,11 @@ batch carries its own design's Gram matrix, all rows advance in the same
 few numpy calls, and each row's result is independent of the batch it came
 in.  It is given one of two subproblem solvers: stacked solves of the
 normal equations on a^T a and a^T y, or, for designs whose Gram matrix is
-ill-conditioned, least squares on the design itself.  The pseudoinverse
-likewise takes a stack of matrices, each giving pinv's result bit for bit.
+ill-conditioned, least squares on the design itself.  In Gram form a row
+first admits all of its coordinates in one solve (Van Benthem & Keenan's
+FC-NNLS start), and only rows it leaves infeasible iterate.  The
+pseudoinverse likewise takes a stack of matrices, each giving pinv's
+result bit for bit.
 """
 
 from __future__ import annotations
@@ -107,7 +110,14 @@ def nnls_multi(a, ys, tol: float = 1e-10, max_iter: int | None = None) -> np.nda
     the dual and the passive-set subproblem solver of one of two
     representations.  Normally it runs in Gram form (Bro & De Jong's
     FNNLS): a^T a and a^T ys are formed once, the dual is a^T ys - a^T a x
-    and each step is one stacked K x K solve.  A Gram matrix that is
+    and each step is one stacked K x K solve.  There a column with a dual
+    above `tol` at x = 0 first admits every coordinate at once, by one
+    solve of a^T a x = a^T y; a strictly positive solution is its result,
+    bit for bit the full-passive-set solve Lawson-Hanson would end with
+    (save where a dual lies within `tol` of 0, a coordinate the iteration
+    leaves at zero).  That solve is one admission, skipped when `max_iter`
+    < 1; a column it leaves infeasible iterates from x = 0 under the full
+    cap.  A Gram matrix that is
     non-finite or ill-conditioned (condition number above GRAM_COND_MAX)
     is not trusted: the dual is then a^T (y - a x) and each subproblem is
     least squares on the passive columns of `a`, one column of ys at a
@@ -127,9 +137,10 @@ def _nnls_stack(a: np.ndarray, yst: np.ndarray, tol: float = 1e-10,
     """nnls_multi of each design of a stack: for a of shape (d, m, n) and
     yst of shape (d, r, m), row q of result[i] is nnls(a[i], yst[i, q]) bit
     for bit.  Each design has its own scale, finiteness and conditioning
-    test; the rows of all well-conditioned designs share one Gram-form
-    iteration, and each ill-conditioned design is solved alone by least
-    squares.  A ConvergenceError names the failing design in `index`."""
+    test; the rows of all well-conditioned designs share one unconstrained
+    solve and, where it is infeasible, one Gram-form iteration; each
+    ill-conditioned design is solved alone by least squares.  A
+    ConvergenceError names the failing design in `index`."""
     n_designs, _, n = a.shape
     n_rhs = yst.shape[1]
     if max_iter is None:
@@ -159,17 +170,28 @@ def _nnls_stack(a: np.ndarray, yst: np.ndarray, tol: float = 1e-10,
     i = None  # the design being solved by least squares
     try:
         if gram.any():
-            x[gram] = _lawson_hanson(
-                (aty[gram].reshape(-1, n), np.repeat(g[gram], n_rhs, axis=0)),
-                n, tol, max_iter, solve=partial(_solve_passive, np.eye(n)),
-                dual=lambda b, x: b[0] - np.matmul(x[:, None, :], b[1])[:, 0, :],
-            ).reshape(-1, n_rhs, n)
+            rhs, gg = aty[gram], g[gram]
+            going = np.maximum.reduce(rhs, axis=2) > tol  # the dual at x = 0
+            xg = np.zeros(rhs.shape)
+            if max_iter >= 1:
+                # one solve per row, as Lawson-Hanson's on a full passive set
+                z = np.linalg.solve(gg[:, None], rhs[..., None])[..., 0]
+                settled = going & np.logical_and.reduce(z > 0.0, axis=2)
+                xg[settled] = z[settled]
+                going &= ~settled
+            design = going.nonzero()[0]  # the rest start cold, as they would alone
+            if design.size:
+                xg[going] = _lawson_hanson(
+                    (rhs[going], gg[design]), n, tol, max_iter,
+                    solve=partial(_solve_passive, np.eye(n)),
+                    dual=lambda b, x: b[0] - np.matmul(x[:, None, :], b[1])[:, 0, :])
+            x[gram] = xg
         for i in (~gram).nonzero()[0]:
             x[i] = _lawson_hanson((yst[i],), n, tol, max_iter,
                                   dual=partial(_residual_dual, a[i]),
                                   solve=partial(_lstsq_passive, a[i]))
     except ConvergenceError as exc:
-        exc.index = int(gram.nonzero()[0][exc.index // n_rhs] if i is None else i)
+        exc.index = int(gram.nonzero()[0][design[exc.index]] if i is None else i)
         raise
     return np.ldexp(x, -shift[:, None, None])
 

@@ -6,6 +6,8 @@ with `nnls_multi` and `pinv` called per tensor.  The stacked fit must give
 its results bit for bit, for each tensor of any stack.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -361,8 +363,10 @@ class TestNnlsStack:
             assert x[i].T.tobytes() == np.ascontiguousarray(want).tobytes()
 
     def test_full_passive_sets_finish_without_a_dual(self, monkeypatch):
-        # every row's solution is positive in both coordinates, so after two
-        # admissions every passive set is full and the rows finish there
+        # every row's solution is positive in both coordinates, so the
+        # stack's first solve, on the full passive set, settles every row
+        # and Lawson-Hanson takes no dual; started cold on the same rows, it
+        # fills every passive set in two admissions and the rows finish there
         rng = np.random.default_rng(5)
         a = rng.uniform(0.5, 1.0, (2, 8, 2))
         yst = (a @ rng.uniform(0.5, 1.0, (2, 2, 3))).swapaxes(1, 2)
@@ -378,7 +382,14 @@ class TestNnlsStack:
         monkeypatch.setattr(kernels, "_lawson_hanson", spy)
         x = kernels._nnls_stack(a, yst)
         assert (x > 0.0).all()
+        assert rows_per_dual == []
+        g = np.repeat(a.swapaxes(1, 2) @ a, 3, axis=0)
+        aty = (yst @ a).reshape(6, 2)
+        cold = kernels._lawson_hanson(
+            (aty, g), 2, 1e-10, 30, solve=partial(kernels._solve_passive, np.eye(2)),
+            dual=lambda b, x: b[0] - np.matmul(x[:, None, :], b[1])[:, 0, :])
         assert rows_per_dual == [6, 6]
+        np.testing.assert_allclose(cold, x.reshape(6, 2), rtol=1e-12)
 
     def test_failing_design_is_named(self):
         rng = np.random.default_rng(2)
