@@ -56,7 +56,6 @@ from .features import (
     estimate_mixing,
     fit_feature_bank,
     split_features,
-    split_single,
 )
 from .kernels import ConvergenceError, nnls, nnls_multi, pinv, svd
 from .seeds import derive_seed, make_rng, seed_sequence
@@ -112,7 +111,6 @@ __all__ = [
     "save_factors",
     "seed_sequence",
     "split_features",
-    "split_single",
     "svd",
     "synthetic_color_ensemble",
     "synthetic_face_fixture",

@@ -11,15 +11,18 @@ its test-by-training matrices within 1 MiB each (`_BLOCK_BYTES`), and at
 least one.  The exact norm of the difference is computed only where it can
 change the prediction: to rank more than k remaining candidates, or to
 break a tied vote among exactly k.  So neighbors, votes and predictions
-are those of a full exact search.  The experiment harness repeats the
-split/decompose/classify cycle over seeded realizations and aggregates one
-report per (method, classifier) cell; mean and stddev are computed from the
-sorted per-run list so aggregation order cannot matter.  It decomposes the
-training groups of consecutive realizations together, in one stacked fit
-per distinct block ranks: as many realizations at a time as keep their
-training stacks within 16 MiB (`_BATCH_BYTES`), and at least one.  The
-group tensors live only for that fit: each realization is then featurized
-in place, in one copy each of its training and held-out image rows.
+are those of a full exact search, and where the squared norms leave
+[2^-1000, 2^1000] both sides are first scaled by one power of two, so that
+distances neither overflow nor underflow to ties.  The experiment harness
+repeats the split/decompose/classify cycle over seeded realizations and
+aggregates one report per (method, classifier) cell; mean and stddev are
+computed from the sorted per-run list so aggregation order cannot matter.
+It decomposes the training groups of consecutive realizations together, in
+one stacked fit per distinct block ranks: as many realizations at a time as
+keep their training images within 16 MiB (`_BATCH_BYTES`), and at least
+one.  Those are gathered once, into one buffer the fit reads in place, and
+live only for that fit: each realization is then featurized in place, in
+one copy each of its training and held-out image rows.
 """
 
 from __future__ import annotations
@@ -27,13 +30,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import statistics
 from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import unfold
+from .core import DenseTensor, unfold
 from .dataset import EnsembleDataset, SplitPlan, group_tensor, make_group_splits
 from .decomp import DecompConfig
 from .features import (
@@ -114,15 +118,17 @@ _SUBNORMAL = np.finfo(np.float64).smallest_subnormal
 # block holds three of them (and two boolean ones) while it is filtered.
 _BLOCK_BYTES = 1 << 20
 # Training-group bytes of the realizations fitted in one stacked LL1 sweep:
-# bounds the group tensors gathered for the fit and the fit's stacked copy,
-# both freed when the fit returns, before any image rows are featurized.
+# bounds the one buffer of training images gathered for the fit, freed when
+# the fit returns, before any image rows are featurized.
 _BATCH_BYTES = 16 << 20
 
 
-def _prefilter(xb: np.ndarray, tmat: np.ndarray, tsq: np.ndarray, k: int) -> np.ndarray:
+def _prefilter(xb: np.ndarray, xsq: np.ndarray, tmat: np.ndarray, tsq: np.ndarray,
+               k: int) -> np.ndarray:
     """Boolean matrix, row i true at every row t of tmat that can be among
     the k nearest to xb[i] under the exact distance ||t - x||, for
-    1 <= k <= len(tmat); tsq holds the squared norms of the rows of tmat.
+    1 <= k <= len(tmat); xsq and tsq hold the squared norms of the rows of
+    xb and of tmat.
 
     One GEMM expands the squared distances as ||x||^2 + ||t||^2 - 2 x.t,
     widened by the slack below.  A vector with any non-finite entry in its
@@ -158,7 +164,7 @@ def _prefilter(xb: np.ndarray, tmat: np.ndarray, tsq: np.ndarray, k: int) -> np.
     # Formed in place, in three matrices: (-2 g) + scale is scale - 2 g
     # exactly, for the GEMM entry g.
     n = tmat.shape[1]
-    scale = np.einsum("ij,ij->i", xb, xb)[:, None] + tsq
+    scale = xsq[:, None] + tsq
     approx = xb @ tmat.T
     approx *= -2.0
     approx += scale
@@ -177,19 +183,42 @@ def _prefilter(xb: np.ndarray, tmat: np.ndarray, tsq: np.ndarray, k: int) -> np.
     return keep
 
 
-def _candidates(tmat: np.ndarray, xmat: np.ndarray, k: int):
-    """Yield (x, candidates) for every row x of xmat, in order: the ascending
-    indices of the rows of tmat that `_prefilter` keeps for x.
-
-    Rows are filtered in blocks, as many at a time as keep each block's
+def _in_range(tmat: np.ndarray, xmat: np.ndarray) -> tuple:
+    """(tmat, tsq, blocks): the training rows and their squared norms, and
+    the test rows in blocks, each block with its rows' squared norms, as
+    the search takes them.  A block holds as many test rows as keep its
     query-by-training matrix within `_BLOCK_BYTES`, and at least one; so a
     block's GEMM packs tmat once for all of its rows.
+
+    Where the largest squared norm lies outside [2^-1000, 2^1000], the
+    distances' squares could overflow, or underflow until every candidate
+    ties.  Both matrices are then scaled by the one power of two that puts
+    their largest finite |entry| in [0.5, 1), and taken again, in range.
+    That scaling is exact and scales every distance alike, so neighbors,
+    votes and predictions are those of the unscaled search without
+    overflow or underflow.
     """
-    tsq = np.einsum("ij,ij->i", tmat, tmat)
     rows = max(1, _BLOCK_BYTES // (8 * len(tmat)))
-    for start in range(0, len(xmat), rows):
-        xb = xmat[start:start + rows]
-        for x, row in zip(xb, _prefilter(xb, tmat, tsq, k)):
+    tsq = np.einsum("ij,ij->i", tmat, tmat)
+    blocks = [(xb, np.einsum("ij,ij->i", xb, xb))
+              for xb in (xmat[start:start + rows] for start in range(0, len(xmat), rows))]
+    top = max(np.fmax.reduce(sq, initial=0.0) for sq in [tsq] + [sq for _, sq in blocks])
+    if 2.0 ** -1000 <= top <= 2.0 ** 1000:
+        return tmat, tsq, blocks
+    big = max(max(np.fmax.reduce(m, axis=None, initial=0.0),
+                  -np.fmin.reduce(m, axis=None, initial=0.0)) for m in (tmat, xmat))
+    if not 0.0 < big < math.inf:  # all zero, or an entry no scaling brings in range
+        return tmat, tsq, blocks
+    shift = math.frexp(big)[1]
+    return _in_range(np.ldexp(tmat, -shift), np.ldexp(xmat, -shift))
+
+
+def _candidates(tmat: np.ndarray, tsq: np.ndarray, blocks: list, k: int):
+    """Yield (x, candidates) for every test row x of the blocks of
+    `_in_range`, in order: the ascending indices of the rows of tmat that
+    `_prefilter` keeps for x."""
+    for xb, xsq in blocks:
+        for x, row in zip(xb, _prefilter(xb, xsq, tmat, tsq, k)):
             yield x, np.flatnonzero(row)
 
 
@@ -225,9 +254,10 @@ def knn_classify(train: LabeledVectors, test: LabeledVectors, k: int = 1) -> Eva
     class_ids = sorted(set(train.labels) | set(test.labels))
     index = {lab: i for i, lab in enumerate(class_ids)}
     confusion = np.zeros((len(class_ids), len(class_ids)), dtype=np.int64)
-    tmat, labels = train.vectors, train.labels
+    tmat, tsq, blocks = _in_range(train.vectors, test.vectors)
+    labels = train.labels
     k = min(k, len(train))
-    for (x, cand), true in zip(_candidates(tmat, test.vectors, k), test.labels):
+    for (x, cand), true in zip(_candidates(tmat, tsq, blocks, k), test.labels):
         dist = None
         if len(cand) > k:
             cand, dist = _nearest(tmat, x, cand, k)
@@ -295,21 +325,19 @@ class ExperimentConfig:
 def _fit_banks(ds: EnsembleDataset, plans: list, batch: list, ranks: list,
                cfg: ExperimentConfig) -> dict:
     """{r: banks of plans[r].train_groups} for every realization r of the
-    batch, all fitted in one stacked sweep of group tensors gathered for it."""
+    batch, all fitted in one stacked sweep of their images, gathered once."""
     where = [(r, gid) for r in batch for gid in plans[r].train_groups]
     dcfgs = [DecompConfig(max_sweeps=cfg.max_sweeps, rel_tol=cfg.rel_tol,
                           seed=derive_seed(cfg.seed, "realization", r, "group", gid))
              for r, gid in where]
-    try:
-        banks = fit_feature_bank([group_tensor(ds, plans[r].members[gid])[0]
-                                  for r, gid in where], ranks, dcfgs)
+    images = group_tensor(ds, [q for r, gid in where for q in plans[r].members[gid]])[0]
+    try:  # the groups are of one size, as run_grid checks
+        banks = fit_feature_bank(DenseTensor._wrap(images.values.reshape(
+            *images.shape[:2], -1, len(where), order="F")), ranks, dcfgs)
     except ConvergenceError as exc:
-        if exc.index is None:
-            at = f"one of the training groups of realizations {batch}"
-        else:
-            r, gid = where[exc.index]
-            at = f"group {gid} of realization {r}"
-        raise ConvergenceError(f"decomposition failed on {at}: {exc}") from exc
+        r, gid = where[exc.index]
+        raise ConvergenceError(f"decomposition failed on group {gid} of realization {r}: "
+                               f"{exc}") from exc
     out = {r: [] for r in batch}
     for (r, _), bank in zip(where, banks):
         out[r].append(bank)
@@ -353,11 +381,11 @@ def run_grid(ds: EnsembleDataset, plan: SplitPlan, methods, classifiers,
 
     Realizations are taken in consecutive batches whose training groups
     hold at most _BATCH_BYTES of float64 values together, with at least one
-    realization per batch.  Per distinct ranks, the training groups of a
-    whole batch are decomposed in one stacked fit, each group with the seed
-    it has alone, and the group tensors are freed when the fit returns; each
-    realization of the batch is then split in place in one copy each of its
-    training and held-out image rows, and each classifier runs once on it.
+    realization per batch.  Per distinct ranks, a batch's training images
+    are gathered once and fitted in place as one order-4 stack of groups,
+    each group with the seed it has alone, and freed when the fit returns;
+    each realization of the batch is then split in place in one copy each
+    of its training and held-out image rows, and each classifier runs once.
     Training groups that differ in size raise ValueError if a method is fit.
     """
     for kind, names, known in (("method", methods, METHODS),

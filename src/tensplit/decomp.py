@@ -14,9 +14,9 @@ by least squares on an O x P matrix: the input contracted with the term's
 mixing vector, less the other terms' slices weighted by how much their
 mixing vectors overlap it.  It then refreshes the whole mixing matrix by
 row-wise nonnegative least squares against the term slices.  The LL1 sweep
-runs on a stack of same-shape tensors at once, each step one batched call,
-and gives each tensor the result it gets alone, bit for bit; `ll1_nn` is
-its one-tensor case.
+runs on an order-4 stack of same-shape ensembles at once, read in place,
+each step one batched call, and gives each ensemble the result it gets
+alone, bit for bit; `ll1_nn` is its one-ensemble case.
 
 CPD and LL1 record the relative fit of every sweep in Gram form,
 ||T - T^||^2 = ||T||^2 - 2 <T, T^> + ||T^||^2, from products the sweep
@@ -263,17 +263,21 @@ def _require_order3(t: DenseTensor, op: str) -> None:
         raise ValueError(f"{op} requires an order-3 tensor, got order {t.order}")
 
 
-def _in_range(t: DenseTensor) -> tuple[DenseTensor, float, int]:
-    """t, its norm and 0; or, where that norm lies outside [2^-500, 2^500]
-    and the fit's squares could underflow or overflow, t scaled exactly by
-    the power of two 2^-shift that puts its norm in [0.5, 1), that norm
-    and shift.  The caller scales its weights back by 2^shift."""
-    norm_t = norm_frobenius(t)
-    if 2.0 ** -500 <= norm_t <= 2.0 ** 500 or not 0.0 < norm_t < math.inf:
-        return t, norm_t, 0
-    shift = math.frexp(norm_t)[1]
-    t = DenseTensor(np.ldexp(t.values, -shift))
-    return t, norm_frobenius(t), shift
+def _x3_in_range(t: DenseTensor) -> tuple:
+    """(x3, norms, shifts) of an O x P x Q tensor or an O x P x Q x d stack:
+    x3[g] is ensemble g's X_3, Q x (O*P), in a C-ordered view of t.  Where
+    its norm lies outside [2^-500, 2^500] and the fit's squares could
+    underflow or overflow, x3 is one np.ldexp copy with x3[g] scaled exactly
+    by the 2^-shift that puts its norm in [0.5, 1); weights scale back."""
+    O, P, Q = t.shape[:3]
+    x3 = t.values.reshape(O * P, Q, -1, order="F").transpose(2, 1, 0)
+    norms = [norm_frobenius(x) for x in x3]
+    shifts = [0 if 2.0 ** -500 <= n <= 2.0 ** 500 or not 0.0 < n < math.inf
+              else math.frexp(n)[1] for n in norms]
+    if any(shifts):
+        x3 = np.ldexp(x3, -np.array(shifts)[:, None, None])
+        norms = [norm_frobenius(x) for x in x3]
+    return x3, norms, shifts
 
 
 def _nonneg_columns(u: np.ndarray) -> np.ndarray:
@@ -320,7 +324,8 @@ def cpd_als(t: DenseTensor, rank: int, cfg: DecompConfig | None = None) -> Krusk
     _require_order3(t, "cpd_als")
     if rank < 1:
         raise ValueError("rank must be >= 1")
-    t, norm_t, shift = _in_range(t)
+    (x3,), (norm_t,), (shift,) = _x3_in_range(t)
+    t = DenseTensor._wrap(x3.T.reshape(t.shape, order="F"))  # t, or t scaled
     cfg = cfg or DecompConfig()
     rng = np.random.default_rng(cfg.seed)
     flags: list[str] = []
@@ -330,7 +335,7 @@ def cpd_als(t: DenseTensor, rank: int, cfg: DecompConfig | None = None) -> Krusk
     if rank > feasible:
         flags.append("degenerate-rank")
 
-    x1, x3 = unfold(t, 0), unfold(t, 2)  # views of t, no copy
+    x1 = unfold(t, 0)  # a view of t, no copy
     if cfg.init == INIT_RANDOM:
         a = rng.standard_normal((I, rank))
         b = rng.standard_normal((J, rank))
@@ -455,41 +460,41 @@ def ll1_nn(t: DenseTensor, ranks, cfg: DecompConfig | None = None) -> LL1Factors
     scaled by a power of two, and the weights are scaled back.  This is
     the one-tensor case of `_ll1_stack`.
     """
-    return _ll1_stack([t], ranks, [cfg or DecompConfig()])[0]
+    _require_order3(t, "ll1_nn")
+    return _ll1_stack(t, ranks, [cfg or DecompConfig()])[0]
 
 
-def _ll1_stack(ts: list, ranks, cfgs: list) -> list:
-    """ll1_nn of each of a list of same-shape tensors, one config each:
-    result i is ll1_nn(ts[i], ranks, cfgs[i]) bit for bit.
+def _ll1_stack(t: DenseTensor, ranks, cfgs: list) -> list:
+    """ll1_nn of each ensemble t[:, :, :, g] of an O x P x Q x d stack, with
+    config cfgs[g], bit for bit; an order-3 tensor is the stack of one.
 
-    The tensors are stacked, one copy each, and each step of the sweep
-    runs once for the stack (batched GEMMs and pseudoinverses, one mixing
-    NNLS), as do the four statistics of the Gram-form fit (`_fit_terms`).
-    Scaling, init and replacement draws, flags, the resolved fit with its
-    dense fallback and the convergence test stay per tensor; a tensor
-    leaves the stack when it converges or reaches its sweep cap.  A
-    ConvergenceError names the failing tensor in `index`.
+    The stack is read in place, as the view of its d X_3 unfoldings; it is
+    copied, once, only to scale ensembles into range (`_x3_in_range`).
+    Each step of the sweep runs once for the stack (batched GEMMs and
+    pseudoinverses, one mixing NNLS), as do the four statistics of the
+    Gram-form fit (`_fit_terms`).  Init and replacement draws, flags, the
+    resolved fit with its dense fallback and the convergence test stay per
+    ensemble; one leaves the stack when it converges or reaches its sweep
+    cap.  A ConvergenceError names the failing ensemble in `index`.
     """
-    for t in ts:
-        _require_order3(t, "ll1_nn")
+    if t.order not in (3, 4):
+        raise ValueError(f"ll1_nn takes order 3 or a stack of order 4, got order {t.order}")
     ranks = [int(L) for L in ranks]
     if len(ranks) < 1:
         raise ValueError("need at least one block term")
     if any(L < 1 for L in ranks):
         raise ValueError("every block rank L must be >= 1")
-    if len({t.shape for t in ts}) > 1 or len(cfgs) != len(ts):
-        raise ValueError("stacked tensors need one shape and one config each")
-    if not ts:
-        return []
-    O, P, Q = ts[0].shape
+    O, P, Q, d = (*t.shape, 1)[:4]
+    if len(cfgs) != d:
+        raise ValueError(f"a stack of {d} ensembles needs {d} configs, got {len(cfgs)}")
     n_terms = len(ranks)
-    scaled = [_in_range(t) for t in ts]
+    x3, norms, shifts = _x3_in_range(t)
+    groups = [DenseTensor._wrap(x.T.reshape(O, P, Q, order="F")) for x in x3]
     rngs = [np.random.default_rng(cfg.seed) for cfg in cfgs]
-    flags: list[list[str]] = [[] for _ in ts]
+    flags: list[list[str]] = [[] for _ in groups]
 
-    inits = [_ll1_init(t, ranks, cfg.init, rng)
-             for (t, _, _), cfg, rng in zip(scaled, cfgs, rngs)]
-    a_mats, b_mats, c_vecs, w_vecs = [], [], [], []  # per term, stacked over tensors
+    inits = [_ll1_init(g, ranks, cfg.init, rng) for g, cfg, rng in zip(groups, cfgs, rngs)]
+    a_mats, b_mats, c_vecs, w_vecs = [], [], [], []  # per term, stacked over ensembles
     for k, term in enumerate(zip(*inits)):
         a, b, c = (np.stack(v) for v in zip(*term))
         a, na = _normalize_columns(a, rngs, flags, f"init-a{k}")
@@ -500,11 +505,7 @@ def _ll1_stack(ts: list, ranks, cfgs: list) -> list:
         c_vecs.append(c)
         w_vecs.append(np.abs(na) * np.abs(nb) * nc[:, None])
 
-    # X_3 of each tensor, Q x (O*P) with columns in layout order of each
-    # slice; a view of a lone tensor
-    x3 = (unfold(scaled[0][0], 2)[None] if len(ts) == 1
-          else np.stack([unfold(t, 2) for t, _, _ in scaled]))
-    norm_sq = [float(np.sum(np.square(t.flat))) for t, _, _ in scaled]
+    norm_sq = [float(np.sum(np.square(g.flat))) for g in groups]
     # roundings per product of ||T||^2, of <T, T^> (GEMM of length OP,
     # product, sum of KQ) and of ||T^||^2 (R^T R of length OP, sum of K,
     # two products, sum of KQ); products formed: the squares of T, X_3 R,
@@ -513,9 +514,9 @@ def _ll1_stack(ts: list, ranks, cfgs: list) -> list:
     gamma_fit = _gamma(n_round)
     n_products = (O * P * Q * (1 + n_terms) + (O * P + Q) * n_terms ** 2
                   + 2 * n_terms * Q)
-    histories: list[list[float]] = [[] for _ in ts]
-    results: list = [None] * len(ts)
-    live = np.arange(len(ts))  # the tensor at each position of the stack
+    histories: list[list[float]] = [[] for _ in groups]
+    results: list = [None] * d
+    live = np.arange(d)  # the ensemble at each position of the stack
     sweep = 0
     while live.size:
         sweep += 1
@@ -523,7 +524,7 @@ def _ll1_stack(ts: list, ranks, cfgs: list) -> list:
         live_flags = [flags[i] for i in live]
         for k in range(n_terms):
             ck = c_vecs[k]
-            # T x_3 c_k as one matrix-vector product per tensor on x3
+            # T x_3 c_k as one matrix-vector product per ensemble on x3
             m_k = np.matmul(ck[:, None, :], x3).reshape(-1, P, O).swapaxes(1, 2)
             slices = [None] * n_terms  # term k's is built from its update
             for n in range(n_terms):
@@ -564,12 +565,11 @@ def _ll1_stack(ts: list, ranks, cfgs: list) -> list:
         stats = zip(live.tolist(), *_fit_terms(regressor, mixing_raw, x3))
         keep = np.ones(live.size, dtype=bool)
         for pos, (i, inner, model_sq, scale, reach) in enumerate(stats):
-            t, norm_t, shift = scaled[i]
             # an underflowed product meets at most two mixing entries
-            bound = (gamma_fit * (norm_t + scale) ** 2
+            bound = (gamma_fit * (norms[i] + scale) ** 2
                      + n_products * _SUBNORMAL * (1.0 + reach) ** 2)
             history = histories[i]
-            fit = _resolved_fit(norm_sq[i] - 2.0 * inner + model_sq, bound, norm_t,
+            fit = _resolved_fit(norm_sq[i] - 2.0 * inner + model_sq, bound, norms[i],
                                 history)
             if fit is None:
                 recon = _ll1_array(
@@ -577,13 +577,13 @@ def _ll1_stack(ts: list, ranks, cfgs: list) -> list:
                      for n in range(n_terms)],
                     [c_vecs[n][pos] for n in range(n_terms)],
                 )
-                fit = _relative_fit(t, recon, norm_t)
+                fit = _relative_fit(groups[i], recon, norms[i])
             history.append(fit)
             converged = _converged(history, cfgs[i].rel_tol)
             if converged or sweep == cfgs[i].max_sweeps:
                 keep[pos] = False
                 terms = [BlockTerm(a=a_mats[n][pos], b=b_mats[n][pos], c=c_vecs[n][pos],
-                                   weights=np.ldexp(w_vecs[n][pos], shift))
+                                   weights=np.ldexp(w_vecs[n][pos], shifts[i]))
                          for n in range(n_terms)]
                 flags[i] += [f"zero-mixing-entries:term{n}"
                              for n, term in enumerate(terms) if np.any(term.c == 0.0)]

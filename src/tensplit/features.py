@@ -94,28 +94,26 @@ def build_feature_bank(f: LL1Factors) -> CommonFeatureBank:
     return CommonFeatureBank(slices=slices, mixing=mixing, source=f)
 
 
-def fit_feature_bank(t: DenseTensor | list, ranks, cfg: DecompConfig | list | None = None,
+def fit_feature_bank(t: DenseTensor, ranks, cfg: DecompConfig | list | None = None,
                      n_restarts: int = 1) -> CommonFeatureBank | list:
     """Decompose a stacked ensemble into a common feature bank.
 
     Runs the block-term decomposition `n_restarts` times with seeds
     cfg.seed, cfg.seed + 1, ... and keeps the run with the best final fit.
 
-    `t` may also be a list of same-shape ensembles and `cfg` a list of one
-    config each: bank i of the list returned is fit_feature_bank(t[i],
-    ranks, cfg[i], n_restarts) bit for bit, each restart fitting the list
-    in one stacked sweep.  A ConvergenceError names the failing ensemble in
-    `index`.
+    `t` may also be an O x P x Q x d stack of same-shape ensembles and `cfg`
+    a list of d configs: bank g of the list returned is that of t[:, :, :, g]
+    and cfg[g] alone, bit for bit, each restart fitting the stack in place in
+    one sweep.  A ConvergenceError names the failing ensemble in `index`.
     """
     if n_restarts < 1:
         raise ValueError("n_restarts must be >= 1")
-    single = isinstance(t, DenseTensor)
-    ts = [t] if single else list(t)
+    single = cfg is None or isinstance(cfg, DecompConfig)
     cfgs = [cfg or DecompConfig()] if single else list(cfg)
-    best, best_fit = [None] * len(ts), [np.inf] * len(ts)
+    best, best_fit = [None] * len(cfgs), [np.inf] * len(cfgs)
     for r in range(n_restarts):
         run_cfgs = [replace(c, seed=c.seed + r) for c in cfgs]
-        for i, result in enumerate(_ll1_stack(ts, ranks, run_cfgs)):
+        for i, result in enumerate(_ll1_stack(t, ranks, run_cfgs)):
             if result.fit_history[-1] < best_fit[i]:
                 best[i], best_fit[i] = result, result.fit_history[-1]
     banks = [build_feature_bank(f) for f in best]

@@ -181,6 +181,58 @@ class TestKnnOracle:
         self.test_matches_full_search(case, k)
 
 
+# powers of two whose squared distances overflow, or underflow to ties
+EXTREME_SCALES = pytest.mark.parametrize("e", [600, 560, 520, -560, -600])
+
+
+class TestKnnScale:
+    def test_six_vectors_at_every_scale(self):
+        pts = np.array([[0, 0], [5, 5], [9, 0], [1, 1], [6, 5], [8, 1]], dtype=float)
+        for e in (0, 520, 560, 600, 1000, -560, -600, -1060):
+            train = LabeledVectors(vectors=np.ldexp(pts[:3], e), labels=[0, 1, 2])
+            test = LabeledVectors(vectors=np.ldexp(pts[3:], e), labels=[0, 1, 2])
+            for rep in (knn_classify(train, test, 1), nearest_centroid(train, test)):
+                assert rep.accuracy == 1.0, e
+
+    @EXTREME_SCALES
+    @pytest.mark.parametrize("case", [duplicated_rows, large_offset, vote_ties,
+                                      nan_test_vector, clustered])
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_scaled_search_matches_the_unscaled_oracle(self, e, case, k):
+        train_pts, train_labs, test_pts, test_labs = case(np.random.default_rng(11))
+        rep = knn_classify(vecs(np.ldexp(train_pts, e), train_labs),
+                           vecs(np.ldexp(test_pts, e), test_labs), k)
+        expect = knn_oracle(train_pts, train_labs, test_pts, test_labs, k)
+        np.testing.assert_array_equal(rep.confusion, expect)
+
+    def test_vote_tie_breaks_by_total_distance_at_extreme_scales(self):
+        for e in (600, -600):
+            train = vecs(np.ldexp([[1, 0], [-0.5, 0]], e), [0, 1])
+            assert knn_classify(train, vecs([[0, 0]], [1]), k=2).accuracy == 1.0
+
+    @EXTREME_SCALES
+    def test_raw_pixel_grid_matches_unit_scale(self, e):
+        ds = synthetic_face_fixture()
+        plan = make_group_splits(ds, groups=6, train=3, seed=0)
+        scaled = EnsembleDataset(tensor=DenseTensor(np.ldexp(ds.tensor.values, e)),
+                                 labels=ds.labels, meta=ds.meta)
+        cfg = ExperimentConfig(realizations=3)
+        want = run_grid(ds, plan, ["raw"], ["knn", "centroid"], cfg)["raw"]
+        got = run_grid(scaled, plan, ["raw"], ["knn", "centroid"], cfg)["raw"]
+        for clf in ("knn", "centroid"):
+            np.testing.assert_array_equal(got[clf].confusion, want[clf].confusion)
+            assert got[clf].per_run == want[clf].per_run
+
+    def test_in_range_rows_are_searched_as_they_are(self, monkeypatch):
+        blocks = spy_on(monkeypatch, "_prefilter")
+        monkeypatch.setattr(classify_mod, "_BLOCK_BYTES", 1)  # one test row per block
+        rng = np.random.default_rng(0)
+        train = LabeledVectors(vectors=rng.standard_normal((5, 3)), labels=[0, 1, 2, 0, 1])
+        test = LabeledVectors(vectors=rng.standard_normal((4, 3)), labels=[0, 1, 2, 0])
+        knn_classify(train, test, 1)
+        assert [xb.base is test.vectors for xb in blocks] == [True] * 4
+
+
 def spy_on(monkeypatch, name):
     """Record the first argument of every call of classify's `name`."""
     calls = []
@@ -412,14 +464,16 @@ class TestRunExperiment:
         assert seen and all(r == [1, 1] for r in seen)
 
     def test_decomposition_failure_names_the_group(self, monkeypatch):
+        # a stacked fit's ConvergenceError always names its ensemble
         def boom(t, ranks, cfg=None, n_restarts=1):
-            raise ConvergenceError("solver stalled")
+            raise ConvergenceError("solver stalled", index=0)
 
         monkeypatch.setattr(classify_mod, "fit_feature_bank", boom)
         ds = single_class_dataset()
         plan = make_group_splits(ds, groups=3, train=1, seed=0)
         cfg = ExperimentConfig(realizations=1)
-        with pytest.raises(ConvergenceError, match="group"):
+        with pytest.raises(ConvergenceError, match=f"group {plan.train_groups[0]} "
+                           "of realization 0: solver stalled"):
             run_experiment(ds, plan, "ll1", cfg)
 
     def test_unknown_method(self):
@@ -430,13 +484,13 @@ class TestRunExperiment:
 
 
 def spy_stack(monkeypatch):
-    """(ranks, stacked tensors) of every stacked LL1 fit, in call order."""
+    """(ranks, stacked ensembles) of every stacked LL1 fit, in call order."""
     calls = []
     ll1_stack = features_mod._ll1_stack
 
-    def spy(ts, ranks, cfgs):
-        calls.append((list(ranks), len(ts)))
-        return ll1_stack(ts, ranks, cfgs)
+    def spy(t, ranks, cfgs):
+        calls.append((list(ranks), t.shape[3]))
+        return ll1_stack(t, ranks, cfgs)
 
     monkeypatch.setattr(features_mod, "_ll1_stack", spy)
     return calls
@@ -530,10 +584,26 @@ class TestRunGrid:
                 assert isinstance(m, np.ndarray) and m.dtype == np.float64
                 assert m.ndim == 2 and m.shape[1] == O * P
 
+    def test_fit_holds_the_training_images_once(self):
+        # five training groups of 40 images each, gathered into one buffer
+        # that the stacked fit reads in place
+        ds = synthetic_face_fixture(height=48, width=40, n_classes=40, per_class=10)
+        plan = make_group_splits(ds, groups=10, train=5, seed=0)
+        train_bytes = 8 * 48 * 40 * 5 * 40
+        cfg = ExperimentConfig(realizations=1, ranks=[1, 1], max_sweeps=3)
+        tracemalloc.start()
+        try:
+            banks = classify_mod._fit_banks(ds, [plan], [0], [1, 1], cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(banks[0]) == 5
+        assert peak <= 1.5 * train_bytes
+
     def test_group_tensors_are_held_for_the_fit_alone(self):
-        # five training groups of 40 images each: the fit holds the group
-        # tensors and their stacked copy, and frees both before one copy
-        # each of the training and held-out image rows is split in place
+        # five training groups of 40 images each: the fit holds their images
+        # once, and frees them before one copy each of the training and
+        # held-out image rows is split in place
         ds = synthetic_face_fixture(height=48, width=40, n_classes=40, per_class=10)
         plan = make_group_splits(ds, groups=10, train=5, seed=0)
         train_bytes = 8 * 48 * 40 * 5 * 40

@@ -2,10 +2,12 @@
 
 `ll1_per_tensor` below is the one-tensor LL1 sweep written out as it was
 before the sweep was stacked: every numpy call on one tensor's 2-D arrays,
-with `nnls_multi` and `pinv` called per tensor.  The stacked fit must give
-its results bit for bit, for each tensor of any stack.
+with `nnls_multi` and `pinv` called per tensor.  The stacked fit of an
+O x P x Q x d tensor must give its results bit for bit, for each of the d
+ensembles of any stack.
 """
 
+import math
 from functools import partial
 
 import numpy as np
@@ -51,7 +53,11 @@ def _unit_nonneg(v, rng, flags, what):
 
 def ll1_per_tensor(t, ranks, cfg):
     """Oracle: the LL1 sweep of one tensor, one 2-D numpy call at a time."""
-    t, norm_t, shift = decomp._in_range(t)
+    norm_t = decomp.norm_frobenius(t)
+    shift = 0 if 2.0 ** -500 <= norm_t <= 2.0 ** 500 else math.frexp(norm_t)[1]
+    if shift:
+        t = DenseTensor(np.ldexp(t.values, -shift))
+        norm_t = decomp.norm_frobenius(t)
     rng = np.random.default_rng(cfg.seed)
     flags = []
     O, P, Q = t.shape
@@ -149,10 +155,21 @@ def assert_same_fit(f, want):
             assert got.shape == ref.shape
 
 
+def stack(ts):
+    """The order-4 stack of same-shape order-3 tensors, ensemble index last."""
+    return DenseTensor(np.stack([t.values for t in ts], axis=3))
+
+
+def ensembles(t):
+    """The order-3 ensembles of an order-4 stack, each as its own tensor."""
+    return [DenseTensor(t.values[:, :, :, g]) for g in range(t.shape[3])]
+
+
 def fixture_groups(seed, n_groups=6, train=3):
+    """The training groups of a fixture split, as one order-4 stack."""
     ds = synthetic_face_fixture()
     plan = make_group_splits(ds, n_groups, train, seed=seed)
-    return [group_tensor(ds, plan.members[g])[0] for g in plan.train_groups]
+    return stack([group_tensor(ds, plan.members[g])[0] for g in plan.train_groups])
 
 
 def _lstsq_spy(monkeypatch):
@@ -171,7 +188,7 @@ def _lstsq_spy(monkeypatch):
 class TestStackedFit:
     def check(self, ts, ranks, cfgs):
         fits = decomp._ll1_stack(ts, ranks, cfgs)
-        for t, cfg, f in zip(ts, cfgs, fits, strict=True):
+        for t, cfg, f in zip(ensembles(ts), cfgs, fits, strict=True):
             want = ll1_per_tensor(t, ranks, cfg)
             assert_same_fit(f, want)
             assert_same_fit(ll1_nn(t, ranks, cfg), want)
@@ -195,7 +212,7 @@ class TestStackedFit:
                                   rng.uniform(0.5, 1, 4))
         base = np.random.default_rng(5).uniform(0.1, 1.0, (6, 5, 4))
         arrays = [base, rank1, np.ldexp(base, -560), np.ldexp(base, 560)]
-        ts = [DenseTensor(a) for a in arrays]
+        ts = DenseTensor(np.stack(arrays, axis=3))
         cfgs = [DecompConfig(seed=s, max_sweeps=40) for s in (0, 3, 0, 0)]
         lstsq = _lstsq_spy(monkeypatch)
         fits = decomp._ll1_stack(ts, [1, 1, 1], cfgs)
@@ -209,26 +226,43 @@ class TestStackedFit:
         for f in fits:
             assert_ll1_invariants(f)
         # an all-zero tensor draws every column and records absolute fits
-        ts = [ts[0], DenseTensor(np.zeros((6, 5, 4)))]
+        ts = DenseTensor(np.stack([base, np.zeros((6, 5, 4))], axis=3))
         fits = self.check(ts, [2, 1], cfgs[:2])
         assert fits[1].fit_history[-1] == 0.0
         assert "zero-column:a0" in fits[1].diagnostics.flags
 
     def test_two_block_ranks_and_sweep_caps(self):
         rng = np.random.default_rng(9)
-        ts = [DenseTensor(rng.uniform(0.0, 1.0, (7, 6, 5))) for _ in range(4)]
+        ts = DenseTensor(rng.uniform(0.0, 1.0, (7, 6, 5, 4)))
         cfgs = [DecompConfig(seed=s, max_sweeps=m, rel_tol=1e-300)
                 for s, m in ((1, 5), (2, 30), (3, 1), (4, 30))]
         fits = self.check(ts, [2, 1], cfgs)
         assert [f.diagnostics.sweeps for f in fits] == [5, 30, 1, 30]
 
     def test_validation(self):
-        a, b = DenseTensor(np.ones((3, 3, 2))), DenseTensor(np.ones((3, 3, 3)))
-        with pytest.raises(ValueError, match="shape"):
-            decomp._ll1_stack([a, b], [1], [DecompConfig()] * 2)
-        with pytest.raises(ValueError, match="config"):
-            decomp._ll1_stack([a, a], [1], [DecompConfig()])
-        assert decomp._ll1_stack([], [1], []) == []
+        one, two = DenseTensor(np.ones((3, 3, 2))), DenseTensor(np.ones((3, 3, 2, 2)))
+        with pytest.raises(ValueError, match="stack of 2 ensembles needs 2 configs, got 1"):
+            decomp._ll1_stack(two, [1], [DecompConfig()])
+        with pytest.raises(ValueError, match="stack of 1 ensembles needs 1 configs, got 2"):
+            decomp._ll1_stack(one, [1], [DecompConfig()] * 2)
+        for order in (2, 5):
+            t = DenseTensor(np.ones((3,) * order))
+            with pytest.raises(ValueError, match=f"got order {order}"):
+                decomp._ll1_stack(t, [1], [DecompConfig()])
+        with pytest.raises(ValueError, match="order-3 tensor, got order 4"):
+            ll1_nn(two, [1])
+        # fit_feature_bank: one config per ensemble of the stack
+        with pytest.raises(ValueError, match="stack of 1 ensembles needs 1 configs, got 2"):
+            fit_feature_bank(one, [1], [DecompConfig()] * 2)
+        for cfg in (None, DecompConfig()):
+            with pytest.raises(ValueError, match="stack of 2 ensembles needs 2 configs, got 1"):
+                fit_feature_bank(two, [1], cfg)
+        with pytest.raises(ValueError, match="stack of 2 ensembles needs 2 configs, got 3"):
+            fit_feature_bank(two, [1], [DecompConfig()] * 3)
+        # the stack of one is the order-3 tensor
+        alone = decomp._ll1_stack(DenseTensor(one.values[:, :, :, None]), [1],
+                                  [DecompConfig(max_sweeps=5)])
+        assert_same_fit(alone[0], ll1_per_tensor(one, [1], DecompConfig(max_sweeps=5)))
 
     def test_convergence_error_names_the_tensor(self, monkeypatch):
         real = kernels._nnls_stack
@@ -264,7 +298,7 @@ class TestFeatureBankList:
         ts = fixture_groups(4)
         cfgs = [DecompConfig(seed=g, max_sweeps=60) for g in range(3)]
         banks = fit_feature_bank(ts, [1, 1], cfgs, n_restarts=3)
-        for t, cfg, bank in zip(ts, cfgs, banks, strict=True):
+        for t, cfg, bank in zip(ensembles(ts), cfgs, banks, strict=True):
             one = fit_feature_bank(t, [1, 1], cfg, n_restarts=3)
             assert one.mixing.tobytes() == bank.mixing.tobytes()
             for s, s1 in zip(bank.slices, one.slices, strict=True):
@@ -277,7 +311,7 @@ class TestFeatureBankList:
 
         def spy(ts, ranks, cfgs):
             fits = real(ts, ranks, cfgs)
-            runs.append(len(ts))
+            runs.append(ts.shape[3])
             for f in fits:
                 assert_ll1_invariants(f)
             return fits
