@@ -32,7 +32,7 @@ from .classify import (
     run_grid,
     summary_json,
 )
-from .core import DenseTensor, norm_frobenius
+from .core import norm_frobenius
 from .dataset import PgmFormatError
 from .dtf import DtfFormatError, read_tensor
 from .kernels import ConvergenceError
@@ -83,59 +83,43 @@ def _parse_ranks(text: str) -> list:
     return ranks
 
 
-def _load_order3(path: str) -> DenseTensor:
-    t = read_tensor(path)
-    if t.order != 3:
-        raise CliError(EXIT_CONFIG, f"expected an order-3 tensor, got order {t.order}")
-    return t
-
-
 def cmd_decompose(args) -> tuple[dict, int]:
-    t = _load_order3(args.input)
+    t = read_tensor(args.input)
     ranks = _parse_ranks(args.ranks)
-    if any(r < 1 for r in ranks):
-        raise CliError(EXIT_CONFIG, "all ranks must be >= 1")
     out = _out_dir(args.out)
     cfg = dc.DecompConfig(max_sweeps=args.max_sweeps, rel_tol=args.tol, seed=args.seed)
 
+    # the library checks the input's order and the ranks, raising ValueError
     if args.method == "cpd":
         if len(ranks) != 1:
             raise CliError(EXIT_CONFIG, "cpd takes a single rank")
         result = dc.cpd_als(t, ranks[0], cfg)
     elif args.method == "hosvd":
-        if len(ranks) != 3:
-            raise CliError(EXIT_CONFIG, "hosvd takes three ranks, one per mode")
         result = dc.hosvd(t, ranks)
     else:
         result = dc.ll1_nn(t, ranks, cfg)
 
     dc.save_factors(result, out)
     log.info("wrote factor bundle to %s", out)
-    if args.method == "hosvd":
-        fit = dc.fit_error(t, result)
-        payload = {"status": "ok", "method": args.method, "fit": fit,
-                   "sweeps": 0, "out": str(out)}
-        return payload, EXIT_OK
-    diag = result.diagnostics
-    fit = diag.fit_history[-1] if diag.fit_history else None
-    status = "ok" if diag.converged else "non-converged"
-    payload = {"status": status, "method": args.method, "fit": fit,
-               "sweeps": diag.sweeps, "out": str(out)}
-    return payload, EXIT_OK if diag.converged else EXIT_NUMERIC
+    if args.method == "hosvd":  # no sweeps
+        fit, sweeps, converged = dc.fit_error(t, result), 0, True
+    else:
+        diag = result.diagnostics
+        fit = diag.fit_history[-1] if diag.fit_history else None
+        sweeps, converged = diag.sweeps, diag.converged
+    payload = {"status": "ok" if converged else "non-converged", "method": args.method,
+               "fit": fit, "sweeps": sweeps, "out": str(out)}
+    return payload, EXIT_OK if converged else EXIT_NUMERIC
 
 
 def cmd_split(args) -> tuple[dict, int]:
-    t = _load_order3(args.input)
+    t = read_tensor(args.input)
     factors = dc.load_factors(args.bank)
     if not isinstance(factors, dc.LL1Factors):
         raise CliError(EXIT_CONFIG, "bank directory must hold a block-term bundle")
     bank = ft.build_feature_bank(factors)
-    if t.shape[:2] != bank.slices[0].shape:
-        raise CliError(
-            EXIT_CONFIG,
-            f"input slices {t.shape[:2]} do not match bank slices {bank.slices[0].shape}",
-        )
     rule = ft.SubsetRule(args.tau)
+    # estimate_mixing and split_features check the input's order and slices
     weights = ft.estimate_mixing(bank, t.values)
     split = ft.split_features(t, bank, rule, weights=weights)
     out = _out_dir(args.out)

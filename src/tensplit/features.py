@@ -155,12 +155,13 @@ def split_single(bank: CommonFeatureBank, image: np.ndarray,
             split.selected[0])
 
 
-def _subtract_common(rows: np.ndarray, slices: list, weights: np.ndarray,
+def _subtract_common(rows: np.ndarray | None, slices: list, weights: np.ndarray,
                      rule: SubsetRule, common: np.ndarray | None = None) -> list:
-    """Subtract from each image row q of `rows`, in place, its common part:
-    sum_k weights[q, k] * slice_k, added in ascending k over the features
-    the rule keeps for weights[q], into a zero row or into row q of a zero
-    `common`.  Returns the indices kept per row."""
+    """Image q's common part, sum_k weights[q, k] * slice_k, added in
+    ascending k over the features the rule keeps for weights[q], into a zero
+    row or into row q of a zero `common`; unless `rows` is None, it is
+    subtracted in place from image row q of `rows`.  Returns the indices
+    kept per row."""
     flat = [s.reshape(-1, order="F") for s in slices]  # F-ordered: views
     selected = []
     for q, row in enumerate(weights):
@@ -168,7 +169,8 @@ def _subtract_common(rows: np.ndarray, slices: list, weights: np.ndarray,
         out = np.zeros(rows.shape[1]) if common is None else common[q]
         for k in kept:
             out += row[k] * flat[k]
-        rows[q] -= out
+        if rows is not None:
+            rows[q] -= out
         selected.append(kept.tolist())
     return selected
 
@@ -201,13 +203,11 @@ def split_features(t: DenseTensor, bank: CommonFeatureBank,
     elif weights.shape != (n_images, bank.n_features):
         raise ValueError("weights must be n_images x n_features")
 
-    # the individual stack starts as an F-ordered copy of t, the common one
-    # at zero; both are split through their Q x (O P) row views, in place
-    individual = np.array(t.values, order="F")
+    # the common stack is filled through its Q x (O P) row view, in place
     common = np.zeros(t.shape, order="F")
-    selected = _subtract_common(individual.reshape(-1, n_images, order="F").T,
-                                bank.slices, weights, rule,
+    selected = _subtract_common(None, bank.slices, weights, rule,
                                 common=common.reshape(-1, n_images, order="F").T)
+    individual = np.subtract(t.values, common, order="F")
     return FeatureSplit(common=DenseTensor._wrap(common),
                         individual=DenseTensor._wrap(individual), selected=selected)
 

@@ -10,9 +10,9 @@ batch carries its own design's Gram matrix, all rows advance in the same
 few numpy calls, and each row's result is independent of the batch it came
 in.  It is given one of two subproblem solvers: stacked solves of the
 normal equations on a^T a and a^T y, or, for designs whose Gram matrix is
-ill-conditioned, least squares on the design itself.  In Gram form a row
-first admits all of its coordinates in one solve (Van Benthem & Keenan's
-FC-NNLS start), and only rows it leaves infeasible iterate.  The
+ill-conditioned, least squares on the design's n x n QR factor.  In Gram
+form a row first admits all of its coordinates in one solve (Van Benthem &
+Keenan's FC-NNLS start), and only rows it leaves infeasible iterate.  The
 pseudoinverse likewise takes a stack of matrices, each giving pinv's
 result bit for bit.
 """
@@ -76,7 +76,7 @@ def _pinv_stack(ms: np.ndarray) -> np.ndarray:
 
 
 # Normal equations square the design's condition number, so a Gram matrix
-# with a condition number above this is solved on the design itself.
+# with a condition number above this is solved on the design's QR factor.
 GRAM_COND_MAX = 1e8
 
 
@@ -117,13 +117,14 @@ def nnls_multi(a, ys, tol: float = 1e-10, max_iter: int | None = None) -> np.nda
     (save where a dual lies within `tol` of 0, a coordinate the iteration
     leaves at zero).  That solve is one admission, skipped when `max_iter`
     < 1; a column it leaves infeasible iterates from x = 0 under the full
-    cap.  A Gram matrix that is
-    non-finite or ill-conditioned (condition number above GRAM_COND_MAX)
-    is not trusted: the dual is then a^T (y - a x) and each subproblem is
-    least squares on the passive columns of `a`, one column of ys at a
-    time.  Either way each column's arithmetic is the same whichever
-    columns share the call, so column j equals nnls(a, ys[:, j]) bit for
-    bit.  This is the one-design case of `_nnls_stack`.
+    cap.  A Gram matrix that is non-finite or ill-conditioned (condition
+    number above GRAM_COND_MAX) is not trusted: a is factored once as
+    a = q r, r being n x n for a tall a, with the square root of the Gram
+    condition number; the dual is then r^T (q^T y - r x) and each
+    subproblem is least squares on the passive columns of r, one column of
+    ys at a time.  Either way each column's arithmetic is the same
+    whichever columns share the call, so column j equals nnls(a, ys[:, j])
+    bit for bit.  This is the one-design case of `_nnls_stack`.
     """
     a = _as_matrix(a, "a")
     ys = _as_matrix(ys, "ys")
@@ -139,8 +140,8 @@ def _nnls_stack(a: np.ndarray, yst: np.ndarray, tol: float = 1e-10,
     for bit.  Each design has its own scale, finiteness and conditioning
     test; the rows of all well-conditioned designs share one unconstrained
     solve and, where it is infeasible, one Gram-form iteration; each
-    ill-conditioned design is solved alone by least squares.  A
-    ConvergenceError names the failing design in `index`."""
+    ill-conditioned design is solved alone by least squares on its QR
+    factor.  A ConvergenceError names the failing design in `index`."""
     n_designs, _, n = a.shape
     n_rhs = yst.shape[1]
     if max_iter is None:
@@ -187,9 +188,13 @@ def _nnls_stack(a: np.ndarray, yst: np.ndarray, tol: float = 1e-10,
                     dual=lambda b, x: b[0] - np.matmul(x[:, None, :], b[1])[:, 0, :])
             x[gram] = xg
         for i in (~gram).nonzero()[0]:
-            x[i] = _lawson_hanson((yst[i],), n, tol, max_iter,
-                                  dual=partial(_residual_dual, a[i]),
-                                  solve=partial(_lstsq_passive, a[i]))
+            # a = q r: ||a x - y||^2 and ||r x - q^T y||^2 differ by a constant,
+            # and r (at most n x n) has the square root of g's condition number
+            q, r = np.linalg.qr(a[i])
+            qty = np.matmul(yst[i][:, None, :], q)[:, 0, :]  # per row, as a^T y
+            x[i] = _lawson_hanson((qty,), n, tol, max_iter,
+                                  dual=partial(_residual_dual, r),
+                                  solve=partial(_lstsq_passive, r))
     except ConvergenceError as exc:
         exc.index = int(gram.nonzero()[0][design[exc.index]] if i is None else i)
         raise

@@ -236,7 +236,8 @@ class TestDecompose:
 
     @pytest.mark.parametrize(
         "ranks,method",
-        [("0", "cpd"), ("1,2", "cpd"), ("1,2", "hosvd"), ("x", "ll1"), ("", "ll1")],
+        [("0", "cpd"), ("1,2", "cpd"), ("1,2", "hosvd"), ("0,1,1", "hosvd"),
+         ("x", "ll1"), ("", "ll1"), ("0,1", "ll1")],
     )
     def test_bad_ranks_exit_3(self, capsys, tmp_path, ranks, method):
         tfile = tmp_path / "t.dtf1"
@@ -247,16 +248,20 @@ class TestDecompose:
         ])
         assert code == 3
         assert payload["status"] == "error"
+        assert not (tmp_path / "f").exists()
 
-    def test_wrong_order_input_exits_3(self, capsys, tmp_path):
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 3, 5, 2)])
+    @pytest.mark.parametrize("method,ranks", [("cpd", "1"), ("hosvd", "1,1,1"), ("ll1", "1")])
+    def test_wrong_order_input_exits_3(self, capsys, tmp_path, shape, method, ranks):
         tfile = tmp_path / "m.dtf1"
-        write_tensor(DenseTensor(np.ones((3, 3))), tfile)
+        write_tensor(DenseTensor(np.ones(shape)), tfile)
         code, payload = run_cli(capsys, [
-            "decompose", str(tfile), "--method", "cpd", "--ranks", "1",
+            "decompose", str(tfile), "--method", method, "--ranks", ranks,
             "--out", str(tmp_path / "f"),
         ])
         assert code == 3
         assert "order" in payload["error"]
+        assert not (tmp_path / "f").exists()
 
 
 class TestSplit:
@@ -356,13 +361,17 @@ class TestSplit:
         assert code == 2
         assert str(bank) in payload["error"]
 
-    def test_rejects_mismatched_slice_shape(self, capsys, tmp_path):
+    # the bank's slices are 8 x 6: slices of another shape, one slice alone
+    # and a stack of stacks
+    @pytest.mark.parametrize("shape", [(3, 3, 2), (8, 6), (8, 6, 5, 2)])
+    def test_rejects_mismatched_slice_shape(self, capsys, tmp_path, shape):
         _, bank = self.fit_bank(capsys, tmp_path)
         other = tmp_path / "o.dtf1"
-        rank1_tensor_file(other, shape=(3, 3, 2), seed=1)
+        write_tensor(DenseTensor(np.ones(shape)), other)
         code, payload = run_cli(capsys, [
             "split", str(other), str(bank), "--out", str(tmp_path / "s")])
         assert code == 3
+        assert not (tmp_path / "s").exists()
 
 
 class TestExperiment:

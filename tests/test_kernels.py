@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import nnls_bruteforce
+from tensplit import kernels
 from tensplit.kernels import (
     GRAM_COND_MAX,
     ConvergenceError,
@@ -215,6 +216,30 @@ class TestNnlsMulti:
         for j in range(ys.shape[1]):
             r = ys[:, j] - a @ out[:, j]
             assert abs(float(r @ r) - nnls_bruteforce(a, ys[:, j])) < 1e-8
+
+    def test_tall_ill_conditioned_design_is_solved_on_its_qr_factor(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        u, v, w, z = rng.standard_normal((4, 500))
+        a = np.column_stack([u, u + 1e-6 * v, w, z])
+        assert np.linalg.cond(a.T @ a) > GRAM_COND_MAX
+        ys = np.column_stack([2.0 * u - w, a @ [0.0, 1.0, 0.5, 2.0],
+                              a @ [1.0, 0.0, 0.0, -1.0] + 1e-3 * rng.standard_normal(500),
+                              rng.standard_normal(500)])
+        shapes = set()
+        lstsq_passive = kernels._lstsq_passive
+
+        def spy(design, b, passive):
+            shapes.add(design.shape)
+            return lstsq_passive(design, b, passive)
+
+        monkeypatch.setattr(kernels, "_lstsq_passive", spy)
+        out = nnls_multi(a, ys)
+        assert shapes == {(4, 4)}
+        assert np.all(out >= 0.0)
+        for j in range(ys.shape[1]):
+            y = ys[:, j]
+            r = y - a @ out[:, j]
+            assert abs(float(r @ r) - nnls_bruteforce(a, y)) <= 1e-8 * (1.0 + y @ y)
 
     def test_iteration_cap_raises(self):
         for a, ys in [(np.eye(2), np.ones((2, 3))), _ill_conditioned_design()]:
