@@ -24,19 +24,19 @@ already holds, so no dense model is built.  The stacked LL1 sweep takes
 <T, T^>, ||T^||^2 and the rounding bound's inputs for the whole stack in
 one reduction each, equal to each tensor's own sums bit for bit.  Where
 the bound says the expansion cannot resolve the fit or its change since
-the last sweep, the fit is taken from the dense reconstruction instead.
+the last sweep, the fit is taken from the residual X_3 - (R M)^T of the
+model's mode-3 unfolding (`_model_x3`; CPD: R = B kr A, M = (C diag(w))^T).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
 from . import dtf
-from .core import DenseTensor, khatri_rao, mode_n_product, norm_frobenius, unfold
+from .core import DenseTensor, fold, khatri_rao, mode_n_product, norm_frobenius, unfold
 from .kernels import ConvergenceError, _nnls_stack, _pinv_stack, pinv, svd
 
 _EPS = np.finfo(np.float64).eps
@@ -55,8 +55,10 @@ class DecompConfig:
     init: str = INIT_RANDOM
 
     def __post_init__(self):
-        if self.max_sweeps < 1:
-            raise ValueError("max_sweeps must be positive")
+        # a fractional cap is never reached, and a bool is an int to isinstance
+        cap = self.max_sweeps
+        if isinstance(cap, bool) or not isinstance(cap, (int, np.integer)) or cap < 1:
+            raise ValueError(f"max_sweeps must be a positive integer, got {cap!r}")
         if not self.rel_tol > 0:
             raise ValueError("rel_tol must be positive")
         if self.init not in (INIT_RANDOM, INIT_HOSVD):
@@ -81,6 +83,8 @@ class KruskalFactors:
     diagnostics: Diagnostics | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        if len(self.factors) != 3:
+            raise ValueError(f"a CPD model has 3 factor matrices, got {len(self.factors)}")
         ranks = {f.shape[1] for f in self.factors}
         if len(ranks) != 1:
             raise ValueError("factor matrices must share one column count")
@@ -203,8 +207,8 @@ def _converged(history: list, rel_tol: float) -> bool:
     return abs(prev - cur) < rel_tol * max(1.0, prev)
 
 
-def _relative_fit(t: DenseTensor, recon: np.ndarray, norm_t: float) -> float:
-    err = norm_frobenius(t.values - recon)
+def _relative_fit(x: np.ndarray, model: np.ndarray, norm_t: float) -> float:
+    err = norm_frobenius(x - model)
     return err / norm_t if norm_t > 0 else err
 
 
@@ -316,10 +320,10 @@ def cpd_als(t: DenseTensor, rank: int, cfg: DecompConfig | None = None) -> Krusk
     The fit is taken in Gram form from m3: <T, T^> = sum(m3 * (C diag(w)))
     and ||T^||^2 = w^T (A^T A * B^T B * C^T C) w, the latter in extended
     precision; where its rounding bound cannot resolve the fit or its
-    change, the dense reconstruction gives it.  An input whose norm lies
-    outside [2^-500, 2^500] is fitted scaled by a power of two, and the
-    weights are scaled back.  Non-convergence at the sweep cap is reported
-    through diagnostics, not raised.
+    change, the residual X_3 - (R M)^T gives it, R = B kr A and
+    M = (C diag(w))^T.  An input whose norm lies outside [2^-500, 2^500]
+    is fitted scaled by a power of two, and the weights are scaled back.
+    Non-convergence at the sweep cap is reported through diagnostics, not raised.
     """
     _require_order3(t, "cpd_als")
     if rank < 1:
@@ -387,7 +391,7 @@ def cpd_als(t: DenseTensor, rank: int, cfg: DecompConfig | None = None) -> Krusk
                  + n_products * _SUBNORMAL * (1.0 + norm_t + scale) ** 2)
         fit = _resolved_fit(norm_sq - 2.0 * inner + model_sq, bound, norm_t, history)
         if fit is None:
-            fit = _relative_fit(t, _kruskal_array([a, b, c], weights), norm_t)
+            fit = _relative_fit(x3, _model_x3(khatri_rao(b, a), (c * weights).T), norm_t)
         history.append(fit)
         if _converged(history, cfg.rel_tol):
             converged = True
@@ -419,15 +423,17 @@ def hosvd(t: DenseTensor, mlrank) -> TuckerFactors:
 
     Mode factors are the leading left singular vectors of each unfolding;
     the core is the input contracted with the factor transposes.  With full
-    multilinear rank the reconstruction is exact.
+    multilinear rank the reconstruction is exact.  mlrank[n] is at most
+    the rank the mode-n unfolding can have, min(I_n, prod_{m != n} I_m).
     """
     _require_order3(t, "hosvd")
     mlrank = tuple(int(r) for r in mlrank)
     if len(mlrank) != 3:
         raise ValueError("mlrank must have one entry per mode")
     for n, r in enumerate(mlrank):
-        if not 1 <= r <= t.shape[n]:
-            raise ValueError(f"mlrank[{n}]={r} out of range 1..{t.shape[n]}")
+        top = min(t.shape[n], t.size // t.shape[n])
+        if not 1 <= r <= top:
+            raise ValueError(f"mlrank[{n}]={r} out of range 1..{top}")
     factors = [svd(unfold(t, n)).u[:, :r].copy() for n, r in enumerate(mlrank)]
     core = t
     for n, f in enumerate(factors):
@@ -455,7 +461,7 @@ def ll1_nn(t: DenseTensor, ranks, cfg: DecompConfig | None = None) -> LL1Factors
     vectorized slice per column) times its raw mixing M, so the recorded
     fit is taken in Gram form: <T, T^> = sum(M * (X_3 R)^T) and
     ||T^||^2 = sum(M * (R^T R M)).  Where its rounding bound cannot resolve
-    the fit or its change, the dense reconstruction gives it.  As in
+    the fit or its change, the residual X_3 - (R M)^T gives it.  As in
     cpd_als, an input whose norm lies outside [2^-500, 2^500] is fitted
     scaled by a power of two, and the weights are scaled back.  This is
     the one-tensor case of `_ll1_stack`.
@@ -472,10 +478,11 @@ def _ll1_stack(t: DenseTensor, ranks, cfgs: list) -> list:
     copied, once, only to scale ensembles into range (`_x3_in_range`).
     Each step of the sweep runs once for the stack (batched GEMMs and
     pseudoinverses, one mixing NNLS), as do the four statistics of the
-    Gram-form fit (`_fit_terms`).  Init and replacement draws, flags, the
-    resolved fit with its dense fallback and the convergence test stay per
-    ensemble; one leaves the stack when it converges or reaches its sweep
-    cap.  A ConvergenceError names the failing ensemble in `index`.
+    Gram-form fit (`_fit_terms`).  Only the X_3 views are read.  Init and
+    replacement draws, flags, the resolved fit with its fallback to the
+    residual of the last mixing update's R M, and the convergence test
+    stay per ensemble; one leaves the stack when it converges or reaches
+    its sweep cap.  A ConvergenceError names the failing ensemble in `index`.
     """
     if t.order not in (3, 4):
         raise ValueError(f"ll1_nn takes order 3 or a stack of order 4, got order {t.order}")
@@ -489,11 +496,11 @@ def _ll1_stack(t: DenseTensor, ranks, cfgs: list) -> list:
         raise ValueError(f"a stack of {d} ensembles needs {d} configs, got {len(cfgs)}")
     n_terms = len(ranks)
     x3, norms, shifts = _x3_in_range(t)
-    groups = [DenseTensor._wrap(x.T.reshape(O, P, Q, order="F")) for x in x3]
     rngs = [np.random.default_rng(cfg.seed) for cfg in cfgs]
-    flags: list[list[str]] = [[] for _ in groups]
+    flags: list[list[str]] = [[] for _ in cfgs]
 
-    inits = [_ll1_init(g, ranks, cfg.init, rng) for g, cfg, rng in zip(groups, cfgs, rngs)]
+    inits = [_ll1_init(x.T.reshape(O, P, Q, order="F"), ranks, cfg.init, rng)
+             for x, cfg, rng in zip(x3, cfgs, rngs)]
     a_mats, b_mats, c_vecs, w_vecs = [], [], [], []  # per term, stacked over ensembles
     for k, term in enumerate(zip(*inits)):
         a, b, c = (np.stack(v) for v in zip(*term))
@@ -505,7 +512,7 @@ def _ll1_stack(t: DenseTensor, ranks, cfgs: list) -> list:
         c_vecs.append(c)
         w_vecs.append(np.abs(na) * np.abs(nb) * nc[:, None])
 
-    norm_sq = [float(np.sum(np.square(g.flat))) for g in groups]
+    norm_sq = [float(np.sum(np.square(x))) for x in x3]
     # roundings per product of ||T||^2, of <T, T^> (GEMM of length OP,
     # product, sum of KQ) and of ||T^||^2 (R^T R of length OP, sum of K,
     # two products, sum of KQ); products formed: the squares of T, X_3 R,
@@ -514,7 +521,7 @@ def _ll1_stack(t: DenseTensor, ranks, cfgs: list) -> list:
     gamma_fit = _gamma(n_round)
     n_products = (O * P * Q * (1 + n_terms) + (O * P + Q) * n_terms ** 2
                   + 2 * n_terms * Q)
-    histories: list[list[float]] = [[] for _ in groups]
+    histories: list[list[float]] = [[] for _ in cfgs]
     results: list = [None] * d
     live = np.arange(d)  # the ensemble at each position of the stack
     sweep = 0
@@ -522,27 +529,26 @@ def _ll1_stack(t: DenseTensor, ranks, cfgs: list) -> list:
         sweep += 1
         live_rngs = [rngs[i] for i in live]
         live_flags = [flags[i] for i in live]
+        # R, one vectorized slice per term: slots[..., n] is term n's slice transposed
+        regressor = np.empty((live.size, O * P, n_terms))
+        slots = regressor.reshape(live.size, P, O, n_terms)
         for k in range(n_terms):
             ck = c_vecs[k]
             # T x_3 c_k as one matrix-vector product per ensemble on x3
             m_k = np.matmul(ck[:, None, :], x3).reshape(-1, P, O).swapaxes(1, 2)
-            slices = [None] * n_terms  # term k's is built from its update
             for n in range(n_terms):
                 if n != k:
-                    slices[n] = (a_mats[n] * w_vecs[n][:, None, :]) @ b_mats[n].swapaxes(1, 2)
-                    m_k -= _dots(c_vecs[n], ck)[:, None, None] * slices[n]
+                    s = (a_mats[n] * w_vecs[n][:, None, :]) @ b_mats[n].swapaxes(1, 2)
+                    slots[..., n] = s.swapaxes(1, 2)
+                    m_k -= _dots(c_vecs[n], ck)[:, None, None] * s
             ck_sq = _dots(ck, ck)[:, None, None]
             bk = b_mats[k]
             a_hat = m_k @ bk @ _pinv_stack(ck_sq * (bk.swapaxes(1, 2) @ bk))
             b_hat = (m_k.swapaxes(1, 2) @ a_hat
                      @ _pinv_stack(ck_sq * (a_hat.swapaxes(1, 2) @ a_hat)))
-            slices[k] = a_hat @ b_hat.swapaxes(1, 2)
+            slots[..., k] = (a_hat @ b_hat.swapaxes(1, 2)).swapaxes(1, 2)
 
-            # joint mixing update: one vectorized slice per term, original rhs
-            regressor = np.empty((live.size, P, O, n_terms))
-            for n, s in enumerate(slices):
-                regressor[..., n] = s.swapaxes(1, 2)
-            regressor = regressor.reshape(live.size, O * P, n_terms)
+            # joint mixing update against the original rhs
             try:
                 mixing_raw = _nnls_stack(regressor, x3).swapaxes(1, 2)
             except ConvergenceError as exc:
@@ -572,12 +578,8 @@ def _ll1_stack(t: DenseTensor, ranks, cfgs: list) -> list:
             fit = _resolved_fit(norm_sq[i] - 2.0 * inner + model_sq, bound, norms[i],
                                 history)
             if fit is None:
-                recon = _ll1_array(
-                    [(a_mats[n][pos] * w_vecs[n][pos]) @ b_mats[n][pos].T
-                     for n in range(n_terms)],
-                    [c_vecs[n][pos] for n in range(n_terms)],
-                )
-                fit = _relative_fit(groups[i], recon, norms[i])
+                model = _model_x3(regressor[pos], mixing_raw[pos])
+                fit = _relative_fit(x3[pos], model, norms[i])
             history.append(fit)
             converged = _converged(history, cfgs[i].rel_tol)
             if converged or sweep == cfgs[i].max_sweeps:
@@ -598,14 +600,16 @@ def _ll1_stack(t: DenseTensor, ranks, cfgs: list) -> list:
     return results
 
 
-def _ll1_init(t: DenseTensor, ranks: list, init: str, rng: np.random.Generator) -> list:
+def _ll1_init(arr: np.ndarray, ranks: list, init: str, rng: np.random.Generator) -> list:
     """Unnormalized initial (A_k, B_k, c_k) of every term: drawn from rng,
-    or taken from the HOSVD of t with each c_k clipped to >= 0."""
-    O, P, Q = t.shape
+    or taken from the HOSVD of the F-ordered O x P x Q array arr, wrapped
+    as a tensor in place, with each c_k clipped to >= 0."""
+    O, P, Q = arr.shape
     if init == INIT_RANDOM:
         return [(rng.standard_normal((O, L)), rng.standard_normal((P, L)),
                  rng.uniform(0.0, 1.0, size=Q)) for L in ranks]
-    ua, ub, uc = _hosvd_factor_init(t, [sum(ranks), sum(ranks), len(ranks)])
+    cols = [sum(ranks), sum(ranks), len(ranks)]
+    ua, ub, uc = _hosvd_factor_init(DenseTensor._wrap(arr), cols)
     uc = _nonneg_columns(uc)
     ends = np.cumsum(ranks)
     return [(ua[:, e - L:e].copy(), ub[:, e - L:e].copy(), uc[:, k])
@@ -634,33 +638,27 @@ def _fit_terms(regressor: np.ndarray, mixing: np.ndarray, x3: np.ndarray) -> tup
     return inner.tolist(), model_sq.tolist(), scale.tolist(), reach.tolist()
 
 
-def _kruskal_array(factors: list[np.ndarray], weights: np.ndarray) -> np.ndarray:
-    lead = factors[0] * weights
-    chain = reduce(khatri_rao, factors[:0:-1])
-    m = lead @ chain.T
-    return np.reshape(m, tuple(f.shape[0] for f in factors), order="F")
-
-
-def _ll1_array(slices: list[np.ndarray], mixing: list[np.ndarray]) -> np.ndarray:
-    """Dense sum over terms of each O x P slice times its mixing vector."""
-    arr = np.zeros(slices[0].shape + (mixing[0].size,))
-    for s, c in zip(slices, mixing):
-        arr += s[:, :, None] * c[None, None, :]
-    return arr
+def _model_x3(regressor: np.ndarray, mixing: np.ndarray) -> np.ndarray:
+    """X^_3 = (R M)^T, Q x (O*P), of the model whose regressor R holds one
+    vectorized O x P slice per column and whose mixing M one length-Q row
+    per column of R: the one place a dense CPD or LL1 model is formed."""
+    return (regressor @ mixing).T
 
 
 def reconstruct(f) -> DenseTensor:
-    """Dense tensor reconstructed from any factor bundle."""
+    """Dense tensor reconstructed from any factor bundle; a CPD or LL1
+    model is folded from its mode-3 unfolding (R M)^T (`_model_x3`)."""
     if isinstance(f, KruskalFactors):
-        return DenseTensor(_kruskal_array(f.factors, f.weights))
+        a, b, c = f.factors
+        return fold(_model_x3(khatri_rao(b, a), (c * f.weights).T), 2, f.shape)
     if isinstance(f, TuckerFactors):
         out = f.core
         for n, fac in enumerate(f.factors):
             out = mode_n_product(out, fac, n)
         return out
     if isinstance(f, LL1Factors):
-        return DenseTensor(_ll1_array([term.slice() for term in f.terms],
-                                      [term.c for term in f.terms]))
+        regressor = np.stack([term.slice().ravel(order="F") for term in f.terms], axis=1)
+        return fold(_model_x3(regressor, np.stack([term.c for term in f.terms])), 2, f.shape)
     raise TypeError(f"cannot reconstruct from {type(f).__name__}")
 
 
@@ -672,7 +670,7 @@ def fit_error(t: DenseTensor, f) -> float:
     rec = reconstruct(f)
     if rec.shape != t.shape:
         raise ValueError(f"shape mismatch: tensor {t.shape} vs factors {rec.shape}")
-    return _relative_fit(t, rec.values, norm_frobenius(t))
+    return _relative_fit(t.values, rec.values, norm_frobenius(t))
 
 
 def greedy_cosine_match(estimated: np.ndarray, reference: np.ndarray):

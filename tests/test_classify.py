@@ -391,6 +391,8 @@ class TestExperimentConfig:
             {"ranks": [1, 0]},
             {"tau": -0.5},
             {"max_sweeps": 0},
+            {"max_sweeps": 2.5},
+            {"max_sweeps": True},
             {"rel_tol": -1},
             {"rel_tol": 0.0},
             {"rel_tol": float("nan")},

@@ -250,6 +250,18 @@ class TestDecompose:
         assert payload["status"] == "error"
         assert not (tmp_path / "f").exists()
 
+    def test_hosvd_rank_above_the_unfolding_rank_exits_3(self, capsys, tmp_path):
+        tfile = tmp_path / "t.dtf1"
+        write_tensor(DenseTensor(np.random.default_rng(0).standard_normal((10, 2, 2))), tfile)
+        code, payload = run_cli(capsys, [
+            "decompose", str(tfile), "--method", "hosvd", "--ranks", "8,2,2",
+            "--out", str(tmp_path / "f"),
+        ])
+        assert code == 3
+        assert payload["status"] == "error"
+        assert "mlrank[0]=8 out of range 1..4" in payload["error"]
+        assert not (tmp_path / "f").exists()
+
     @pytest.mark.parametrize("shape", [(3, 3), (4, 3, 5, 2)])
     @pytest.mark.parametrize("method,ranks", [("cpd", "1"), ("hosvd", "1,1,1"), ("ll1", "1")])
     def test_wrong_order_input_exits_3(self, capsys, tmp_path, shape, method, ranks):

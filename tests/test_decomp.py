@@ -153,6 +153,19 @@ class TestConfig:
         with pytest.raises(ValueError):
             DecompConfig(init="magic")
 
+    @pytest.mark.parametrize("cap", [2.5, 2.0, True, False, "3"])
+    def test_sweep_cap_must_be_an_integer(self, cap):
+        # a fractional cap was never reached by ll1_nn and broke range() in
+        # cpd_als; True ran one sweep
+        with pytest.raises(ValueError, match="max_sweeps must be a positive integer"):
+            DecompConfig(max_sweeps=cap)
+
+    def test_numpy_integer_sweep_cap(self):
+        t = DenseTensor(np.random.default_rng(0).uniform(0.1, 1.0, (4, 3, 5)))
+        cfg = DecompConfig(max_sweeps=np.int64(3), rel_tol=1e-300)
+        assert cpd_als(t, 2, cfg).diagnostics.sweeps == 3
+        assert ll1_nn(t, [1, 1], cfg).diagnostics.sweeps == 3
+
 
 class TestReconstruct:
     def test_kruskal_matches_triple_sum(self):
@@ -188,6 +201,10 @@ class TestReconstruct:
     def test_type_error(self):
         with pytest.raises(TypeError):
             reconstruct(object())
+
+    def test_kruskal_needs_three_factors(self):
+        with pytest.raises(ValueError, match="3 factor matrices, got 2"):
+            KruskalFactors(factors=[np.ones((2, 1))] * 2, weights=np.ones(1))
 
     def test_fit_error_shape_mismatch(self):
         f = KruskalFactors(
@@ -316,6 +333,15 @@ class TestHosvd:
             hosvd(t, (1, 2, 4))
         with pytest.raises(ValueError):
             hosvd(DenseTensor(np.zeros((2, 2))), (1, 1))
+
+    def test_rank_is_bounded_by_the_unfolding_rank(self):
+        # the mode-0 unfolding of a 10 x 2 x 2 tensor has rank at most 4
+        t = DenseTensor(np.random.default_rng(12).standard_normal((10, 2, 2)))
+        with pytest.raises(ValueError, match=r"mlrank\[0\]=8 out of range 1\.\.4"):
+            hosvd(t, (8, 2, 2))
+        f = hosvd(t, (4, 2, 2))
+        assert f.core.shape == (4, 2, 2)
+        assert fit_error(t, f) < 1e-10
 
 
 class TestLL1:
@@ -477,13 +503,13 @@ class TestGramFit:
     """The per-sweep fit is taken in Gram form, with a dense fallback."""
 
     def test_cpd_builds_no_dense_model(self, monkeypatch, face_stack):
-        calls = _counting(monkeypatch, "_kruskal_array")
+        calls = _counting(monkeypatch, "_model_x3")
         f = cpd_als(face_stack, 8, DecompConfig(seed=1, max_sweeps=30))
         assert f.diagnostics.sweeps == 30
         assert calls == []
 
     def test_ll1_builds_no_dense_model(self, monkeypatch, face_stack):
-        calls = _counting(monkeypatch, "_ll1_array")
+        calls = _counting(monkeypatch, "_model_x3")
         f = ll1_nn(face_stack, [2, 2, 2, 2], DecompConfig(seed=1, max_sweeps=10))
         assert f.diagnostics.sweeps == 10
         assert calls == []
