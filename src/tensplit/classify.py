@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DenseTensor, unfold
+from .core import DenseTensor, _is_number, unfold
 from .dataset import EnsembleDataset, SplitPlan, group_tensor, make_group_splits
 from .decomp import DecompConfig
 from .features import (
@@ -310,14 +310,17 @@ class ExperimentConfig:
     rel_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.realizations < 1:
-            raise ValueError("realizations must be >= 1")
+        for name in ("realizations", "k"):
+            if not _is_number(getattr(self, name), integral=True):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.classifier not in CLASSIFIERS:
             raise ValueError(f"unknown classifier {self.classifier!r}")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if not self.ranks or any(int(L) < 1 for L in self.ranks):
+        if len(self.ranks) == 0 or not all(_is_number(L, True) and L >= 1 for L in self.ranks):
             raise ValueError("ranks must be a nonempty list of positive integers")
+        if not _is_number(self.tau):
+            raise ValueError(f"tau must be a number, got {self.tau!r}")
         SubsetRule(self.tau)  # range checks
         DecompConfig(max_sweeps=self.max_sweeps, rel_tol=self.rel_tol)
 

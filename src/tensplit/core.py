@@ -10,6 +10,7 @@ of them varying fastest.  Modes are 0-based, like numpy axes.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Sequence
 
 import numpy as np
@@ -94,6 +95,13 @@ class DenseTensor:
 def _check_mode(order: int, mode: int) -> None:
     if not 0 <= mode < order:
         raise ValueError(f"mode {mode} out of range for an order-{order} tensor")
+
+
+def _is_number(v, integral: bool = False) -> bool:
+    """Whether v is a real number, or an integer if `integral`, numpy's
+    included, and not a bool, which isinstance counts as an integer."""
+    kind = numbers.Integral if integral else numbers.Real
+    return isinstance(v, kind) and not isinstance(v, bool)
 
 
 def _as_matrix(m, name: str = "matrix") -> np.ndarray:

@@ -36,8 +36,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dtf
-from .core import DenseTensor, fold, khatri_rao, mode_n_product, norm_frobenius, unfold
-from .kernels import ConvergenceError, _nnls_stack, _pinv_stack, pinv, svd
+from .core import DenseTensor, _is_number, fold, khatri_rao, mode_n_product, norm_frobenius, unfold
+from .kernels import ConvergenceError, _lapack, _nnls_stack, _pinv_stack, pinv, svd
 
 _EPS = np.finfo(np.float64).eps
 _SUBNORMAL = float(np.finfo(np.float64).smallest_subnormal)
@@ -55,9 +55,8 @@ class DecompConfig:
     init: str = INIT_RANDOM
 
     def __post_init__(self):
-        # a fractional cap is never reached, and a bool is an int to isinstance
-        cap = self.max_sweeps
-        if isinstance(cap, bool) or not isinstance(cap, (int, np.integer)) or cap < 1:
+        cap = self.max_sweeps  # a fractional cap is never reached
+        if not (_is_number(cap, integral=True) and cap >= 1):
             raise ValueError(f"max_sweeps must be a positive integer, got {cap!r}")
         if not self.rel_tol > 0:
             raise ValueError("rel_tol must be positive")
@@ -168,7 +167,7 @@ def _normalize_columns(m: np.ndarray, rngs: list, flags: list, what: str):
     """Scale the columns of each matrix m[i] of a stack to unit norm; a zero
     column is replaced by a fresh random unit column drawn from rngs[i],
     with weight 0 and a flag in flags[i].  Norms are summed as
-    np.linalg.norm(m[i], axis=0) sums them."""
+    np.linalg.norm(m[i], axis=0) sums them, so none is negative or -0.0."""
     norms = np.sqrt(np.add.reduce(m * m, axis=1))
     if norms.all():
         return m / norms[:, None, :], norms
@@ -181,20 +180,20 @@ def _normalize_columns(m: np.ndarray, rngs: list, flags: list, what: str):
     return out, norms
 
 
-def _normalize_nonneg_vectors(v: np.ndarray, rngs: list, flags: list, what: str):
-    """Scale each row v[i], a nonnegative vector, to unit norm; a zero row is
-    replaced by a fresh random positive unit vector drawn from rngs[i],
-    with norm 0 and a flag in flags[i].  Each norm is a dot product over a
-    contiguous copy of its row, as np.linalg.norm takes it."""
+def _normalize_nonneg_vectors(v: np.ndarray, rngs: list, flags: list, names: list):
+    """Scale each row v[i, n], a nonnegative vector, to unit norm; a zero row
+    is replaced by a fresh random positive unit vector drawn from rngs[i],
+    with norm 0 and a flag names[n] in flags[i].  Each norm is a dot product
+    over a contiguous copy of its row, as np.linalg.norm takes it."""
     v = np.ascontiguousarray(v)
-    norms = np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0])
+    norms = np.sqrt(np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0])
     if norms.all():
-        return v / norms[:, None], norms
-    out = np.divide(v, norms[:, None], out=np.empty_like(v), where=norms[:, None] != 0.0)
-    for i in np.flatnonzero(norms == 0.0):
-        col = rngs[i].uniform(0.0, 1.0, size=v.shape[1]) + _EPS
-        out[i] = col / np.linalg.norm(col)
-        flags[i].append(f"zero-column:{what}")
+        return v / norms[..., None], norms
+    out = np.divide(v, norms[..., None], out=np.empty_like(v), where=norms[..., None] != 0.0)
+    for i, n in zip(*np.nonzero(norms == 0.0)):
+        col = rngs[i].uniform(0.0, 1.0, size=v.shape[-1]) + _EPS
+        out[i, n] = col / np.linalg.norm(col)
+        flags[i].append(f"zero-column:{names[n]}")
     return out, norms
 
 
@@ -407,9 +406,9 @@ def cpd_als(t: DenseTensor, rank: int, cfg: DecompConfig | None = None) -> Krusk
 def _times_inverse(m: np.ndarray, g: np.ndarray) -> np.ndarray:
     """m @ pinv(g) for a symmetric positive semidefinite g, by a solve
     where g's smallest eigenvalue is above pinv's cutoff."""
-    eig = np.linalg.eigvalsh(g)  # ascending
+    eig = _lapack("eigvalsh_lo", g)  # ascending
     if eig[0] > g.shape[0] * _EPS * eig[-1]:
-        return np.linalg.solve(g, m.T).T
+        return _lapack("solve", g, m.T).T
     return m @ pinv(g)
 
 
@@ -501,16 +500,16 @@ def _ll1_stack(t: DenseTensor, ranks, cfgs: list) -> list:
 
     inits = [_ll1_init(x.T.reshape(O, P, Q, order="F"), ranks, cfg.init, rng)
              for x, cfg, rng in zip(x3, cfgs, rngs)]
-    a_mats, b_mats, c_vecs, w_vecs = [], [], [], []  # per term, stacked over ensembles
+    stacked = []  # per term (A, B, c, w), stacked over ensembles
     for k, term in enumerate(zip(*inits)):
         a, b, c = (np.stack(v) for v in zip(*term))
         a, na = _normalize_columns(a, rngs, flags, f"init-a{k}")
         b, nb = _normalize_columns(b, rngs, flags, f"init-b{k}")
-        c, nc = _normalize_nonneg_vectors(c, rngs, flags, f"init-c{k}")
-        a_mats.append(a)
-        b_mats.append(b)
-        c_vecs.append(c)
-        w_vecs.append(np.abs(na) * np.abs(nb) * nc[:, None])
+        c, nc = _normalize_nonneg_vectors(c[:, None], rngs, flags, [f"init-c{k}"])
+        stacked.append((a, b, c, na * nb * nc))
+    a_mats, b_mats, c_vecs, w_vecs = (list(v) for v in zip(*stacked))
+    mixing = np.concatenate(c_vecs, axis=1)  # mixing[i, n]: term n's mixing vector c_n
+    c_names = [f"c{n}" for n in range(n_terms)]
 
     norm_sq = [float(np.sum(np.square(x))) for x in x3]
     # roundings per product of ||T||^2, of <T, T^> (GEMM of length OP,
@@ -527,26 +526,25 @@ def _ll1_stack(t: DenseTensor, ranks, cfgs: list) -> list:
     sweep = 0
     while live.size:
         sweep += 1
-        live_rngs = [rngs[i] for i in live]
-        live_flags = [flags[i] for i in live]
+        live_rngs, live_flags = ([v[i] for i in live.tolist()] for v in (rngs, flags))
         # R, one vectorized slice per term: slots[..., n] is term n's slice transposed
         regressor = np.empty((live.size, O * P, n_terms))
         slots = regressor.reshape(live.size, P, O, n_terms)
         for k in range(n_terms):
-            ck = c_vecs[k]
-            # T x_3 c_k as one matrix-vector product per ensemble on x3
-            m_k = np.matmul(ck[:, None, :], x3).reshape(-1, P, O).swapaxes(1, 2)
+            ck = mixing[:, k]
+            # c_n . c_k as one dot each; M_k^T = T x_3 c_k less each S_n^T = B_n (A_n w_n)^T
+            overlap = np.matmul(mixing[:, :, None, :], ck[:, None, :, None])[:, :, 0, 0]
+            m_k = np.matmul(ck[:, None, :], x3).reshape(-1, P, O)
             for n in range(n_terms):
                 if n != k:
-                    s = (a_mats[n] * w_vecs[n][:, None, :]) @ b_mats[n].swapaxes(1, 2)
-                    slots[..., n] = s.swapaxes(1, 2)
-                    m_k -= _dots(c_vecs[n], ck)[:, None, None] * s
-            ck_sq = _dots(ck, ck)[:, None, None]
+                    s = b_mats[n] @ (a_mats[n] * w_vecs[n][:, None, :]).swapaxes(1, 2)
+                    slots[..., n] = s
+                    m_k -= overlap[:, n, None, None] * s
+            ck_sq = overlap[:, k, None, None]
             bk = b_mats[k]
-            a_hat = m_k @ bk @ _pinv_stack(ck_sq * (bk.swapaxes(1, 2) @ bk))
-            b_hat = (m_k.swapaxes(1, 2) @ a_hat
-                     @ _pinv_stack(ck_sq * (a_hat.swapaxes(1, 2) @ a_hat)))
-            slots[..., k] = (a_hat @ b_hat.swapaxes(1, 2)).swapaxes(1, 2)
+            a_hat = m_k.swapaxes(1, 2) @ bk @ _pinv_stack(ck_sq * (bk.swapaxes(1, 2) @ bk))
+            b_hat = m_k @ a_hat @ _pinv_stack(ck_sq * (a_hat.swapaxes(1, 2) @ a_hat))
+            slots[..., k] = b_hat @ a_hat.swapaxes(1, 2)
 
             # joint mixing update against the original rhs
             try:
@@ -559,14 +557,9 @@ def _ll1_stack(t: DenseTensor, ranks, cfgs: list) -> list:
 
             a_mats[k], na = _normalize_columns(a_hat, live_rngs, live_flags, f"a{k}")
             b_mats[k], nb = _normalize_columns(b_hat, live_rngs, live_flags, f"b{k}")
+            mixing, gamma = _normalize_nonneg_vectors(mixing_raw, live_rngs, live_flags, c_names)
             for n in range(n_terms):
-                c_vecs[n], gamma = _normalize_nonneg_vectors(
-                    mixing_raw[:, n], live_rngs, live_flags, f"c{n}"
-                )
-                if n == k:
-                    w_vecs[k] = np.abs(na) * np.abs(nb) * gamma[:, None]
-                else:
-                    w_vecs[n] = w_vecs[n] * gamma[:, None]
+                w_vecs[n] = (na * nb if n == k else w_vecs[n]) * gamma[:, n, None]
 
         stats = zip(live.tolist(), *_fit_terms(regressor, mixing_raw, x3))
         keep = np.ones(live.size, dtype=bool)
@@ -584,7 +577,7 @@ def _ll1_stack(t: DenseTensor, ranks, cfgs: list) -> list:
             converged = _converged(history, cfgs[i].rel_tol)
             if converged or sweep == cfgs[i].max_sweeps:
                 keep[pos] = False
-                terms = [BlockTerm(a=a_mats[n][pos], b=b_mats[n][pos], c=c_vecs[n][pos],
+                terms = [BlockTerm(a=a_mats[n][pos], b=b_mats[n][pos], c=mixing[pos, n],
                                    weights=np.ldexp(w_vecs[n][pos], shifts[i]))
                          for n in range(n_terms)]
                 flags[i] += [f"zero-mixing-entries:term{n}"
@@ -593,9 +586,8 @@ def _ll1_stack(t: DenseTensor, ranks, cfgs: list) -> list:
                                    flags=flags[i], seed=cfgs[i].seed)
                 results[i] = LL1Factors(terms=terms, fit_history=history, diagnostics=diag)
         if not keep.all():
-            live = live[keep]
-            x3 = x3[keep]
-            for mats in (a_mats, b_mats, c_vecs, w_vecs):
+            live, x3, mixing = live[keep], x3[keep], mixing[keep]
+            for mats in (a_mats, b_mats, w_vecs):
                 mats[:] = [m[keep] for m in mats]
     return results
 
@@ -616,11 +608,6 @@ def _ll1_init(arr: np.ndarray, ranks: list, init: str, rng: np.random.Generator)
             for k, (L, e) in enumerate(zip(ranks, ends))]
 
 
-def _dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """u[i] . v[i] for every row i, each one BLAS dot product."""
-    return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
-
-
 def _fit_terms(regressor: np.ndarray, mixing: np.ndarray, x3: np.ndarray) -> tuple:
     """<T, T^> = sum(M * (X_3 R)^T), ||T^||^2 = sum(M * R^T R M), the
     bound's S = sum_k ||R_k|| ||M_k|| and max(M) of each model R M of a
@@ -632,8 +619,8 @@ def _fit_terms(regressor: np.ndarray, mixing: np.ndarray, x3: np.ndarray) -> tup
     gram = regressor.swapaxes(1, 2) @ regressor
     inner = np.add.reduce(mixing * (x3 @ regressor).swapaxes(1, 2), axis=(1, 2))
     model_sq = np.add.reduce(mixing * (gram @ mixing), axis=(1, 2))
-    scale = _dots(np.sqrt(np.diagonal(gram, axis1=1, axis2=2)),
-                  np.linalg.norm(mixing, axis=2))
+    norms = np.sqrt(np.add.reduce(mixing * mixing, axis=2))  # ||M_k||, as np.linalg.norm
+    scale = np.matmul(np.sqrt(gram.diagonal(0, 1, 2))[:, None, :], norms[:, :, None])[:, 0, 0]
     reach = np.maximum.reduce(mixing, axis=(1, 2))
     return inner.tolist(), model_sq.tolist(), scale.tolist(), reach.tolist()
 

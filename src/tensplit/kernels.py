@@ -1,20 +1,21 @@
 """Matrix factorizations and constrained least squares.
 
-SVD and the pseudoinverse are thin wrappers over LAPACK (deterministic
-for a given input).  The nonnegative least-squares solver is an active-set
+SVD and the pseudoinverse are thin wrappers over LAPACK (deterministic for a
+given input); stacked eigenvalues and solves call numpy.linalg's gufuncs
+directly (`_lapack`).  The nonnegative least-squares solver is an active-set
 method in the Lawson-Hanson style, implemented here because its exact
 behaviour (dual tolerance, iteration cap, exact zeros in the solution) is
 part of this package's contract.  There is one iteration, batched over
 right-hand sides and over a stack of same-shape designs: every row of the
-batch carries its own design's Gram matrix, all rows advance in the same
-few numpy calls, and each row's result is independent of the batch it came
-in.  It is given one of two subproblem solvers: stacked solves of the
-normal equations on a^T a and a^T y, or, for designs whose Gram matrix is
+batch carries its own design's Gram matrix, all rows advance in the same few
+numpy calls, and each row's result is independent of the batch it came in.
+It is given one of two subproblem solvers: stacked solves of the normal
+equations on a^T a and a^T y, or, for designs whose Gram matrix is
 ill-conditioned, least squares on the design's n x n QR factor.  In Gram
 form a row first admits all of its coordinates in one solve (Van Benthem &
-Keenan's FC-NNLS start), and only rows it leaves infeasible iterate.  The
-pseudoinverse likewise takes a stack of matrices, each giving pinv's
-result bit for bit.
+Keenan's FC-NNLS start), and only rows it leaves infeasible iterate; a stack
+of finite, well-conditioned designs is solved whole.  The pseudoinverse
+likewise takes a stack of matrices, each giving pinv's result bit for bit.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
-from .core import _as_matrix
+from .core import _as_matrix, _is_number
 
 
 class ConvergenceError(RuntimeError):
@@ -60,12 +62,11 @@ def pinv(m) -> np.ndarray:
 
 def _pinv_stack(ms: np.ndarray) -> np.ndarray:
     """pinv of each matrix of an (n, rows, cols) stack, bit for bit."""
-    if ms.shape[1:] == (1, 1):
-        # the SVD of [[x]] is |x| with unit signs, so 1 / x is the SVD
-        # path's result bit for bit where LAPACK does not rescale x
-        size = np.abs(ms)
-        if ((1e-130 < size) & (size < 1e130)).all():
-            return 1.0 / ms
+    if (ms.shape[1:] == (1, 1) and np.minimum.reduce(ms, axis=None, initial=1.0) > 1e-130
+            and np.maximum.reduce(ms, axis=None, initial=1.0) < 1e130):
+        # the SVD of [[x]] is |x| with unit signs, so 1 / x is the SVD path's
+        # result bit for bit where LAPACK does not rescale x (a negative x too)
+        return 1.0 / ms
     if not np.isfinite(ms).all():
         raise ValueError("svd input has non-finite entries")
     u, s, vh = np.linalg.svd(ms, full_matrices=False)
@@ -73,6 +74,19 @@ def _pinv_stack(ms: np.ndarray) -> np.ndarray:
     tol = max(ms.shape[1:]) * np.finfo(np.float64).eps * s_max
     inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > tol)
     return (vh.swapaxes(1, 2) * inv[:, None, :]) @ u.swapaxes(1, 2)
+
+
+def _linalg_failed(err, flag):
+    raise LinAlgError("LAPACK found a singular matrix or did not converge")
+
+
+def _lapack(name: str, *args) -> np.ndarray:
+    """numpy.linalg's LAPACK gufunc `name` on float64 arrays, called as its
+    wrapper calls it but without the wrapper's checks: the same result bit
+    for bit, and a LAPACK failure raises LinAlgError."""
+    with np.errstate(call=_linalg_failed, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        return getattr(_umath_linalg, name)(*args, signature="d" * len(args) + "->d")
 
 
 # Normal equations square the design's condition number, so a Gram matrix
@@ -97,14 +111,14 @@ def nnls_multi(a, ys, tol: float = 1e-10, max_iter: int | None = None) -> np.nda
     the most violated dual coordinate, solve the unconstrained LS problem on
     that set, and step back toward feasibility when the subproblem solution
     leaves the nonnegative orthant.  Inactive coordinates are exact zeros.
-    `tol` is the dual feasibility threshold, applied to the design scaled
-    by a power of two to a largest |entry| in [0.5, 1), the solution being
-    scaled back; a coordinate whose admission makes no numerical progress
-    is shelved until the iterate next moves, which keeps near-degenerate
+    `tol` is the dual feasibility threshold, applied to the design scaled by
+    a power of two to a largest |entry| in [0.5, 1), the solution being
+    scaled back; a coordinate whose admission makes no numerical progress is
+    shelved until the iterate next moves, which keeps near-degenerate
     problems from cycling.  The iteration cap defaults to 10 * cols
     admissions, with at most 3 * cols feasibility steps per admission;
-    either cap raises ConvergenceError.  Non-finite entries in `a` or `ys`
-    raise ValueError.
+    either cap raises ConvergenceError.  Non-finite entries, a `tol`
+    outside [0, inf) and a `max_iter` not None or an int >= 0 raise ValueError.
 
     One iteration advances every unfinished column together and is given
     the dual and the passive-set subproblem solver of one of two
@@ -124,8 +138,13 @@ def nnls_multi(a, ys, tol: float = 1e-10, max_iter: int | None = None) -> np.nda
     subproblem is least squares on the passive columns of r, one column of
     ys at a time.  Either way each column's arithmetic is the same
     whichever columns share the call, so column j equals nnls(a, ys[:, j])
-    bit for bit.  This is the one-design case of `_nnls_stack`.
+    bit for bit.  This is the one-design case of `_nnls_stack`: a finite,
+    well-conditioned design makes no gathers and calls LAPACK's gufuncs.
     """
+    if not (_is_number(tol) and 0 <= tol < np.inf):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+    if not (max_iter is None or _is_number(max_iter, integral=True) and max_iter >= 0):
+        raise ValueError(f"max_iter must be None or an integer >= 0, got {max_iter!r}")
     a = _as_matrix(a, "a")
     ys = _as_matrix(ys, "ys")
     if ys.shape[0] != a.shape[0]:
@@ -152,59 +171,62 @@ def _nnls_stack(a: np.ndarray, yst: np.ndarray, tol: float = 1e-10,
     # so every power-of-two multiple of a design gets one result.
     # Unscaled, a design far from unit scale overflows or underflows its
     # Gram matrix, or puts its duals or solution below the absolute `tol`:
-    # wrong supports or a ConvergenceError.  frexp gives a zero design the
-    # shift 0; a non-finite design raises below, whatever its shift.
-    shift = np.frexp(np.maximum.reduce(np.abs(a), axis=(1, 2)))[1]
-    a = np.ldexp(a, -shift[:, None, None])
+    # wrong supports or a ConvergenceError.  2^shift scales a design's peak
+    # into [0.5, 1) and its solution back; a zero design gets shift 0.
+    peak = np.maximum.reduce(np.abs(a), axis=(1, 2))  # NaN or inf where a has one
+    shift = -np.frexp(peak)[1][:, None, None]
+    a = np.ldexp(a, shift)
     g = np.matmul(a.swapaxes(1, 2), a)
     yst = np.ascontiguousarray(yst)
     # one matrix-vector product per row: a row's a^T y must not depend on
     # how many rows share the call
     aty = np.matmul(yst[:, :, None, :], a[:, None])[:, :, 0, :]
-    finite = np.isfinite(g).all(axis=(1, 2)) & np.isfinite(aty).all(axis=(1, 2))
-    for i in (~finite).nonzero()[0]:
-        if not (np.isfinite(a[i]).all() and np.isfinite(yst[i]).all()):
-            raise ValueError("nnls input has non-finite entries")
-    # g is finite now: a finite design scaled below 1 has |g| <= its rows
+    # a design is finite where its peak is, and so then is g: |g| <= its rows
+    finite = np.isfinite(peak) & np.isfinite(aty).all(axis=(1, 2))
+    if not finite.all():  # the common case makes no per-design test
+        for i in (~finite).nonzero()[0]:
+            if not (np.isfinite(a[i]).all() and np.isfinite(yst[i]).all()):
+                raise ValueError("nnls input has non-finite entries")
     gram = finite & ~_ill_conditioned(g)
-    x = np.empty(aty.shape)
+    rhs, gg = (aty, g) if gram.all() else (aty[gram], g[gram])  # common: no gathers
+    going = np.maximum.reduce(rhs, axis=2) > tol  # the dual at x = 0
+    xg = np.zeros(rhs.shape)
     i = None  # the design being solved by least squares
     try:
-        if gram.any():
-            rhs, gg = aty[gram], g[gram]
-            going = np.maximum.reduce(rhs, axis=2) > tol  # the dual at x = 0
-            xg = np.zeros(rhs.shape)
-            if max_iter >= 1:
-                # one solve per row, as Lawson-Hanson's on a full passive set
-                z = np.linalg.solve(gg[:, None], rhs[..., None])[..., 0]
-                settled = going & np.logical_and.reduce(z > 0.0, axis=2)
-                xg[settled] = z[settled]
-                going &= ~settled
+        if max_iter >= 1:
+            # one solve per row, as Lawson-Hanson's on a full passive set
+            z = _lapack("solve", gg[:, None], rhs[..., None])[..., 0]
+            settled = going & np.logical_and.reduce(z > 0.0, axis=2)
+            xg = np.where(settled[..., None], z, xg)
+            going ^= settled
+        if going.any():
             design = going.nonzero()[0]  # the rest start cold, as they would alone
-            if design.size:
-                xg[going] = _lawson_hanson(
-                    (rhs[going], gg[design]), n, tol, max_iter,
-                    solve=partial(_solve_passive, np.eye(n)),
-                    dual=lambda b, x: b[0] - np.matmul(x[:, None, :], b[1])[:, 0, :])
+            xg[going] = _lawson_hanson(
+                (rhs[going], gg[design]), n, tol, max_iter,
+                solve=partial(_solve_passive, np.eye(n)),
+                dual=lambda b, x: b[0] - np.matmul(x[:, None, :], b[1])[:, 0, :])
+        x = xg
+        if rhs is not aty:
+            x = np.empty(aty.shape)
             x[gram] = xg
-        for i in (~gram).nonzero()[0]:
-            # a = q r: ||a x - y||^2 and ||r x - q^T y||^2 differ by a constant,
-            # and r (at most n x n) has the square root of g's condition number
-            q, r = np.linalg.qr(a[i])
-            qty = np.matmul(yst[i][:, None, :], q)[:, 0, :]  # per row, as a^T y
-            x[i] = _lawson_hanson((qty,), n, tol, max_iter,
-                                  dual=partial(_residual_dual, r),
-                                  solve=partial(_lstsq_passive, r))
+            for i in (~gram).nonzero()[0]:
+                # a = q r: ||a x - y||^2 and ||r x - q^T y||^2 differ by a constant,
+                # and r (at most n x n) has the square root of g's condition number
+                q, r = np.linalg.qr(a[i])
+                qty = np.matmul(yst[i][:, None, :], q)[:, 0, :]  # per row, as a^T y
+                x[i] = _lawson_hanson((qty,), n, tol, max_iter,
+                                      dual=partial(_residual_dual, r),
+                                      solve=partial(_lstsq_passive, r))
     except ConvergenceError as exc:
         exc.index = int(gram.nonzero()[0][design[exc.index]] if i is None else i)
         raise
-    return np.ldexp(x, -shift[:, None, None])
+    return np.ldexp(x, shift)
 
 
 def _ill_conditioned(g: np.ndarray) -> np.ndarray:
     """Whether each symmetric Gram matrix of the stack g has a condition
     number above GRAM_COND_MAX; a singular one counts as ill-conditioned."""
-    eig = np.linalg.eigvalsh(g)  # ascending
+    eig = _lapack("eigvalsh_lo", g)  # ascending
     return ~(eig[:, 0] * GRAM_COND_MAX > eig[:, -1])
 
 
@@ -295,7 +317,7 @@ def _solve_passive(eye: np.ndarray, b: tuple, passive: np.ndarray) -> np.ndarray
     those of the identity `eye`."""
     rhs, g = b
     gm = np.where(passive[:, :, None] & passive[:, None, :], g, eye)
-    z = np.linalg.solve(gm, np.where(passive, rhs, 0.0)[:, :, None])[:, :, 0]
+    z = _lapack("solve", gm, np.where(passive, rhs, 0.0)[:, :, None])[:, :, 0]
     return np.where(passive, z, 0.0)
 
 
