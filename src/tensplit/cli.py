@@ -102,13 +102,13 @@ def cmd_decompose(args) -> tuple[dict, int]:
     dc.save_factors(result, out)
     log.info("wrote factor bundle to %s", out)
     if args.method == "hosvd":  # no sweeps
-        fit, sweeps, converged = dc.fit_error(t, result), 0, True
+        fit, sweeps, converged, flags = dc.fit_error(t, result), 0, True, []
     else:
         diag = result.diagnostics
         fit = diag.fit_history[-1] if diag.fit_history else None
-        sweeps, converged = diag.sweeps, diag.converged
+        sweeps, converged, flags = diag.sweeps, diag.converged, diag.flags
     payload = {"status": "ok" if converged else "non-converged", "method": args.method,
-               "fit": fit, "sweeps": sweeps, "out": str(out)}
+               "fit": fit, "sweeps": sweeps, "flags": flags, "out": str(out)}
     return payload, EXIT_OK if converged else EXIT_NUMERIC
 
 

@@ -3,12 +3,13 @@ rank-(L,L,1) block-term decomposition with a nonnegative stacking mode.
 
 All three operate on order-3 tensors.  Factor columns are returned with
 unit Euclidean norm; the norms are absorbed into per-component weights.
-The CPD sweep contracts the input with one factor at a time, a dimension
-tree (Phan, Tichavsky & Cichocki, IEEE Trans. Signal Process. 2013):
-T x_3 C^T serves both the A and the B update and T x_1 A^T the C update,
-so a sweep runs two tensor-times-matrix GEMMs and forms no Khatri-Rao
-product; each update then solves one R x R Gram system, or takes its
-pseudoinverse where pinv would drop a singular value.  The LL1 sweep
+The CPD sweep reads the input as its stack of image slices T_k and forms
+no Khatri-Rao product.  Two batched per-slice products serve its three
+updates: T x_2 B^T (slices B^T T_k^T), contracted with C, gives the A
+update, and T x_1 A^T (slices A^T T_k), contracted with C or with B, the
+B and C updates.  Each update solves one R x R system on the Hadamard
+product of two Gram matrices, each Gram formed once per sweep, or takes
+its pseudoinverse where pinv would drop a singular value.  The LL1 sweep
 updates each term's two matrix factors in turn (Gauss-Seidel)
 by least squares on an O x P matrix: the input contracted with the term's
 mixing vector, less the other terms' slices weighted by how much their
@@ -37,7 +38,8 @@ import numpy as np
 
 from . import dtf
 from .core import DenseTensor, _is_number, fold, khatri_rao, mode_n_product, norm_frobenius, unfold
-from .kernels import ConvergenceError, _lapack, _nnls_stack, _pinv_stack, pinv, svd
+from .kernels import (ConvergenceError, _gufunc, _linalg_errstate, _nnls_stack, _pinv_stack,
+                      pinv, svd)
 
 _EPS = np.finfo(np.float64).eps
 _SUBNORMAL = float(np.finfo(np.float64).smallest_subnormal)
@@ -180,6 +182,15 @@ def _normalize_columns(m: np.ndarray, rngs: list, flags: list, what: str):
     return out, norms
 
 
+def _unit_columns(m: np.ndarray, rng, flags: list, what: str):
+    """_normalize_columns of one matrix, stacked only where a column is zero."""
+    norms = np.sqrt(np.add.reduce(m * m, axis=0))
+    if norms.all():
+        return m / norms, norms
+    out, norms = _normalize_columns(m[None], [rng], [flags], what)
+    return out[0], norms[0]
+
+
 def _normalize_nonneg_vectors(v: np.ndarray, rngs: list, flags: list, names: list):
     """Scale each row v[i, n], a nonnegative vector, to unit norm; a zero row
     is replaced by a fresh random positive unit vector drawn from rngs[i],
@@ -310,11 +321,15 @@ def cpd_als(t: DenseTensor, rank: int, cfg: DecompConfig | None = None) -> Krusk
     product) solved against the Hadamard product of their Gram matrices,
     or times its pseudoinverse where pinv would drop a singular value, so
     the relative fit recorded per sweep is non-increasing.
-    The contractions share a dimension tree.  Y = T x_3 C^T, one GEMM
-    viewed as R x J x I, is summed against B over j for the A update and
-    against the new A over i for the B update; Z = T x_1 A^T, the second
-    GEMM, is summed against the new B over j, giving the C update's
-    m3 = X_3 (B kr A).  No Khatri-Rao matrix is formed.
+    The contractions read the input as its K image slices T_k, I x J views
+    of it, and no Khatri-Rao matrix is formed.  T x_2 B^T, the products
+    B^T T_k^T of one batched matmul, is summed against C over k for the A
+    update; T x_1 A^T, the products A^T T_k with the new A, is summed
+    against C over k for the B update and against the new B over j for the
+    C update's m3 = X_3 (B kr A).  A slice times an R-column factor is small
+    enough that BLAS does not pack it, which a GEMM over a whole unfolding
+    with only R output rows does.  A^T A, B^T B and C^T C are each formed
+    once per sweep and serve the two Hadamard systems they enter.
 
     The fit is taken in Gram form from m3: <T, T^> = sum(m3 * (C diag(w)))
     and ||T^||^2 = w^T (A^T A * B^T B * C^T C) w, the latter in extended
@@ -338,7 +353,7 @@ def cpd_als(t: DenseTensor, rank: int, cfg: DecompConfig | None = None) -> Krusk
     if rank > feasible:
         flags.append("degenerate-rank")
 
-    x1 = unfold(t, 0)  # a view of t, no copy
+    slices = t.values.transpose(2, 0, 1)  # slices[k] = T_k, an I x J view of t
     if cfg.init == INIT_RANDOM:
         a = rng.standard_normal((I, rank))
         b = rng.standard_normal((J, rank))
@@ -354,12 +369,15 @@ def cpd_als(t: DenseTensor, rank: int, cfg: DecompConfig | None = None) -> Krusk
     # (sum w = 12.5 ||T||) it moved the fit 0.0073 by 2.3e-10 of itself.
     # So ||T^||^2 is summed in np.longdouble (a 64-bit significand on
     # x86-64), with its own gamma, and rounded to double once.
-    # Roundings per product of ||T||^2, of <T, T^> (GEMM of length I in z,
-    # product with B and sum of J in m3, C diag(w), product, sum of KR),
-    # plus one for rounding ||T^||^2; and in ||T^||^2 (three Gram matrices
-    # of lengths I, J, K, two Hadamard products, two sums of R, two
-    # products).  Products formed, for the underflow term: the squares of
-    # T, the GEMM forming z, m3's products with B, the rest.
+    # Roundings per product of ||T||^2, of <T, T^> (the slice products
+    # A^T T_k, each entry a sum of I products; product with B and sum of J
+    # in m3; C diag(w), product, sum of KR), plus one for rounding
+    # ||T^||^2; and in ||T^||^2 (three Gram matrices of lengths I, J, K,
+    # two Hadamard products, two sums of R, two products).  Products
+    # formed, for the underflow term: the squares of T, the I J K R of the
+    # slice products A^T T_k, m3's products with B, the rest.  Taking m3
+    # from A^T T_k slice by slice rather than from one GEMM over X_1 leaves
+    # both counts as they were.
     n_round = max(t.size.bit_length() + 23, I + J + K * rank + 1) + 3
     gamma_model = _gamma(I + J + K + 2 * rank + 4, _EPS_EXT)
     n_products = t.size * (1 + rank) + J * K * rank + (I + J + 3 * K + 4) * rank ** 2
@@ -367,18 +385,23 @@ def cpd_als(t: DenseTensor, rank: int, cfg: DecompConfig | None = None) -> Krusk
     weights = np.ones(rank)
     converged = False
     sweeps = 0
+    gb, gc = b.T @ b, c.T @ c
     for sweeps in range(1, cfg.max_sweeps + 1):
-        # y[r, j, i] = sum_k T[i, j, k] C[k, r] serves the A and B updates
-        y = np.reshape(c.T @ x3, (rank, J, I))
-        a = _times_inverse(np.matmul(b.T[:, None, :], y)[:, 0, :].T, hadamard_gram(c, b))
-        a = _normalize_columns(a[None], [rng], [flags], "mode0")[0][0]
-        b = _times_inverse(np.matmul(y, a.T[:, :, None])[:, :, 0].T, hadamard_gram(c, a))
-        b = _normalize_columns(b[None], [rng], [flags], "mode1")[0][0]
-        # z[r, k, j] = sum_i T[i, j, k] A[i, r]
-        z = np.reshape(a.T @ x1, (rank, K, J))
-        m3 = np.matmul(z, b.T[:, :, None])[:, :, 0].T
-        c = _times_inverse(m3, hadamard_gram(b, a))
-        c, weights = (v[0] for v in _normalize_columns(c[None], [rng], [flags], "mode2"))
+        # tb[k, r, i] = sum_j T[i, j, k] B[j, r], summed against C over k
+        tb = np.matmul(b.T, slices.swapaxes(1, 2))
+        a = _times_inverse(np.matmul(tb.transpose(1, 2, 0), c.T[:, :, None])[:, :, 0].T, gc * gb)
+        a = _unit_columns(a, rng, flags, "mode0")[0]
+        ga = a.T @ a
+        # ta[k, r, j] = sum_i T[i, j, k] A[i, r], summed against C over k
+        ta = np.matmul(a.T, slices)
+        b = _times_inverse(np.matmul(ta.transpose(1, 2, 0), c.T[:, :, None])[:, :, 0].T, gc * ga)
+        b = _unit_columns(b, rng, flags, "mode1")[0]
+        gb = b.T @ b
+        # and against the new B over j: m3 = X_3 (B kr A)
+        m3 = np.matmul(ta.transpose(1, 0, 2), b.T[:, :, None])[:, :, 0].T
+        c = _times_inverse(m3, gb * ga)
+        c, weights = _unit_columns(c, rng, flags, "mode2")
+        gc = c.T @ c
 
         inner = float(np.sum(m3 * (c * weights)))
         ea, eb, ec, ew = (v.astype(np.longdouble) for v in (a, b, c, weights))
@@ -406,15 +429,11 @@ def cpd_als(t: DenseTensor, rank: int, cfg: DecompConfig | None = None) -> Krusk
 def _times_inverse(m: np.ndarray, g: np.ndarray) -> np.ndarray:
     """m @ pinv(g) for a symmetric positive semidefinite g, by a solve
     where g's smallest eigenvalue is above pinv's cutoff."""
-    eig = _lapack("eigvalsh_lo", g)  # ascending
-    if eig[0] > g.shape[0] * _EPS * eig[-1]:
-        return _lapack("solve", g, m.T).T
+    with _linalg_errstate():  # entered once for both gufunc calls
+        eig = _gufunc("eigvalsh_lo", g)  # ascending
+        if eig[0] > g.shape[0] * _EPS * eig[-1]:
+            return _gufunc("solve", g, m.T).T
     return m @ pinv(g)
-
-
-def hadamard_gram(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """(u^T u) * (v^T v): the Gram matrix of khatri_rao(u, v)."""
-    return (u.T @ u) * (v.T @ v)
 
 
 def hosvd(t: DenseTensor, mlrank) -> TuckerFactors:

@@ -80,13 +80,25 @@ def _linalg_failed(err, flag):
     raise LinAlgError("LAPACK found a singular matrix or did not converge")
 
 
-def _lapack(name: str, *args) -> np.ndarray:
+# The errstate numpy.linalg's wrappers call LAPACK under: a LAPACK failure
+# (an invalid result) raises LinAlgError.
+_linalg_errstate = partial(np.errstate, call=_linalg_failed, invalid="call", over="ignore",
+                           divide="ignore", under="ignore")
+
+
+def _gufunc(name: str, *args) -> np.ndarray:
     """numpy.linalg's LAPACK gufunc `name` on float64 arrays, called as its
     wrapper calls it but without the wrapper's checks: the same result bit
-    for bit, and a LAPACK failure raises LinAlgError."""
-    with np.errstate(call=_linalg_failed, invalid="call", over="ignore",
-                     divide="ignore", under="ignore"):
-        return getattr(_umath_linalg, name)(*args, signature="d" * len(args) + "->d")
+    for bit.  Call it under `_linalg_errstate()`, entered once around a
+    caller's gufunc calls."""
+    return getattr(_umath_linalg, name)(*args, signature="d" * len(args) + "->d")
+
+
+def _lapack(name: str, *args) -> np.ndarray:
+    """`_gufunc` under its own `_linalg_errstate()`: a LAPACK failure
+    raises LinAlgError."""
+    with _linalg_errstate():
+        return _gufunc(name, *args)
 
 
 # Normal equations square the design's condition number, so a Gram matrix
@@ -187,18 +199,19 @@ def _nnls_stack(a: np.ndarray, yst: np.ndarray, tol: float = 1e-10,
         for i in (~finite).nonzero()[0]:
             if not (np.isfinite(a[i]).all() and np.isfinite(yst[i]).all()):
                 raise ValueError("nnls input has non-finite entries")
-    gram = finite & ~_ill_conditioned(g)
-    rhs, gg = (aty, g) if gram.all() else (aty[gram], g[gram])  # common: no gathers
-    going = np.maximum.reduce(rhs, axis=2) > tol  # the dual at x = 0
-    xg = np.zeros(rhs.shape)
-    i = None  # the design being solved by least squares
-    try:
+    with _linalg_errstate():  # entered once for both gufunc calls
+        gram = finite & ~_ill_conditioned(g)
+        rhs, gg = (aty, g) if gram.all() else (aty[gram], g[gram])  # common: no gathers
+        going = np.maximum.reduce(rhs, axis=2) > tol  # the dual at x = 0
+        xg = np.zeros(rhs.shape)
         if max_iter >= 1:
             # one solve per row, as Lawson-Hanson's on a full passive set
-            z = _lapack("solve", gg[:, None], rhs[..., None])[..., 0]
+            z = _gufunc("solve", gg[:, None], rhs[..., None])[..., 0]
             settled = going & np.logical_and.reduce(z > 0.0, axis=2)
             xg = np.where(settled[..., None], z, xg)
             going ^= settled
+    i = None  # the design being solved by least squares
+    try:
         if going.any():
             design = going.nonzero()[0]  # the rest start cold, as they would alone
             xg[going] = _lawson_hanson(
@@ -225,8 +238,9 @@ def _nnls_stack(a: np.ndarray, yst: np.ndarray, tol: float = 1e-10,
 
 def _ill_conditioned(g: np.ndarray) -> np.ndarray:
     """Whether each symmetric Gram matrix of the stack g has a condition
-    number above GRAM_COND_MAX; a singular one counts as ill-conditioned."""
-    eig = _lapack("eigvalsh_lo", g)  # ascending
+    number above GRAM_COND_MAX; a singular one counts as ill-conditioned.
+    Call it under `_linalg_errstate()`."""
+    eig = _gufunc("eigvalsh_lo", g)  # ascending
     return ~(eig[:, 0] * GRAM_COND_MAX > eig[:, -1])
 
 

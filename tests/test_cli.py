@@ -176,6 +176,21 @@ class TestDecompose:
         assert payload["sweeps"] == 0
         assert payload["fit"] < 1e-10
 
+    def test_payload_reports_flags(self, capsys, tmp_path):
+        tfile = tmp_path / "t.dtf1"
+        write_tensor(DenseTensor(np.random.default_rng(4).standard_normal((2, 3, 4))), tfile)
+        code, payload = run_cli(capsys, [
+            "decompose", str(tfile), "--method", "cpd", "--ranks", "5",
+            "--out", str(tmp_path / "cpd"),
+        ])
+        assert "degenerate-rank" in payload["flags"]
+        code, payload = run_cli(capsys, [
+            "decompose", str(tfile), "--method", "hosvd", "--ranks", "2,3,4",
+            "--out", str(tmp_path / "hosvd"),
+        ])
+        assert code == 0
+        assert payload["flags"] == []
+
     def test_ll1_bundle_loads_back(self, capsys, tmp_path):
         tfile = tmp_path / "t.dtf1"
         identical_slice_file(tfile)

@@ -492,7 +492,12 @@ class TestDimensionTree:
 
     def test_matches_khatri_rao_sweep(self, face_stack):
         noise = DenseTensor(np.random.default_rng(17).standard_normal((7, 6, 9)))
-        for t, rank, init in ((noise, 4, "random"), (face_stack, 8, "hosvd")):
+        readme = synthetic_face_fixture(12, 10, seed=0).tensor  # 24 slices of 12 x 10
+        wide = DenseTensor(np.random.default_rng(19).standard_normal((9, 5, 30)))
+        # rank 5 over 2 x 2 slices: B^T B * A^T A is singular, so the C update takes pinv
+        thin = DenseTensor(np.random.default_rng(23).standard_normal((2, 2, 9)))
+        for t, rank, init in ((noise, 4, "random"), (face_stack, 8, "hosvd"),
+                              (readme, 8, "random"), (wide, 4, "hosvd"), (thin, 5, "random")):
             cfg = DecompConfig(seed=5, max_sweeps=30, rel_tol=1e-300, init=init)
             f = cpd_als(t, rank, cfg)
             np.testing.assert_allclose(f.diagnostics.fit_history,
