@@ -300,6 +300,11 @@ def nearest_centroid(train: LabeledVectors, test: LabeledVectors) -> EvalReport:
 
 @dataclass
 class ExperimentConfig:
+    """Settings of an experiment grid.  `realizations`, `k` and the block
+    `ranks` are integers >= 1; `SubsetRule` checks `tau`, and `DecompConfig`
+    checks `seed`, `max_sweeps` and `rel_tol`.  numpy's numbers are
+    accepted; a bool or a misplaced fraction raises ValueError."""
+
     seed: int = 0
     realizations: int = 100
     classifier: str = CLASSIFIER_KNN
@@ -317,12 +322,23 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.classifier not in CLASSIFIERS:
             raise ValueError(f"unknown classifier {self.classifier!r}")
-        if len(self.ranks) == 0 or not all(_is_number(L, True) and L >= 1 for L in self.ranks):
-            raise ValueError("ranks must be a nonempty list of positive integers")
-        if not _is_number(self.tau):
-            raise ValueError(f"tau must be a number, got {self.tau!r}")
-        SubsetRule(self.tau)  # range checks
-        DecompConfig(max_sweeps=self.max_sweeps, rel_tol=self.rel_tol)
+        ranks = self.ranks
+        if not (isinstance(ranks, (list, tuple)) and ranks
+                and all(_is_number(L, True) and L >= 1 for L in ranks)):
+            raise ValueError(f"ranks must be a nonempty list of positive integers, got {ranks!r}")
+        SubsetRule(self.tau)
+        DecompConfig(max_sweeps=self.max_sweeps, rel_tol=self.rel_tol, seed=self.seed)
+
+
+def check_grid(methods, classifiers) -> None:
+    """Raise ValueError unless `methods` and `classifiers` are nonempty lists of known names."""
+    for kind, names, known in (("methods", methods, METHODS),
+                               ("classifiers", classifiers, CLASSIFIERS)):
+        if not (isinstance(names, (list, tuple)) and names):
+            raise ValueError(f"{kind} must be a nonempty list, got {names!r}")
+        for name in names:
+            if name not in known:
+                raise ValueError(f"unknown {kind[:-1]} {name!r}, expected one of {known}")
 
 
 def _fit_banks(ds: EnsembleDataset, plans: list, batch: list, ranks: list,
@@ -391,11 +407,7 @@ def run_grid(ds: EnsembleDataset, plan: SplitPlan, methods, classifiers,
     of its training and held-out image rows, and each classifier runs once.
     Training groups that differ in size raise ValueError if a method is fit.
     """
-    for kind, names, known in (("method", methods, METHODS),
-                               ("classifier", classifiers, CLASSIFIERS)):
-        for name in names:
-            if name not in known:
-                raise ValueError(f"unknown {kind} {name!r}, expected one of {known}")
+    check_grid(methods, classifiers)
     cfg = cfg or ExperimentConfig()
     rule = SubsetRule(cfg.tau)
     # featurization key: None for raw pixels, else the effective block ranks

@@ -24,10 +24,9 @@ from . import dataset as ds_mod
 from . import decomp as dc
 from . import features as ft
 from .classify import (
-    CLASSIFIERS,
-    METHODS,
     ExperimentConfig,
     cell_records,
+    check_grid,
     report_csv,
     run_grid,
     summary_json,
@@ -136,18 +135,9 @@ def cmd_split(args) -> tuple[dict, int]:
     return payload, EXIT_OK
 
 
-_CONFIG_DEFAULTS = {
-    "methods": ["raw", "ll1"],
-    "classifiers": ["knn"],
-    "k": 1,
-    "ranks": [1],
-    "tau": 0.0,
-    "realizations": 10,
-    "seed": 0,
-    "max_sweeps": 200,
-    "rel_tol": 1e-8,
-    "out": None,
-}
+# the CLI's defaults, over ExperimentConfig's, which give the rest
+_CONFIG_DEFAULTS = {"methods": ["raw", "ll1"], "classifiers": ["knn"], "realizations": 10,
+                    "out": None}
 
 _DATASET_KEYS = {  # the keys `_build_dataset` reads, per dataset kind
     "face-fixture": {"kind", "height", "width", "seed", "n_classes", "per_class"},
@@ -158,59 +148,41 @@ def _config_error(field: str, message: str):
     raise CliError(EXIT_CONFIG, f"config field {field!r}: {message}")
 
 
-def load_experiment_config(path) -> dict:
-    """Read, validate and normalize an experiment config file."""
+def load_experiment_config(path) -> tuple[dict, ExperimentConfig]:
+    """Read an experiment config file and check its schema: a JSON object
+    of known keys, whose `dataset` and `split` objects hold known keys for
+    a known dataset kind.  Returns the config, defaults filled in, and its
+    ExperimentConfig.  The library checks every value, all but the
+    dataset's here, before any dataset file is read."""
     try:
         raw = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise CliError(EXIT_CONFIG, f"malformed config: {exc}") from exc
     if not isinstance(raw, dict):
         raise CliError(EXIT_CONFIG, "config must be a JSON object")
-    known = {"dataset", "split"} | set(_CONFIG_DEFAULTS)
+    settings = vars(ExperimentConfig())
+    del settings["classifier"]  # the grid takes a list of classifiers
+    cfg = {**settings, **_CONFIG_DEFAULTS}
     for key in raw:
-        if key not in known:
+        if key not in cfg and key not in ("dataset", "split"):
             _config_error(key, "unknown field")
-
-    cfg = dict(_CONFIG_DEFAULTS)
-    cfg.update({k: raw[k] for k in raw if k in _CONFIG_DEFAULTS})
-    if "dataset" not in raw or not isinstance(raw["dataset"], dict):
-        _config_error("dataset", "required object")
-    if "split" not in raw or not isinstance(raw["split"], dict):
-        _config_error("split", "required object")
-    cfg["dataset"] = dict(raw["dataset"])
-    cfg["split"] = dict(raw["split"])
-    kind = cfg["dataset"].get("kind")
+    for obj in ("dataset", "split"):
+        if not isinstance(raw.get(obj), dict):
+            _config_error(obj, "required object")
+    kind = raw["dataset"].get("kind")
     if not isinstance(kind, str) or kind not in _DATASET_KEYS:
         _config_error("dataset.kind", f"unknown kind {kind!r}")
     allowed = {"dataset": _DATASET_KEYS[kind], "split": {"groups", "train", "seed"}}
     for obj, keys in allowed.items():
-        for key in cfg[obj]:
+        for key in raw[obj]:
             if key not in keys:
                 _config_error(f"{obj}.{key}", "unknown field")
 
-    for field, kind in (("methods", list), ("classifiers", list), ("ranks", list)):
-        if not isinstance(cfg[field], kind) or not cfg[field]:
-            _config_error(field, "must be a nonempty list")
-    for field, known in (("methods", METHODS), ("classifiers", CLASSIFIERS)):
-        for name in cfg[field]:
-            if name not in known:
-                _config_error(field, f"unknown {field[:-1]} {name!r}")
-    # JSON true and false are bools, which isinstance counts as ints
-    for field in ("k", "realizations", "seed", "max_sweeps"):
-        if type(cfg[field]) is not int:
-            _config_error(field, "must be an integer")
-    for field in ("tau", "rel_tol"):
-        if type(cfg[field]) not in (int, float):
-            _config_error(field, "must be a number")
-    if not all(type(r) is int and r >= 1 for r in cfg["ranks"]):
-        _config_error("ranks", "must be positive integers")
-    for field in ("groups", "train"):
-        if type(cfg["split"].get(field)) is not int:
-            _config_error(f"split.{field}", "required integer")
-    cfg["split"].setdefault("seed", cfg["seed"])
-    if type(cfg["split"]["seed"]) is not int:
-        _config_error("split.seed", "must be an integer")
-    return cfg
+    cfg.update(raw)
+    cfg["split"] = {"seed": cfg["seed"], **raw["split"]}
+    check_grid(cfg["methods"], cfg["classifiers"])
+    ds_mod.check_split(**cfg["split"])  # its keys are the keywords
+    return cfg, ExperimentConfig(**{key: cfg[key] for key in settings})
 
 
 def _build_dataset(entry: dict) -> ds_mod.EnsembleDataset:
@@ -218,25 +190,18 @@ def _build_dataset(entry: dict) -> ds_mod.EnsembleDataset:
     if kind == "face-fixture":  # its keys are the generator's keywords
         return ds_mod.synthetic_face_fixture(**{k: v for k, v in entry.items() if k != "kind"})
     if kind == "pgm":
-        paths = entry.get("paths")
-        labels = entry.get("labels")
-        if not isinstance(paths, list) or not isinstance(labels, list):
+        if not (isinstance(entry.get("paths"), list) and isinstance(entry.get("labels"), list)):
             _config_error("dataset", "pgm kind needs 'paths' and 'labels' lists")
-        return ds_mod.load_pgm_ensemble(paths, labels)
-    path = entry.get("path")  # the dataset-dir kind
-    if not isinstance(path, str):
+        return ds_mod.load_pgm_ensemble(entry["paths"], entry["labels"])
+    if not isinstance(entry.get("path"), str):  # the dataset-dir kind
         _config_error("dataset", "dataset-dir kind needs a 'path' string")
-    return ds_mod.load_dataset(path)
+    return ds_mod.load_dataset(entry["path"])
 
 
 def cmd_experiment(args) -> tuple[dict, int]:
-    cfg = load_experiment_config(args.config)
+    cfg, ecfg = load_experiment_config(args.config)
     ds = _build_dataset(cfg["dataset"])
-    plan = ds_mod.make_group_splits(
-        ds, cfg["split"]["groups"], cfg["split"]["train"], cfg["split"]["seed"]
-    )
-    ecfg = ExperimentConfig(**{k: cfg[k] for k in (
-        "seed", "realizations", "k", "ranks", "tau", "max_sweeps", "rel_tol")})
+    plan = ds_mod.make_group_splits(ds, **cfg["split"])
 
     if args.dry_run:
         payload = {

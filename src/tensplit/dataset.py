@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from . import dtf
-from .core import DenseTensor
-from .seeds import make_rng
+from .core import DenseTensor, _is_number
+from .seeds import make_rng, seed_sequence
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
 
@@ -268,18 +268,25 @@ def synthetic_face_fixture(height: int = 12, width: int = 10, seed: int = 0,
     return EnsembleDataset(tensor=DenseTensor._wrap(stack), labels=labels, meta=meta)
 
 
+def check_split(groups: int, train: int, seed: int) -> None:
+    """Raise ValueError unless `groups` >= 2, `train` with 1 <= train < groups
+    and `seed` are integers, numpy's included, and not bools."""
+    if not (_is_number(groups, integral=True) and groups >= 2):
+        raise ValueError(f"groups must be an integer >= 2, got {groups!r}")
+    if not (_is_number(train, integral=True) and 1 <= train < groups):
+        raise ValueError(f"train must be an integer with 1 <= train < groups, got {train!r}")
+    seed_sequence(seed)  # checks the seed
+
+
 def make_group_splits(ds: EnsembleDataset, groups: int, train: int, seed: int) -> SplitPlan:
     """Assign one sample of every class to each group, then partition the
-    groups into train and test.
+    groups into train and test; `check_split` checks the arguments.
 
     Per class, a seeded shuffle picks which sample lands in which group;
     samples beyond the first `groups` per class stay unused.  A second
     shuffle selects which `train` group IDs form the training side.
     """
-    if groups < 2:
-        raise ValueError("need at least 2 groups")
-    if not 1 <= train < groups:
-        raise ValueError("train group count must satisfy 1 <= train < groups")
+    check_split(groups, train, seed)
     by_class: dict = {}
     for idx, lab in enumerate(ds.labels):
         by_class.setdefault(lab, []).append(idx)

@@ -51,6 +51,10 @@ INIT_HOSVD = "hosvd"
 
 @dataclass
 class DecompConfig:
+    """Settings of a CPD or LL1 fit.  max_sweeps >= 1 and the seed of the
+    random start and of zero-column redraws are integers, rel_tol > 0 is a
+    number, numpy's included; a bool or a misplaced fraction raises ValueError."""
+
     max_sweeps: int = 500
     rel_tol: float = 1e-8
     seed: int = 0
@@ -60,8 +64,10 @@ class DecompConfig:
         cap = self.max_sweeps  # a fractional cap is never reached
         if not (_is_number(cap, integral=True) and cap >= 1):
             raise ValueError(f"max_sweeps must be a positive integer, got {cap!r}")
-        if not self.rel_tol > 0:
-            raise ValueError("rel_tol must be positive")
+        if not (_is_number(self.rel_tol) and self.rel_tol > 0):
+            raise ValueError(f"rel_tol must be a positive number, got {self.rel_tol!r}")
+        if not _is_number(self.seed, integral=True):  # it goes to np.random.default_rng
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.init not in (INIT_RANDOM, INIT_HOSVD):
             raise ValueError(f"unknown init scheme {self.init!r}")
 
@@ -171,7 +177,7 @@ def _normalize_columns(m: np.ndarray, rngs: list, flags: list, what: str):
     with weight 0 and a flag in flags[i].  Norms are summed as
     np.linalg.norm(m[i], axis=0) sums them, so none is negative or -0.0."""
     norms = np.sqrt(np.add.reduce(m * m, axis=1))
-    if norms.all():
+    if np.count_nonzero(norms) == norms.size:  # norms.all() takes 3x as long here
         return m / norms[:, None, :], norms
     zero = norms == 0.0
     out = np.divide(m, norms[:, None, :], out=np.empty_like(m), where=~zero[:, None, :])
@@ -180,15 +186,6 @@ def _normalize_columns(m: np.ndarray, rngs: list, flags: list, what: str):
         out[i, :, j] = col / np.linalg.norm(col)
         flags[i].append(f"zero-column:{what}")
     return out, norms
-
-
-def _unit_columns(m: np.ndarray, rng, flags: list, what: str):
-    """_normalize_columns of one matrix, stacked only where a column is zero."""
-    norms = np.sqrt(np.add.reduce(m * m, axis=0))
-    if norms.all():
-        return m / norms, norms
-    out, norms = _normalize_columns(m[None], [rng], [flags], what)
-    return out[0], norms[0]
 
 
 def _normalize_nonneg_vectors(v: np.ndarray, rngs: list, flags: list, names: list):
@@ -390,17 +387,17 @@ def cpd_als(t: DenseTensor, rank: int, cfg: DecompConfig | None = None) -> Krusk
         # tb[k, r, i] = sum_j T[i, j, k] B[j, r], summed against C over k
         tb = np.matmul(b.T, slices.swapaxes(1, 2))
         a = _times_inverse(np.matmul(tb.transpose(1, 2, 0), c.T[:, :, None])[:, :, 0].T, gc * gb)
-        a = _unit_columns(a, rng, flags, "mode0")[0]
+        a = _normalize_columns(a[None], [rng], [flags], "mode0")[0][0]
         ga = a.T @ a
         # ta[k, r, j] = sum_i T[i, j, k] A[i, r], summed against C over k
         ta = np.matmul(a.T, slices)
         b = _times_inverse(np.matmul(ta.transpose(1, 2, 0), c.T[:, :, None])[:, :, 0].T, gc * ga)
-        b = _unit_columns(b, rng, flags, "mode1")[0]
+        b = _normalize_columns(b[None], [rng], [flags], "mode1")[0][0]
         gb = b.T @ b
         # and against the new B over j: m3 = X_3 (B kr A)
         m3 = np.matmul(ta.transpose(1, 0, 2), b.T[:, :, None])[:, :, 0].T
         c = _times_inverse(m3, gb * ga)
-        c, weights = _unit_columns(c, rng, flags, "mode2")
+        (c,), (weights,) = _normalize_columns(c[None], [rng], [flags], "mode2")
         gc = c.T @ c
 
         inner = float(np.sum(m3 * (c * weights)))

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import dtf
-from .core import DenseTensor
+from .core import DenseTensor, _is_number
 from .decomp import DecompConfig, LL1Factors, _ll1_stack
 from .kernels import nnls_multi
 
@@ -56,14 +56,12 @@ class SubsetRule:
 
     def __post_init__(self):
         # tau above 1 is allowed: it empties the selection
-        if not self.tau >= 0.0:
-            raise ValueError("tau must be nonnegative")
+        if not (_is_number(self.tau) and self.tau >= 0.0):
+            raise ValueError(f"tau must be a nonnegative number, got {self.tau!r}")
+        self.tau = float(self.tau)  # so even inf * 0.0 is NaN with no numpy warning
 
     def select(self, row: np.ndarray) -> np.ndarray:
-        top = float(np.max(row, initial=0.0))
-        if top == 0.0:
-            return np.zeros(row.size, dtype=bool)
-        return row > self.tau * top
+        return row > self.tau * float(np.max(row, initial=0.0))
 
 
 @dataclass

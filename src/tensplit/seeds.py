@@ -11,10 +11,15 @@ import zlib
 
 import numpy as np
 
+from .core import _is_number
+
 _MASK64 = (1 << 64) - 1
 
 
 def seed_sequence(base: int, *names) -> np.random.SeedSequence:
+    """The stream `names` of an integer base seed; a bool or a fraction raises ValueError."""
+    if not _is_number(base, integral=True):
+        raise ValueError(f"seed must be an integer, got {base!r}")
     keys = tuple(zlib.crc32(str(n).encode("utf-8")) for n in names)
     return np.random.SeedSequence(entropy=int(base) & _MASK64, spawn_key=keys)
 

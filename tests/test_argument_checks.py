@@ -1,11 +1,16 @@
-"""Argument checks at the public entry points of the NNLS solver and the
-experiment config: values that make no sense raise ValueError up front."""
+"""Argument checks at the public entry points of the NNLS solver, the
+experiment config and the components it reaches: values that make no sense
+raise ValueError up front."""
 
 import numpy as np
 import pytest
 
 from tensplit.classify import ExperimentConfig
+from tensplit.dataset import make_group_splits, synthetic_color_ensemble, synthetic_face_fixture
+from tensplit.decomp import DecompConfig
+from tensplit.features import SubsetRule
 from tensplit.kernels import ConvergenceError, nnls, nnls_multi
+from tensplit.seeds import derive_seed, make_rng
 
 
 class TestNnlsArguments:
@@ -52,6 +57,8 @@ class TestExperimentConfigFields:
         {"tau": True},
         {"tau": "0.5"},
         {"tau": None},
+        {"seed": 2.5},
+        {"seed": True},
     ])
     def test_fractional_and_boolean_fields_are_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -71,10 +78,10 @@ class TestExperimentConfigFields:
 
 
 @pytest.mark.parametrize("field, value, message", [
-    ("realizations", 2.5, "config field 'realizations': must be an integer"),
-    ("k", True, "config field 'k': must be an integer"),
-    ("ranks", [1.5], "config field 'ranks': must be positive integers"),
-    ("tau", True, "config field 'tau': must be a number"),
+    ("realizations", 2.5, "realizations must be an integer, got 2.5"),
+    ("k", True, "k must be an integer, got True"),
+    ("ranks", [1.5], "ranks must be a nonempty list of positive integers, got [1.5]"),
+    ("tau", True, "tau must be a nonnegative number, got True"),
 ])
 def test_the_cli_keeps_its_own_messages_and_exit_code(capsys, tmp_path, field, value, message):
     from test_cli import experiment_config, run_cli
@@ -83,3 +90,55 @@ def test_the_cli_keeps_its_own_messages_and_exit_code(capsys, tmp_path, field, v
     code, payload = run_cli(capsys, ["experiment", str(cfg), "--dry-run"])
     assert code == 3
     assert payload["error"] == message
+
+
+class TestSeedsAndCounts:
+    """Seeds, split counts, tau and rel_tol, each checked by the component
+    that uses it: a bool or a fraction raises ValueError naming the field,
+    where it was once truncated or taken as a number."""
+
+    @pytest.mark.parametrize("kwargs", [
+        {"seed": 1.5}, {"seed": True}, {"seed": "0"}, {"seed": None},
+        {"rel_tol": True}, {"rel_tol": "1e-8"},
+    ])
+    def test_decomp_config(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            DecompConfig(**kwargs)
+
+    @pytest.mark.parametrize("args, kwargs, field", [
+        ((6, True, 0), {}, "train"),
+        ((6, 3.0, 0), {}, "train"),
+        ((True, 1, 0), {}, "groups"),
+        ((6.0, 3, 0), {}, "groups"),
+        ((6, 3), {"seed": 2.7}, "seed"),
+        ((6, 3), {"seed": False}, "seed"),
+    ])
+    def test_group_splits(self, args, kwargs, field):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            make_group_splits(synthetic_face_fixture(), *args, **kwargs)
+
+    @pytest.mark.parametrize("make", [
+        lambda: synthetic_face_fixture(seed=1.5),
+        lambda: synthetic_color_ensemble(4, 4, seed=True),
+        lambda: make_rng(2.0, "stream"),
+        lambda: derive_seed(False, "stream"),
+    ])
+    def test_every_seeded_stream(self, make):
+        with pytest.raises(ValueError, match="^seed must be an integer"):
+            make()
+
+    @pytest.mark.parametrize("tau", [True, "0.5", None])
+    def test_subset_rule(self, tau):
+        with pytest.raises(ValueError, match="^tau must be a nonnegative number"):
+            SubsetRule(tau)
+
+    def test_numpy_integers_are_accepted(self):
+        ds = synthetic_face_fixture()
+        want = make_group_splits(ds, 6, 3, 5)
+        got = make_group_splits(ds, np.int64(6), np.int32(3), np.int64(5))
+        assert (got.members, got.train_groups) == (want.members, want.train_groups)
+        fixture = synthetic_face_fixture(seed=np.int64(2)).tensor
+        assert fixture == synthetic_face_fixture(seed=2).tensor
+        assert derive_seed(np.uint32(7), "a") == derive_seed(7, "a")
+        assert DecompConfig(seed=np.int64(3), rel_tol=np.float32(1e-6)).seed == 3
+        assert SubsetRule(np.float64(0.5)).tau == 0.5

@@ -147,6 +147,12 @@ def nan_test_vector(rng):
             test, [0, 1, 2, 1])
 
 
+def all_zero(rng):
+    # every distance is 0 and no power of two scales the vectors: the
+    # unscaled search, where only the tie order decides
+    return np.zeros((6, 4)), [2, 0, 1, 2, 0, 1], np.zeros((3, 4)), [0, 1, 2]
+
+
 def clustered(rng):
     # well separated classes: the prefilter keeps few candidates per vector
     centers = 50.0 * rng.standard_normal((4, 300))
@@ -164,7 +170,7 @@ BLOCK_BUDGETS = pytest.mark.parametrize("budget", [1, 1 << 62],
 
 class TestKnnOracle:
     @pytest.mark.parametrize("case", [duplicated_rows, large_offset, vote_ties,
-                                      nan_test_vector, clustered])
+                                      nan_test_vector, clustered, all_zero])
     @pytest.mark.parametrize("k", [1, 2, 3, 5, 1000])
     def test_matches_full_search(self, case, k):
         train_pts, train_labs, test_pts, test_labs = case(np.random.default_rng(11))

@@ -494,8 +494,36 @@ class TestExperiment:
         out = tmp_path / "results"
         code, payload = run_cli(capsys, ["experiment", str(cfg), "--out", str(out)])
         assert code == 3
-        assert payload["error"].startswith(f"config field {field!r}")
+        assert payload["error"].startswith(f"{field.rsplit('.', 1)[-1]} must be ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("field, overrides", [
+        ("seed", {"dataset": {"kind": "face-fixture", "seed": 1.5}}),
+        ("seed", {"seed": 2.5}),
+        ("seed", {"split": {"groups": 4, "train": 2, "seed": 2.7}}),
+        ("groups", {"split": {"groups": 4.0, "train": 2}}),
+    ])
+    def test_fractional_integers_exit_3(self, capsys, tmp_path, field, overrides):
+        # no integer setting takes a fraction, the dataset's seed included
+        cfg = experiment_config(tmp_path, **overrides)
+        code, payload = run_cli(capsys, ["experiment", str(cfg), "--dry-run"])
+        assert code == 3
+        assert payload["error"].startswith(f"{field} must be an integer")
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"k": 0}, "k must be >= 1"),
+        ({"methods": ["pca"]}, "unknown method 'pca'"),
+        ({"classifiers": []}, "classifiers must be a nonempty list"),
+        ({"split": {"groups": 4, "train": True}}, "train must be an integer"),
+    ])
+    def test_settings_are_checked_before_any_file_is_read(self, capsys, tmp_path,
+                                                          overrides, message):
+        missing = str(tmp_path / "missing.pgm")  # reading it would exit 2
+        cfg = experiment_config(tmp_path, dataset={"kind": "pgm", "paths": [missing],
+                                                   "labels": [0]}, **overrides)
+        code, payload = run_cli(capsys, ["experiment", str(cfg), "--dry-run"])
+        assert code == 3
+        assert payload["error"].startswith(message)
 
     @pytest.mark.parametrize("methods", [["raw"], ["ll1"]])
     @pytest.mark.parametrize("overrides", [{"max_sweeps": 0}, {"rel_tol": -1},
@@ -635,7 +663,9 @@ _FLOATS = st.sampled_from(["1e-8", "0.5", "0", "1.1", "-1", "nan", "inf"])
 _SPOILERS = [("methods", ["pca"]), ("classifiers", ["svm"]), ("ranks", [0]), ("k", 0),
              ("tau", -1.0), ("realizations", 0), ("max_sweeps", 0), ("n_restarts", 0),
              ("split", {"groups": 1, "train": 1}), ("split", {"groups": 9, "train": 2}),
-             ("split", {"groups": 4, "train": 2, "sed": 1})]
+             ("split", {"groups": 4, "train": 2, "sed": 1}),
+             ("dataset", {"kind": "face-fixture", "seed": 1.5}),
+             ("dataset", {"kind": "pgm", "paths": ["missing.pgm"], "labels": [0]})]
 
 
 @st.composite

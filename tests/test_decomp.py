@@ -258,6 +258,27 @@ class TestCpdAls:
         f = cpd_als(t, 5, DecompConfig(seed=0, max_sweeps=5))
         assert "degenerate-rank" in f.diagnostics.flags
 
+    def test_zero_tensor_gets_unit_columns_and_zero_weights(self):
+        # every update is zero: each column is redrawn, flagged per mode
+        f = cpd_als(DenseTensor(np.zeros((3, 4, 5))), 2, DecompConfig(seed=0))
+        for m in f.factors:
+            np.testing.assert_allclose(np.linalg.norm(m, axis=0), 1.0, rtol=1e-15)
+        np.testing.assert_array_equal(f.weights, [0.0, 0.0])
+        assert set(f.diagnostics.flags) == {"zero-column:mode0", "zero-column:mode1",
+                                            "zero-column:mode2"}
+
+    def test_hosvd_init_pads_missing_singular_vectors(self):
+        # rank 5 exceeds every unfolding's rank of 2 x 3 x 4: zero columns pad
+        # each mode's singular vectors, and the zero ones are redrawn
+        t = DenseTensor(np.random.default_rng(3).uniform(0.0, 1.0, (2, 3, 4)))
+        f = cpd_als(t, 5, DecompConfig(seed=2, max_sweeps=20, init="hosvd"))
+        assert f.diagnostics.flags[0] == "degenerate-rank"
+        assert "zero-column:mode0" in f.diagnostics.flags
+        for m in f.factors:
+            np.testing.assert_allclose(np.linalg.norm(m, axis=0), 1.0, rtol=1e-12)
+        h = f.diagnostics.fit_history
+        assert all(h[i + 1] <= h[i] + 1e-9 for i in range(len(h) - 1))
+
     def test_non_convergence_reported_not_raised(self):
         rng = np.random.default_rng(7)
         t = DenseTensor(rng.standard_normal((6, 6, 6)))

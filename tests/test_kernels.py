@@ -262,6 +262,11 @@ class TestNnlsMulti:
         with pytest.raises(ValueError):
             nnls_multi(np.zeros((3, 2)), np.zeros((4, 2)))
 
+    def test_empty_problems_have_empty_solutions(self):
+        a, ys = np.ones((4, 3)), np.ones((4, 2))
+        np.testing.assert_array_equal(nnls_multi(a, ys[:, :0]), np.zeros((3, 0)))
+        np.testing.assert_array_equal(nnls_multi(a[:, :0], ys), np.zeros((0, 2)))
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_gram_matches_unscaled_problem(self):
         # a design times 2^k, whose Gram matrix overflows, has the unscaled
