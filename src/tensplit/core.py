@@ -104,6 +104,13 @@ def _is_number(v, integral: bool = False) -> bool:
     return isinstance(v, kind) and not isinstance(v, bool)
 
 
+def _check_count(name: str, v) -> None:
+    """Raise ValueError naming `name` unless v is an integer >= 1, numpy's
+    included; a bool or a fraction would otherwise be taken as one."""
+    if not (_is_number(v, integral=True) and v >= 1):
+        raise ValueError(f"{name} must be a positive integer, got {v!r}")
+
+
 def _as_matrix(m, name: str = "matrix") -> np.ndarray:
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dtf
-from .core import DenseTensor, _is_number
+from .core import DenseTensor, _check_count, _is_number
 from .seeds import make_rng, seed_sequence
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
@@ -201,8 +201,8 @@ def synthetic_color_ensemble(height: int, width: int, seed: int) -> EnsembleData
     product of uniform(0, 1) vectors, so the stack has tensor rank 3 and
     every entry is nonnegative.
     """
-    if height < 1 or width < 1:
-        raise ValueError("height and width must be >= 1")
+    for name, v in (("height", height), ("width", width)):
+        _check_count(name, v)
     rng = make_rng(seed, "color-ensemble")
     bases = [
         np.outer(rng.uniform(0.0, 1.0, size=height), rng.uniform(0.0, 1.0, size=width))
@@ -214,7 +214,7 @@ def synthetic_color_ensemble(height: int, width: int, seed: int) -> EnsembleData
             stack[:, :, q] += COLOR_MIXING[q, k] * bases[k]
     meta = {
         "kind": "color-ensemble",
-        "seed": seed,
+        "seed": int(seed),  # numpy's integers too, for the JSON manifest
         "mixing": COLOR_MIXING.tolist(),
     }
     return EnsembleDataset(tensor=DenseTensor._wrap(stack),
@@ -231,10 +231,13 @@ def synthetic_face_fixture(height: int = 12, width: int = 10, seed: int = 0,
     class band survives in the individual part after common-feature
     subtraction.
     """
+    for name, v in (("height", height), ("width", width), ("n_classes", n_classes),
+                    ("per_class", per_class)):
+        _check_count(name, v)
     if height < n_classes:
         raise ValueError("height must be >= n_classes, one band per class")
-    if n_classes < 2 or per_class < 1:
-        raise ValueError("need >= 2 classes and >= 1 sample per class")
+    if n_classes < 2:
+        raise ValueError("need >= 2 classes")
     rng = make_rng(seed, "face-fixture")
     bases = [
         np.outer(rng.uniform(0.0, 1.0, size=height), rng.uniform(0.0, 1.0, size=width))
@@ -261,9 +264,9 @@ def synthetic_face_fixture(height: int = 12, width: int = 10, seed: int = 0,
             q += 1
     meta = {
         "kind": "face-fixture",
-        "seed": seed,
-        "n_classes": n_classes,
-        "per_class": per_class,
+        "seed": int(seed),  # numpy's integers too, for the JSON manifest
+        "n_classes": int(n_classes),
+        "per_class": int(per_class),
     }
     return EnsembleDataset(tensor=DenseTensor._wrap(stack), labels=labels, meta=meta)
 

@@ -19,14 +19,15 @@ runs on an order-4 stack of same-shape ensembles at once, read in place,
 each step one batched call, and gives each ensemble the result it gets
 alone, bit for bit; `ll1_nn` is its one-ensemble case.
 
-CPD and LL1 record the relative fit of every sweep in Gram form,
-||T - T^||^2 = ||T||^2 - 2 <T, T^> + ||T^||^2, from products the sweep
-already holds, so no dense model is built.  The stacked LL1 sweep takes
-<T, T^>, ||T^||^2 and the rounding bound's inputs for the whole stack in
-one reduction each, equal to each tensor's own sums bit for bit.  Where
-the bound says the expansion cannot resolve the fit or its change since
-the last sweep, the fit is taken from the residual X_3 - (R M)^T of the
-model's mode-3 unfolding (`_model_x3`; CPD: R = B kr A, M = (C diag(w))^T).
+CPD and LL1 take the relative fit of every sweep from one function,
+`_gram_fits`, in Gram form, ||T - T^||^2 = ||T||^2 - 2 <T, T^> + ||T^||^2,
+for a model whose mode-3 unfolding is (R M)^T (CPD: R = B kr A,
+M = (C diag(w))^T): from the X_3 R and R^T R the sweep already holds and
+the mixing M, so no dense model is built.  It reduces the statistics of a
+whole stack at once, each equal to the tensor's own bit for bit; a CPD fit
+is the stack of one.  Where their rounding bound cannot resolve the fit or
+its change since the last sweep, the caller takes the fit from the
+residual X_3 - (R M)^T (`_model_x3`).
 """
 
 from __future__ import annotations
@@ -37,13 +38,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dtf
-from .core import DenseTensor, _is_number, fold, khatri_rao, mode_n_product, norm_frobenius, unfold
+from .core import (DenseTensor, _check_count, _is_number, fold, khatri_rao, mode_n_product,
+                   norm_frobenius, unfold)
 from .kernels import (ConvergenceError, _gufunc, _linalg_errstate, _nnls_stack, _pinv_stack,
                       pinv, svd)
 
 _EPS = np.finfo(np.float64).eps
 _SUBNORMAL = float(np.finfo(np.float64).smallest_subnormal)
-_EPS_EXT = float(np.finfo(np.longdouble).eps)
 
 INIT_RANDOM = "random"
 INIT_HOSVD = "hosvd"
@@ -61,9 +62,7 @@ class DecompConfig:
     init: str = INIT_RANDOM
 
     def __post_init__(self):
-        cap = self.max_sweeps  # a fractional cap is never reached
-        if not (_is_number(cap, integral=True) and cap >= 1):
-            raise ValueError(f"max_sweeps must be a positive integer, got {cap!r}")
+        _check_count("max_sweeps", self.max_sweeps)  # a fractional cap is never reached
         if not (_is_number(self.rel_tol) and self.rel_tol > 0):
             raise ValueError(f"rel_tol must be a positive number, got {self.rel_tol!r}")
         if not _is_number(self.seed, integral=True):  # it goes to np.random.default_rng
@@ -219,54 +218,78 @@ def _relative_fit(x: np.ndarray, model: np.ndarray, norm_t: float) -> float:
     return err / norm_t if norm_t > 0 else err
 
 
-# Rounding bound of the Gram-form fit (Higham, Accuracy and Stability of
-# Numerical Algorithms, 2nd ed., section 3.1), with u = eps / 2 and
-# gamma_m = m u / (1 - m u).  A computed sum of products, in any summation
-# order, is within gamma_m times the sum of the products' absolute values
-# when no product passes through more than m roundings (eq. 3.5).  The
-# model T^ is a sum of terms whose norms add up to S (CPD: the weights, the
-# factor columns being unit; LL1: ||R_k|| ||M_k|| over the regressor
-# columns R_k and mixing rows M_k), so by Cauchy-Schwarz the absolute
-# values of the products in <T, T^> sum to at most ||T|| S, and those in
-# ||T^||^2 to at most S^2.  With N the entries of T:
-#   * ||T||^2 is np.sum(np.square(T)) over a contiguous array, which numpy
-#     sums pairwise in blocks of at most 128 terms with eight accumulators,
-#     so each square passes through at most floor(log2 N) + 23 roundings,
-#     its own included;
-#   * each product of <T, T^> and ||T^||^2 passes through the roundings
-#     counted where they are formed (`n_round`);
-#   * the two operations joining the three add 2 u (||T|| + S)^2.
-# So |computed err^2 - err^2| <= gamma_n (||T|| + S)^2 to first order, n
-# being the largest count plus 2.  (LL1 stores renormalized factors, which
-# moves T^ by a few ulps of S, far inside this.)  Under gradual underflow
-# each product may instead err by half the smallest subnormal, and on its
-# way to err^2 it is multiplied by at most (1 + Z)^2, with Z bounding the
-# factors it meets, so the callers add the number of products times the
-# smallest subnormal times (1 + Z)^2.  `_resolved_fit` doubles the bound,
-# covering the second-order terms and the bound's own rounding.
-def _gamma(m: int, eps: float = _EPS) -> float:
-    u = eps / 2
-    return m * u / (1.0 - m * u)
-
-
-def _resolved_fit(err2: float, bound: float, norm_t: float, history: list):
-    """The relative fit sqrt(err2) / norm_t of an expanded squared error
-    err2 within `bound` of the exact one, or None where the bound cannot
-    resolve the fit or its change from the last recorded fit.
-
-    With err2 > 2 bound the exact squared error x has x >= err2 / 2, so
-    |sqrt(err2) - sqrt(x)| = |err2 - x| / (sqrt(err2) + sqrt(x)) <=
-    bound / sqrt(err2); two more roundings, the root and the division, add
-    eps times the fit.
+def _gram_fits(xr: np.ndarray, gram: np.ndarray, mixing: np.ndarray, norm_sq: list,
+               norms: list, histories: list, size: int, n_round: int, n_products: int) -> list:
+    """The relative fit of each model R M of a stack in Gram form,
+    ||T - T^||^2 = ||T||^2 - 2 <T, T^> + ||T^||^2, or None where the bound
+    below cannot resolve the fit or its change from the last fit in
+    histories[g].  The caller passes the X_3 R (xr) and R^T R (gram) it
+    holds, the mixing M (one row per column of R), each T's ||T||^2 and
+    ||T|| (`_x3_in_range`) and its number of entries, the most roundings
+    an entry of X_3 R or R^T R has passed through (n_round) and the number
+    of products forming them.  <T, T^> = sum(M * (X_3 R)^T),
+    ||T^||^2 = sum(M * R^T R M), the bound's S = sum_k ||R_k|| ||M_k|| and
+    max|M| are each one reduction over the stack, equal to each tensor's
+    own bit for bit while every tensor's block of the reduced array is one
+    contiguous run of memory laid out as its own array: numpy then sums
+    each block in one pairwise loop in memory order.
     """
-    if not (norm_t > 0 and err2 > 2.0 * bound and math.isfinite(err2 + bound)):
-        return None
-    root = math.sqrt(err2)
-    fit = root / norm_t
-    fit_bound = bound / (root * norm_t) + _EPS * fit
-    if history and abs(fit - history[-1]) <= 2.0 * fit_bound:
-        return None
-    return fit
+    inner = np.add.reduce(mixing * xr.swapaxes(1, 2), axis=(1, 2)).tolist()
+    model_sq = np.add.reduce(mixing * (gram @ mixing), axis=(1, 2)).tolist()
+    lengths = np.sqrt(np.add.reduce(mixing * mixing, axis=2))  # ||M_k||, as np.linalg.norm
+    scales = np.matmul(np.sqrt(gram.diagonal(0, 1, 2))[:, None, :],
+                       lengths[:, :, None])[:, 0, 0].tolist()
+    reaches = np.maximum.reduce(np.abs(mixing), axis=(1, 2)).tolist()
+    # Rounding bound (Higham, Accuracy and Stability of Numerical
+    # Algorithms, 2nd ed., section 3.1), with u = eps / 2 and
+    # gamma_m = m u / (1 - m u).  A computed sum of products, in any
+    # summation order, is within gamma_m times the sum of the products'
+    # absolute values when no product passes through more than m roundings
+    # (eq. 3.5).  T^ is a sum of terms R_k M_k whose norms add up to S, so
+    # by Cauchy-Schwarz the absolute values of the products in <T, T^> sum
+    # to at most ||T|| S, and those in ||T^||^2 to at most S^2.  With N
+    # entries of T and M of K rows of length Q:
+    #   * ||T||^2 is np.sum(np.square(T)) over a contiguous array, which
+    #     numpy sums pairwise in blocks of at most 128 terms with eight
+    #     accumulators, so each square passes through at most
+    #     floor(log2 N) + 23 roundings, its own included;
+    #   * a product of <T, T^> passes through its X_3 R entry's n_round,
+    #     one product and a sum of KQ; one of ||T^||^2 through its R^T R
+    #     entry's n_round, a sum of K (R^T R M), one product and a sum of KQ;
+    #   * the two operations joining the three add 2 u (||T|| + S)^2.
+    # So |computed err^2 - err^2| <= gamma_n (||T|| + S)^2 to first order, n
+    # being the largest count plus 2.  (The stored factors, LL1's
+    # renormalized, and the dense fallback's R put the model a few ulps of
+    # S off R M, far inside this.)  Under gradual underflow each product
+    # may instead err by half the smallest subnormal; on its way to err^2
+    # it meets at most two entries of M and otherwise numbers of modulus at
+    # most 1 (the callers see to it), so add the number of products times
+    # the smallest subnormal times (1 + max|M|)^2, the largest modulus
+    # since CPD's M, unlike LL1's, may have negative entries.  The bound is
+    # doubled, covering the second-order terms and its own rounding.  With
+    # err2 > 2 bound the exact squared error x has x >= err2 / 2, so
+    # |sqrt(err2) - sqrt(x)| = |err2 - x| / (sqrt(err2) + sqrt(x)) <=
+    # bound / sqrt(err2); two more roundings, the root and the division,
+    # add eps times the fit.
+    n_terms, q = mixing.shape[1:]
+    n = max(size.bit_length() + 23, n_round + n_terms + n_terms * q) + 2
+    u = _EPS / 2
+    gamma = n * u / (1.0 - n * u)
+    n_products += size + n_terms * (n_terms + 2) * q  # squares of T, R^T R M, two elementwise
+    fits = []
+    for t_sq, t_norm, history, t_inner, t_model_sq, scale, reach in zip(
+            norm_sq, norms, histories, inner, model_sq, scales, reaches):
+        err2 = t_sq - 2.0 * t_inner + t_model_sq
+        bound = gamma * (t_norm + scale) ** 2 + n_products * _SUBNORMAL * (1.0 + reach) ** 2
+        fit = None
+        if t_norm > 0 and err2 > 2.0 * bound and math.isfinite(err2 + bound):
+            root = math.sqrt(err2)
+            fit = root / t_norm
+            fit_bound = bound / (root * t_norm) + _EPS * fit
+            if history and abs(fit - history[-1]) <= 2.0 * fit_bound:
+                fit = None
+        fits.append(fit)
+    return fits
 
 
 def _require_order3(t: DenseTensor, op: str) -> None:
@@ -275,11 +298,13 @@ def _require_order3(t: DenseTensor, op: str) -> None:
 
 
 def _x3_in_range(t: DenseTensor) -> tuple:
-    """(x3, norms, shifts) of an O x P x Q tensor or an O x P x Q x d stack:
-    x3[g] is ensemble g's X_3, Q x (O*P), in a C-ordered view of t.  Where
-    its norm lies outside [2^-500, 2^500] and the fit's squares could
-    underflow or overflow, x3 is one np.ldexp copy with x3[g] scaled exactly
-    by the 2^-shift that puts its norm in [0.5, 1); weights scale back."""
+    """(x3, norms, norm_sq, shifts) of an O x P x Q tensor or an O x P x Q x d
+    stack: x3[g] is ensemble g's X_3, Q x (O*P), in a C-ordered view of t,
+    with norm norms[g] and squared norm norm_sq[g], summed as `_gram_fits`
+    counts it.  Where its norm lies outside [2^-500, 2^500] and the fit's
+    squares could underflow or overflow, x3 is one np.ldexp copy with x3[g]
+    scaled exactly by the 2^-shift that puts its norm in [0.5, 1); weights
+    scale back."""
     O, P, Q = t.shape[:3]
     x3 = t.values.reshape(O * P, Q, -1, order="F").transpose(2, 1, 0)
     norms = [norm_frobenius(x) for x in x3]
@@ -288,7 +313,7 @@ def _x3_in_range(t: DenseTensor) -> tuple:
     if any(shifts):
         x3 = np.ldexp(x3, -np.array(shifts)[:, None, None])
         norms = [norm_frobenius(x) for x in x3]
-    return x3, norms, shifts
+    return x3, norms, [float(np.sum(np.square(x))) for x in x3], shifts
 
 
 def _nonneg_columns(u: np.ndarray) -> np.ndarray:
@@ -328,18 +353,17 @@ def cpd_als(t: DenseTensor, rank: int, cfg: DecompConfig | None = None) -> Krusk
     with only R output rows does.  A^T A, B^T B and C^T C are each formed
     once per sweep and serve the two Hadamard systems they enter.
 
-    The fit is taken in Gram form from m3: <T, T^> = sum(m3 * (C diag(w)))
-    and ||T^||^2 = w^T (A^T A * B^T B * C^T C) w, the latter in extended
-    precision; where its rounding bound cannot resolve the fit or its
-    change, the residual X_3 - (R M)^T gives it, R = B kr A and
-    M = (C diag(w))^T.  An input whose norm lies outside [2^-500, 2^500]
-    is fitted scaled by a power of two, and the weights are scaled back.
+    The fit of the model R M, R = B kr A and M = (C diag(w))^T, is taken in
+    Gram form (`_gram_fits`) from the m3 = X_3 R and R^T R = B^T B * A^T A
+    of the C update; where its rounding bound cannot resolve the fit or its
+    change, the residual X_3 - (R M)^T gives it.  An input whose norm lies
+    outside [2^-500, 2^500] is fitted scaled by a power of two, and the
+    weights are scaled back.
     Non-convergence at the sweep cap is reported through diagnostics, not raised.
     """
     _require_order3(t, "cpd_als")
-    if rank < 1:
-        raise ValueError("rank must be >= 1")
-    (x3,), (norm_t,), (shift,) = _x3_in_range(t)
+    _check_count("rank", rank)
+    (x3,), (norm_t,), (norm_sq,), (shift,) = _x3_in_range(t)
     t = DenseTensor._wrap(x3.T.reshape(t.shape, order="F"))  # t, or t scaled
     cfg = cfg or DecompConfig()
     rng = np.random.default_rng(cfg.seed)
@@ -359,25 +383,15 @@ def cpd_als(t: DenseTensor, rank: int, cfg: DecompConfig | None = None) -> Krusk
         a, b, c = _hosvd_factor_init(t, [rank, rank, rank])
         c = _nonneg_columns(c)
 
-    norm_sq = float(np.sum(np.square(t.flat)))
-    # Components that nearly cancel have weights far above ||T||, and
-    # double-precision Gram matrices then put an error of about
-    # eps (sum w)^2 into ||T^||^2: on a 64x64x40 face stack at rank 8
-    # (sum w = 12.5 ||T||) it moved the fit 0.0073 by 2.3e-10 of itself.
-    # So ||T^||^2 is summed in np.longdouble (a 64-bit significand on
-    # x86-64), with its own gamma, and rounded to double once.
-    # Roundings per product of ||T||^2, of <T, T^> (the slice products
-    # A^T T_k, each entry a sum of I products; product with B and sum of J
-    # in m3; C diag(w), product, sum of KR), plus one for rounding
-    # ||T^||^2; and in ||T^||^2 (three Gram matrices of lengths I, J, K,
-    # two Hadamard products, two sums of R, two products).  Products
-    # formed, for the underflow term: the squares of T, the I J K R of the
-    # slice products A^T T_k, m3's products with B, the rest.  Taking m3
-    # from A^T T_k slice by slice rather than from one GEMM over X_1 leaves
-    # both counts as they were.
-    n_round = max(t.size.bit_length() + 23, I + J + K * rank + 1) + 3
-    gamma_model = _gamma(I + J + K + 2 * rank + 4, _EPS_EXT)
-    n_products = t.size * (1 + rank) + J * K * rank + (I + J + 3 * K + 4) * rank ** 2
+    # For `_gram_fits`: an entry of m3 passes through I roundings in A^T T_k
+    # and J with B, one of B^T B * A^T A through I + J + 1, so n_round =
+    # I + J + 1 and a product of ||T^||^2, the most rounded, passes through
+    # I + J + R + R K + 1.  M = (C diag(w))^T is taken as formed, as the
+    # dense fallback and `reconstruct` form it.  Products formed: the
+    # I J K R of A^T T_k, the J K R with B and the (I + J + 1) R^2 of the
+    # Gram matrices; after an underflow in one come only entries of unit
+    # columns of A and B or of B^T B, and two of M.
+    n_products = t.size * rank + J * K * rank + (I + J + 1) * rank ** 2
     history: list[float] = []
     weights = np.ones(rank)
     converged = False
@@ -396,21 +410,16 @@ def cpd_als(t: DenseTensor, rank: int, cfg: DecompConfig | None = None) -> Krusk
         gb = b.T @ b
         # and against the new B over j: m3 = X_3 (B kr A)
         m3 = np.matmul(ta.transpose(1, 0, 2), b.T[:, :, None])[:, :, 0].T
-        c = _times_inverse(m3, gb * ga)
+        gab = gb * ga
+        c = _times_inverse(m3, gab)
         (c,), (weights,) = _normalize_columns(c[None], [rng], [flags], "mode2")
         gc = c.T @ c
 
-        inner = float(np.sum(m3 * (c * weights)))
-        ea, eb, ec, ew = (v.astype(np.longdouble) for v in (a, b, c, weights))
-        model_sq = float(ew @ (np.dot(ea.T, ea) * np.dot(eb.T, eb) * np.dot(ec.T, ec))
-                         @ ew)
-        # an underflowed product meets at most entries of T and weights
-        scale = float(np.sum(weights))
-        bound = (_gamma(n_round) * (norm_t + scale) ** 2 + gamma_model * scale ** 2
-                 + n_products * _SUBNORMAL * (1.0 + norm_t + scale) ** 2)
-        fit = _resolved_fit(norm_sq - 2.0 * inner + model_sq, bound, norm_t, history)
+        mixing = (c * weights).T
+        (fit,) = _gram_fits(m3[None], gab[None], mixing[None], [norm_sq], [norm_t],
+                            [history], t.size, I + J + 1, n_products)
         if fit is None:
-            fit = _relative_fit(x3, _model_x3(khatri_rao(b, a), (c * weights).T), norm_t)
+            fit = _relative_fit(x3, _model_x3(khatri_rao(b, a), mixing), norm_t)
         history.append(fit)
         if _converged(history, cfg.rel_tol):
             converged = True
@@ -442,14 +451,16 @@ def hosvd(t: DenseTensor, mlrank) -> TuckerFactors:
     the rank the mode-n unfolding can have, min(I_n, prod_{m != n} I_m).
     """
     _require_order3(t, "hosvd")
-    mlrank = tuple(int(r) for r in mlrank)
+    mlrank = list(mlrank)
     if len(mlrank) != 3:
         raise ValueError("mlrank must have one entry per mode")
     for n, r in enumerate(mlrank):
+        if not _is_number(r, integral=True):
+            raise ValueError(f"mlrank[{n}] must be an integer, got {r!r}")
         top = min(t.shape[n], t.size // t.shape[n])
         if not 1 <= r <= top:
             raise ValueError(f"mlrank[{n}]={r} out of range 1..{top}")
-    factors = [svd(unfold(t, n)).u[:, :r].copy() for n, r in enumerate(mlrank)]
+    factors = _hosvd_factor_init(t, mlrank)
     core = t
     for n, f in enumerate(factors):
         core = mode_n_product(core, f.T, n)
@@ -474,12 +485,11 @@ def ll1_nn(t: DenseTensor, ranks, cfg: DecompConfig | None = None) -> LL1Factors
 
     After a sweep the model is the last mixing update's regressor R (one
     vectorized slice per column) times its raw mixing M, so the recorded
-    fit is taken in Gram form: <T, T^> = sum(M * (X_3 R)^T) and
-    ||T^||^2 = sum(M * (R^T R M)).  Where its rounding bound cannot resolve
-    the fit or its change, the residual X_3 - (R M)^T gives it.  As in
-    cpd_als, an input whose norm lies outside [2^-500, 2^500] is fitted
-    scaled by a power of two, and the weights are scaled back.  This is
-    the one-tensor case of `_ll1_stack`.
+    fit is taken in Gram form (`_gram_fits`) from X_3 R, R^T R and M.  Where
+    its rounding bound cannot resolve the fit or its change, the residual
+    X_3 - (R M)^T gives it.  As in cpd_als, an input whose norm lies
+    outside [2^-500, 2^500] is fitted scaled by a power of two, and the
+    weights are scaled back.  This is the one-tensor case of `_ll1_stack`.
     """
     _require_order3(t, "ll1_nn")
     return _ll1_stack(t, ranks, [cfg or DecompConfig()])[0]
@@ -492,8 +502,8 @@ def _ll1_stack(t: DenseTensor, ranks, cfgs: list) -> list:
     The stack is read in place, as the view of its d X_3 unfoldings; it is
     copied, once, only to scale ensembles into range (`_x3_in_range`).
     Each step of the sweep runs once for the stack (batched GEMMs and
-    pseudoinverses, one mixing NNLS), as do the four statistics of the
-    Gram-form fit (`_fit_terms`).  Only the X_3 views are read.  Init and
+    pseudoinverses, one mixing NNLS), as does the Gram-form fit
+    (`_gram_fits`).  Only the X_3 views are read.  Init and
     replacement draws, flags, the resolved fit with its fallback to the
     residual of the last mixing update's R M, and the convergence test
     stay per ensemble; one leaves the stack when it converges or reaches
@@ -501,16 +511,16 @@ def _ll1_stack(t: DenseTensor, ranks, cfgs: list) -> list:
     """
     if t.order not in (3, 4):
         raise ValueError(f"ll1_nn takes order 3 or a stack of order 4, got order {t.order}")
-    ranks = [int(L) for L in ranks]
+    ranks = list(ranks)
     if len(ranks) < 1:
         raise ValueError("need at least one block term")
-    if any(L < 1 for L in ranks):
-        raise ValueError("every block rank L must be >= 1")
+    for L in ranks:
+        _check_count("every block rank L", L)
     O, P, Q, d = (*t.shape, 1)[:4]
     if len(cfgs) != d:
         raise ValueError(f"a stack of {d} ensembles needs {d} configs, got {len(cfgs)}")
     n_terms = len(ranks)
-    x3, norms, shifts = _x3_in_range(t)
+    x3, norms, norm_sq, shifts = _x3_in_range(t)
     rngs = [np.random.default_rng(cfg.seed) for cfg in cfgs]
     flags: list[list[str]] = [[] for _ in cfgs]
 
@@ -527,22 +537,17 @@ def _ll1_stack(t: DenseTensor, ranks, cfgs: list) -> list:
     mixing = np.concatenate(c_vecs, axis=1)  # mixing[i, n]: term n's mixing vector c_n
     c_names = [f"c{n}" for n in range(n_terms)]
 
-    norm_sq = [float(np.sum(np.square(x))) for x in x3]
-    # roundings per product of ||T||^2, of <T, T^> (GEMM of length OP,
-    # product, sum of KQ) and of ||T^||^2 (R^T R of length OP, sum of K,
-    # two products, sum of KQ); products formed: the squares of T, X_3 R,
-    # R^T R, R^T R M and the two elementwise ones
-    n_round = max((O * P * Q).bit_length() + 23, O * P + n_terms + n_terms * Q) + 2
-    gamma_fit = _gamma(n_round)
-    n_products = (O * P * Q * (1 + n_terms) + (O * P + Q) * n_terms ** 2
-                  + 2 * n_terms * Q)
+    # X_3 R and R^T R, GEMMs of length OP, for `_gram_fits`: n_round = OP,
+    # and after an underflow in one of their products come two entries of M
+    n_products = O * P * (Q + n_terms) * n_terms
     histories: list[list[float]] = [[] for _ in cfgs]
     results: list = [None] * d
     live = np.arange(d)  # the ensemble at each position of the stack
     sweep = 0
     while live.size:
         sweep += 1
-        live_rngs, live_flags = ([v[i] for i in live.tolist()] for v in (rngs, flags))
+        ids = live.tolist()
+        live_rngs, live_flags = ([v[i] for i in ids] for v in (rngs, flags))
         # R, one vectorized slice per term: slots[..., n] is term n's slice transposed
         regressor = np.empty((live.size, O * P, n_terms))
         slots = regressor.reshape(live.size, P, O, n_terms)
@@ -577,15 +582,12 @@ def _ll1_stack(t: DenseTensor, ranks, cfgs: list) -> list:
             for n in range(n_terms):
                 w_vecs[n] = (na * nb if n == k else w_vecs[n]) * gamma[:, n, None]
 
-        stats = zip(live.tolist(), *_fit_terms(regressor, mixing_raw, x3))
+        fits = _gram_fits(x3 @ regressor, regressor.swapaxes(1, 2) @ regressor, mixing_raw,
+                          [norm_sq[i] for i in ids], [norms[i] for i in ids],
+                          [histories[i] for i in ids], O * P * Q, O * P, n_products)
         keep = np.ones(live.size, dtype=bool)
-        for pos, (i, inner, model_sq, scale, reach) in enumerate(stats):
-            # an underflowed product meets at most two mixing entries
-            bound = (gamma_fit * (norms[i] + scale) ** 2
-                     + n_products * _SUBNORMAL * (1.0 + reach) ** 2)
+        for pos, (i, fit) in enumerate(zip(ids, fits)):
             history = histories[i]
-            fit = _resolved_fit(norm_sq[i] - 2.0 * inner + model_sq, bound, norms[i],
-                                history)
             if fit is None:
                 model = _model_x3(regressor[pos], mixing_raw[pos])
                 fit = _relative_fit(x3[pos], model, norms[i])
@@ -622,23 +624,6 @@ def _ll1_init(arr: np.ndarray, ranks: list, init: str, rng: np.random.Generator)
     ends = np.cumsum(ranks)
     return [(ua[:, e - L:e].copy(), ub[:, e - L:e].copy(), uc[:, k])
             for k, (L, e) in enumerate(zip(ranks, ends))]
-
-
-def _fit_terms(regressor: np.ndarray, mixing: np.ndarray, x3: np.ndarray) -> tuple:
-    """<T, T^> = sum(M * (X_3 R)^T), ||T^||^2 = sum(M * R^T R M), the
-    bound's S = sum_k ||R_k|| ||M_k|| and max(M) of each model R M of a
-    stack, as lists, each one reduction over the stack.  Each equals the
-    tensor's own bit for bit while every tensor's block of the reduced
-    array is one contiguous run of memory laid out as its own array:
-    numpy then sums each block in one pairwise loop in memory order.
-    """
-    gram = regressor.swapaxes(1, 2) @ regressor
-    inner = np.add.reduce(mixing * (x3 @ regressor).swapaxes(1, 2), axis=(1, 2))
-    model_sq = np.add.reduce(mixing * (gram @ mixing), axis=(1, 2))
-    norms = np.sqrt(np.add.reduce(mixing * mixing, axis=2))  # ||M_k||, as np.linalg.norm
-    scale = np.matmul(np.sqrt(gram.diagonal(0, 1, 2))[:, None, :], norms[:, :, None])[:, 0, 0]
-    reach = np.maximum.reduce(mixing, axis=(1, 2))
-    return inner.tolist(), model_sq.tolist(), scale.tolist(), reach.tolist()
 
 
 def _model_x3(regressor: np.ndarray, mixing: np.ndarray) -> np.ndarray:

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from tensplit.classify import ExperimentConfig
-from tensplit.dataset import make_group_splits, synthetic_color_ensemble, synthetic_face_fixture
-from tensplit.decomp import DecompConfig
-from tensplit.features import SubsetRule
+from tensplit.core import DenseTensor
+from tensplit.dataset import (make_group_splits, save_dataset, synthetic_color_ensemble,
+                              synthetic_face_fixture)
+from tensplit.decomp import DecompConfig, cpd_als, hosvd, ll1_nn
+from tensplit.features import SubsetRule, fit_feature_bank
 from tensplit.kernels import ConvergenceError, nnls, nnls_multi
 from tensplit.seeds import derive_seed, make_rng
 
@@ -82,6 +84,8 @@ class TestExperimentConfigFields:
     ("k", True, "k must be an integer, got True"),
     ("ranks", [1.5], "ranks must be a nonempty list of positive integers, got [1.5]"),
     ("tau", True, "tau must be a nonnegative number, got True"),
+    ("dataset", {"kind": "face-fixture", "height": 8, "width": 6, "n_classes": 2,
+                 "per_class": True}, "per_class must be a positive integer, got True"),
 ])
 def test_the_cli_keeps_its_own_messages_and_exit_code(capsys, tmp_path, field, value, message):
     from test_cli import experiment_config, run_cli
@@ -132,13 +136,62 @@ class TestSeedsAndCounts:
         with pytest.raises(ValueError, match="^tau must be a nonnegative number"):
             SubsetRule(tau)
 
-    def test_numpy_integers_are_accepted(self):
+    def test_numpy_integers_are_accepted(self, tmp_path):
         ds = synthetic_face_fixture()
         want = make_group_splits(ds, 6, 3, 5)
         got = make_group_splits(ds, np.int64(6), np.int32(3), np.int64(5))
         assert (got.members, got.train_groups) == (want.members, want.train_groups)
         fixture = synthetic_face_fixture(seed=np.int64(2)).tensor
         assert fixture == synthetic_face_fixture(seed=2).tensor
+        fixture = synthetic_face_fixture(np.int64(8), np.int32(6), seed=np.int64(0),
+                                         n_classes=np.int64(2), per_class=np.int64(3))
+        assert fixture.tensor == synthetic_face_fixture(8, 6, n_classes=2, per_class=3).tensor
+        color = synthetic_color_ensemble(np.int64(4), np.int32(3), seed=np.uint32(1))
+        for generated in (fixture, color):  # its manifest is JSON
+            save_dataset(generated, tmp_path / generated.meta["kind"])
+        t = DenseTensor(np.random.default_rng(0).uniform(size=(3, 4, 5)))
+        assert cpd_als(t, np.int64(2), DecompConfig(max_sweeps=3)).rank == 2
+        f = ll1_nn(t, [np.int32(2), 1], DecompConfig(max_sweeps=3))
+        assert [term.block_rank for term in f.terms] == [2, 1]
+        assert hosvd(t, [np.int64(2), 2, 1]).core.shape == (2, 2, 1)
         assert derive_seed(np.uint32(7), "a") == derive_seed(7, "a")
         assert DecompConfig(seed=np.int64(3), rel_tol=np.float32(1e-6)).seed == 3
         assert SubsetRule(np.float64(0.5)).tau == 0.5
+
+
+class TestRanksAndExtents:
+    """Decomposition ranks and the synthetic generators' extents and counts:
+    a bool, a fraction, a string or None raises ValueError naming the rank
+    or the field, where it was once truncated or failed in Python's own terms."""
+
+    @pytest.mark.parametrize("rank", [2.0, 2.5, True, "2", None, 0, -1])
+    def test_cpd_rank(self, rank):
+        with pytest.raises(ValueError, match="^rank must be a positive integer"):
+            cpd_als(DenseTensor(np.ones((3, 4, 5))), rank)
+
+    @pytest.mark.parametrize("ranks", [[1.7, True], [1, 2.0], [True], ["1"], [None], [1, 0]])
+    def test_block_ranks(self, ranks):
+        t = DenseTensor(np.ones((3, 4, 5)))
+        with pytest.raises(ValueError, match="^every block rank L must be a positive integer"):
+            ll1_nn(t, ranks)
+        with pytest.raises(ValueError, match="^every block rank L must be a positive integer"):
+            fit_feature_bank(t, ranks)
+
+    @pytest.mark.parametrize("mlrank, n", [([2.9, 2, True], 0), ([2, 2, True], 2),
+                                           ([2, "2", 1], 1), ([2, 2, 1.0], 2)])
+    def test_hosvd_mlrank(self, mlrank, n):
+        with pytest.raises(ValueError, match=rf"^mlrank\[{n}\] must be an integer"):
+            hosvd(DenseTensor(np.ones((3, 4, 5))), mlrank)
+
+    @pytest.mark.parametrize("field", ["height", "width", "n_classes", "per_class"])
+    @pytest.mark.parametrize("value", [True, 2.0, 4.5, "4", None])
+    def test_face_fixture(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be a positive integer"):
+            synthetic_face_fixture(**{field: value})
+
+    @pytest.mark.parametrize("field", ["height", "width"])
+    @pytest.mark.parametrize("value", [True, 2.0, "4", None, 0])
+    def test_color_ensemble(self, field, value):
+        extents = {"height": 4, "width": 4, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be a positive integer"):
+            synthetic_color_ensemble(**extents, seed=0)

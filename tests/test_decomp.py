@@ -540,6 +540,16 @@ class TestGramFit:
         assert f.diagnostics.sweeps == 10
         assert calls == []
 
+    def test_every_sweep_takes_the_one_gram_fit(self, monkeypatch, face_stack):
+        calls = _counting(monkeypatch, "_gram_fits")
+        # fitted exactly, so every sweep then falls back to the dense fit
+        rank1 = DenseTensor(np.einsum("i,j,k->ijk", *(np.arange(1.0, n) for n in (5, 6, 7))))
+        runs = [cpd_als(face_stack, 8, DecompConfig(seed=1, max_sweeps=12)),
+                ll1_nn(face_stack, [2, 2], DecompConfig(seed=1, max_sweeps=7)),
+                cpd_als(rank1, 1, DecompConfig(seed=2, max_sweeps=9)),
+                ll1_nn(rank1, [1], DecompConfig(seed=2, max_sweeps=9))]
+        assert len(calls) == sum(f.diagnostics.sweeps for f in runs)
+
     def test_exact_fit_falls_back_to_dense(self):
         # the rank-1 tensors of AC1 are fitted far below what the expansion
         # resolves, so the last fit is the dense one bit for bit
@@ -559,6 +569,15 @@ class TestGramFit:
             fl = ll1_nn(t, [2, 1], cfg)
             for f, hist in ((fc, fc.diagnostics.fit_history), (fl, fl.fit_history)):
                 np.testing.assert_allclose(hist[-1], fit_error(t, f), rtol=1e-12, atol=0)
+        # the 64 x 64 x 40 fit stack of the cli-pipeline benchmark at seed 102:
+        # rank-8 components that nearly cancel, weights summing to 12.5 ||T||.
+        # ||T^||^2, summed in double, errs by about eps (sum w)^2, some 3e-10
+        # of this fit of 0.0073
+        ds = synthetic_face_fixture(64, 64, seed=102, n_classes=4, per_class=110)
+        t = DenseTensor(ds.tensor.values[:, :, [q for q in range(440) if q % 110 < 10]])
+        f = cpd_als(t, 8, DecompConfig(seed=102))
+        np.testing.assert_allclose(f.diagnostics.fit_history[-1], fit_error(t, f), rtol=1e-9,
+                                   atol=0)
 
 
 _SMALL_CASES = dict(

@@ -91,8 +91,6 @@ def ll1_per_tensor(t, ranks, cfg):
 
     x3 = unfold(t, 2)
     norm_sq = float(np.sum(np.square(t.flat)))
-    n_round = max(t.size.bit_length() + 23, O * P + n_terms + n_terms * Q) + 2
-    n_products = (t.size * (1 + n_terms) + (O * P + Q) * n_terms ** 2 + 2 * n_terms * Q)
     history = []
     converged = False
     sweeps = 0
@@ -119,14 +117,9 @@ def ll1_per_tensor(t, ranks, cfg):
                     w_vecs[k] = np.abs(na) * np.abs(nb) * gamma
                 else:
                     w_vecs[n] = w_vecs[n] * gamma
-        gram = regressor.T @ regressor
-        inner = float(np.sum(mixing_raw * (x3 @ regressor).T))
-        model_sq = float(np.sum(mixing_raw * (gram @ mixing_raw)))
-        scale = float(np.sqrt(np.diag(gram)) @ np.linalg.norm(mixing_raw, axis=1))
-        reach = float(np.max(mixing_raw))
-        bound = (decomp._gamma(n_round) * (norm_t + scale) ** 2
-                 + n_products * decomp._SUBNORMAL * (1.0 + reach) ** 2)
-        fit = decomp._resolved_fit(norm_sq - 2.0 * inner + model_sq, bound, norm_t, history)
+        (fit,) = decomp._gram_fits((x3 @ regressor)[None], (regressor.T @ regressor)[None],
+                                   mixing_raw[None], [norm_sq], [norm_t], [history], t.size,
+                                   O * P, O * P * (Q + n_terms) * n_terms)
         if fit is None:
             fit = decomp._relative_fit(x3, (regressor @ mixing_raw).T, norm_t)
         history.append(fit)
@@ -353,38 +346,82 @@ class TestFeatureBankList:
             run_experiment(ds, plan, "ll1", ExperimentConfig(realizations=1))
 
 
-def fit_terms_per_tensor(regressor, mixing, x3):
-    """Oracle: the Gram-form fit statistics of `decomp._fit_terms`, taken
-    one tensor at a time by np.sum, np.diag, np.linalg.norm and np.max."""
-    gram = regressor.swapaxes(1, 2) @ regressor
-    model = gram @ mixing
-    data = (x3 @ regressor).swapaxes(1, 2)
-    out = []
+def gram_fits_per_tensor(xr, gram, mixing, norm_sq, norms, histories, size, n_round,
+                         n_products):
+    """Oracle: `decomp._gram_fits` one tensor at a time, its statistics
+    taken by np.sum, np.diag, np.linalg.norm and np.max, and its rounding
+    bound and resolution rule written out as its comment derives them."""
+    n_terms, q = mixing.shape[1:]
+    n = max(size.bit_length() + 23, n_round + n_terms + n_terms * q) + 2
+    u = decomp._EPS / 2
+    gamma = n * u / (1.0 - n * u)
+    n_products += size + n_terms * (n_terms + 2) * q
+    fits = []
     for pos, mix in enumerate(mixing):
-        out.append((float(np.sum(mix * data[pos])), float(np.sum(mix * model[pos])),
-                    float(np.sqrt(np.diag(gram[pos])) @ np.linalg.norm(mix, axis=1)),
-                    float(np.max(mix))))
-    return out
+        inner = float(np.sum(mix * xr[pos].T))
+        model_sq = float(np.sum(mix * (gram[pos] @ mix)))
+        scale = float(np.sqrt(np.diag(gram[pos])) @ np.linalg.norm(mix, axis=1))
+        reach = float(np.max(np.abs(mix)))
+        err2 = norm_sq[pos] - 2.0 * inner + model_sq
+        bound = (gamma * (norms[pos] + scale) ** 2
+                 + n_products * decomp._SUBNORMAL * (1.0 + reach) ** 2)
+        fit = None
+        if norms[pos] > 0 and err2 > 2.0 * bound and math.isfinite(err2 + bound):
+            fit = math.sqrt(err2) / norms[pos]
+            fit_bound = bound / (math.sqrt(err2) * norms[pos]) + decomp._EPS * fit
+            if histories[pos] and abs(fit - histories[pos][-1]) <= 2.0 * fit_bound:
+                fit = None
+        fits.append(fit)
+    return fits
 
 
-class TestFitTerms:
-    # Q * K runs across numpy's 8- and 128-term pairwise summation blocks
+class TestGramFits:
+    # Q * K runs across numpy's 8- and 128-term pairwise summation blocks;
+    # signed mixing is CPD's, the nonnegative one with exact zeros LL1's
     @given(tensors=st.integers(1, 7), terms=st.integers(1, 5), q=st.integers(1, 300),
-           rows=st.integers(1, 12), zeros=st.floats(0.0, 0.5),
+           rows=st.integers(1, 12), zeros=st.floats(0.0, 0.5), signed=st.booleans(),
+           shift=st.sampled_from([0, 0, -500, -535]),
+           moves=st.lists(st.sampled_from([None, 0.0, 1e-12, 1e-3]), min_size=7, max_size=7),
            seed=st.integers(0, 2**32 - 1))
-    def test_equals_per_tensor_sums(self, tensors, terms, q, rows, zeros, seed):
+    def test_equals_per_tensor_fits(self, tensors, terms, q, rows, zeros, signed, shift,
+                                    moves, seed):
         rng = np.random.default_rng(seed)
-        regressor = rng.standard_normal((tensors, rows, terms))
-        x3 = rng.standard_normal((tensors, q, rows))
-        # laid out as in the sweep: the NNLS rows (tensors, Q, K), viewed as
-        # (tensors, K, Q), with the exact zeros NNLS leaves
-        mixing = rng.uniform(0.0, 1.0, (tensors, q, terms))
-        mixing[rng.uniform(size=mixing.shape) < zeros] = 0.0
+        regressor = rng.standard_normal((tensors, rows, terms)) * 2.0 ** shift
+        x3 = rng.standard_normal((tensors, q, rows)) * 2.0 ** shift
+        # laid out as in the sweep: the mixing rows (tensors, Q, K), viewed
+        # as (tensors, K, Q)
+        if signed:
+            mixing = rng.standard_normal((tensors, q, terms))
+        else:
+            mixing = rng.uniform(0.0, 1.0, (tensors, q, terms))
+            mixing[rng.uniform(size=mixing.shape) < zeros] = 0.0
         mixing = mixing.swapaxes(1, 2)
-        got = np.array(list(zip(*decomp._fit_terms(regressor, mixing, x3))))
-        want = np.array(fit_terms_per_tensor(regressor, mixing, x3))
-        assert got.shape == (tensors, 4)
-        assert got.tobytes() == want.tobytes()
+        xr, gram = x3 @ regressor, regressor.swapaxes(1, 2) @ regressor
+        norm_sq = [float(np.sum(np.square(x))) for x in x3]
+        norms = [float(np.linalg.norm(x)) for x in x3]
+        counts = (q * rows, rows, (q + terms) * rows * terms)
+        fresh = gram_fits_per_tensor(xr, gram, mixing, norm_sq, norms, [[]] * tensors,
+                                     *counts)
+        # a last fit equal to this one's, just off it or far from it
+        histories = [[] if move is None else [(fit or 0.5) * (1.0 + move)]
+                     for fit, move in zip(fresh, moves)]
+        want = gram_fits_per_tensor(xr, gram, mixing, norm_sq, norms, histories, *counts)
+        got = decomp._gram_fits(xr, gram, mixing, norm_sq, norms, histories, *counts)
+        assert len(got) == tensors
+        assert got == want
+        assert all(a is None or a == b for a, b in zip(got, fresh))
+
+    def test_negative_mixing_keeps_the_underflow_term(self):
+        # all of M is -1, so max(M) would zero the bound's underflow term;
+        # R and T sit where their Gram products underflow
+        rng = np.random.default_rng(3)
+        regressor = rng.uniform(0.5, 1.0, (1, 4, 2)) * 2.0 ** -536
+        x3 = rng.uniform(0.5, 1.0, (1, 3, 4)) * 2.0 ** -536
+        mixing = -np.ones((1, 2, 3))
+        xr, gram = x3 @ regressor, regressor.swapaxes(1, 2) @ regressor
+        args = (xr, gram, mixing, [float(np.sum(np.square(x3)))],
+                [float(np.linalg.norm(x3))], [[]], 12, 4, (3 + 2) * 4 * 2)
+        assert decomp._gram_fits(*args) == gram_fits_per_tensor(*args) == [None]
 
 
 def _design(rng, kind, m, n):
