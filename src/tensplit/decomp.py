@@ -194,7 +194,7 @@ def _normalize_nonneg_vectors(v: np.ndarray, rngs: list, flags: list, names: lis
     over a contiguous copy of its row, as np.linalg.norm takes it."""
     v = np.ascontiguousarray(v)
     norms = np.sqrt(np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0])
-    if norms.all():
+    if np.count_nonzero(norms) == norms.size:  # as in _normalize_columns
         return v / norms[..., None], norms
     out = np.divide(v, norms[..., None], out=np.empty_like(v), where=norms[..., None] != 0.0)
     for i, n in zip(*np.nonzero(norms == 0.0)):

@@ -154,19 +154,23 @@ def split_single(bank: CommonFeatureBank, image: np.ndarray,
 
 
 def _subtract_common(rows: np.ndarray | None, slices: list, weights: np.ndarray,
-                     rule: SubsetRule, common: np.ndarray | None = None) -> list:
+                     rule: SubsetRule, common: np.ndarray | None = None,
+                     product: np.ndarray | None = None) -> list:
     """Image q's common part, sum_k weights[q, k] * slice_k, added in
     ascending k over the features the rule keeps for weights[q], into a zero
     row or into row q of a zero `common`; unless `rows` is None, it is
-    subtracted in place from image row q of `rows`.  Returns the indices
-    kept per row."""
+    subtracted in place from image row q of `rows`.  Each product is formed
+    in `product`, one row of scratch, new per call by default.  Returns the
+    indices kept per row."""
     flat = [s.reshape(-1, order="F") for s in slices]  # F-ordered: views
+    if product is None:
+        product = np.empty(flat[0].size if flat else 0)
     selected = []
     for q, row in enumerate(weights):
         kept = np.flatnonzero(rule.select(row))
         out = np.zeros(rows.shape[1]) if common is None else common[q]
         for k in kept:
-            out += row[k] * flat[k]
+            out += np.multiply(flat[k], row[k], out=product)
         if rows is not None:
             rows[q] -= out
         selected.append(kept.tolist())

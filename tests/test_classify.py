@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import tensplit.classify as classify_mod
 import tensplit.features as features_mod
@@ -50,6 +52,26 @@ class TestLabeledVectors:
             LabeledVectors(vectors=[np.ones((2, 2))], labels=[0])
         with pytest.raises(ValueError):
             LabeledVectors(vectors=np.ones(3), labels=[0, 0, 0])
+        rows, slices = np.ones((2, 3)), np.ones((4, 3))
+        for weights in (np.ones((2, 3)), -np.ones((2, 4)), np.full((2, 4), np.nan),
+                        np.full((2, 4), np.inf)):
+            with pytest.raises(ValueError, match="weights"):
+                LabeledVectors(vectors=rows, labels=[0, 1], weights=weights, slices=slices)
+        with pytest.raises(ValueError, match="slices"):
+            LabeledVectors(vectors=rows, labels=[0, 1], slices=np.ones((4, 2)))
+
+    def test_no_slices_by_default(self):
+        lv = vecs([[1, 2], [3, 4]], [0, 1])
+        assert lv.slices.shape == (0, 2) and lv.weights.shape == (2, 0)
+
+    def test_searches_need_shared_slices(self):
+        rows = np.eye(3)
+        train = LabeledVectors(vectors=rows, labels=[0, 1, 2], weights=np.ones((3, 1)),
+                               slices=np.ones((1, 3)))
+        test = LabeledVectors(vectors=rows, labels=[0, 1, 2])
+        for search in (knn_classify, nearest_centroid):
+            with pytest.raises(ValueError, match="share their slices"):
+                search(train, test)
 
 
 class TestKnn:
@@ -611,7 +633,8 @@ class TestRunGrid:
     def test_group_tensors_are_held_for_the_fit_alone(self):
         # five training groups of 40 images each: the fit holds their images
         # once, and frees them before one copy each of the training and
-        # held-out image rows is split in place
+        # held-out image rows is taken; no row is split for the search,
+        # whose blocks hold two query-by-training matrices
         ds = synthetic_face_fixture(height=48, width=40, n_classes=40, per_class=10)
         plan = make_group_splits(ds, groups=10, train=5, seed=0)
         train_bytes = 8 * 48 * 40 * 5 * 40
@@ -622,7 +645,56 @@ class TestRunGrid:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * train_bytes
+        assert peak <= 2.35 * train_bytes  # 2.31 measured
+
+    def test_search_forms_only_the_rows_it_measures(self, monkeypatch):
+        # every held-out row keeps one candidate, so the kNN search forms no
+        # individual part; the centroids form the training rows alone
+        ds = synthetic_face_fixture(height=48, width=40, n_classes=40, per_class=10)
+        plan = make_group_splits(ds, groups=10, train=5, seed=0)
+        cfg = ExperimentConfig(realizations=1, max_sweeps=3)
+        formed, kept = [], []
+        subtract, prefilter = classify_mod._subtract_common, classify_mod._prefilter
+
+        def spy_subtract(rows, slices, weights, *args, **kwargs):
+            formed.append(len(weights))
+            return subtract(rows, slices, weights, *args, **kwargs)
+
+        def spy_prefilter(*args):
+            keep = prefilter(*args)
+            kept.extend(np.count_nonzero(keep, axis=1))
+            return keep
+
+        monkeypatch.setattr(classify_mod, "_subtract_common", spy_subtract)
+        monkeypatch.setattr(classify_mod, "_prefilter", spy_prefilter)
+        run_grid(ds, plan, ["ll1"], ["knn"], cfg)
+        assert kept == [1] * 200
+        assert formed == []
+        run_grid(ds, plan, ["ll1"], ["centroid"], cfg)
+        assert kept == [1] * 400
+        assert sum(formed) == 200  # the five training groups' rows, once each
+
+    def test_centroids_hold_no_row_beside_a_class(self):
+        # the weighted search forms a class's rows where the search of split
+        # vectors copies them, and no product row beside them
+        rng = np.random.default_rng(0)
+        d = 112 * 92
+        slices = rng.standard_normal((4, d))
+        train, test = (LabeledVectors(rng.standard_normal((n, d)), [q % 8 for q in range(n)],
+                                      weights=rng.uniform(0.0, 1.0, (n, 4)), slices=slices)
+                       for n in (40, 10))
+        split = [LabeledVectors(classify_mod._individual(lv.vectors, lv.weights, slices,
+                                                         np.arange(len(lv))), lv.labels)
+                 for lv in (train, test)]
+        peaks = []
+        for args in ((train, test), split):
+            tracemalloc.start()
+            try:
+                nearest_centroid(*args)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < peaks[1] + 4 * d  # half a row; 568 bytes measured
 
     def test_unequal_training_groups_fail_before_any_fit(self, monkeypatch):
         ds = synthetic_face_fixture()
@@ -651,6 +723,9 @@ class TestRunGrid:
                 bank.slices = [np.ascontiguousarray(s) for s in bank.slices]
         rule = SubsetRule(tau)
         train, test = classify_mod._featurize(ds, plan, banks, rule)
+        # the individual parts the search forms from the rows and weights
+        formed = [classify_mod._individual(lv.vectors, lv.weights, lv.slices,
+                                           np.arange(len(lv))) for lv in (train, test)]
         # oracle: the split of each training group's tensor by its own bank,
         # and of the held-out tensor through the pooled bank
         want = [unfold(split_features(group_tensor(ds, plan.members[g])[0], bank,
@@ -662,8 +737,8 @@ class TestRunGrid:
             ds, [q for g in plan.test_groups for q in plan.members[g]])
         weights = estimate_mixing(pooled, held_out.values)
         split = split_features(held_out, pooled, rule, weights=weights)
-        assert np.array_equal(train.vectors, np.concatenate(want))
-        assert np.array_equal(test.vectors, unfold(split.individual, 2))
+        assert formed[0].tobytes() == np.concatenate(want).tobytes()
+        assert formed[1].tobytes() == unfold(split.individual, 2).tobytes()
         assert test.labels == labels
         assert train.labels == [ds.labels[q] for g in plan.train_groups
                                 for q in plan.members[g]]
@@ -679,6 +754,74 @@ class TestRunGrid:
         plan = make_group_splits(ds, groups=3, train=1, seed=0)
         with pytest.raises(ValueError, match="unknown"):
             run_grid(ds, plan, methods, classifiers, ExperimentConfig(realizations=1))
+
+
+def random_banks(seed, duplicated, nan, e):
+    """(ds, plan, banks) of random 5 x 4 images, 4 classes x 4 groups, and
+    random banks of 2 and 1 slices for the 2 training groups, all scaled by
+    2^e.  `duplicated` repeats each training group's first image and mixing
+    row in its second, under another label; `nan` puts a NaN into one
+    held-out image."""
+    rng = np.random.default_rng(seed)
+    arr = rng.uniform(0.0, 1.0, (5, 4, 16))
+    labels = [q % 4 for q in range(16)]
+    plan = make_group_splits(EnsembleDataset(tensor=DenseTensor(arr), labels=labels),
+                             groups=4, train=2, seed=seed % 1000)
+    banks = []
+    for g, n_slices in zip(plan.train_groups, (2, 1)):
+        mixing = rng.uniform(0.0, 1.0, (4, n_slices))
+        mixing[rng.random(mixing.shape) < 0.25] = 0.0
+        if duplicated:
+            first, second = plan.members[g][:2]
+            arr[:, :, second] = arr[:, :, first]
+            mixing[1] = mixing[0]
+        banks.append(CommonFeatureBank(
+            slices=[np.ldexp(rng.standard_normal((5, 4)), e) for _ in range(n_slices)],
+            mixing=mixing))
+    if nan:
+        arr[2, 1, plan.members[plan.test_groups[0]][1]] = np.nan
+    return EnsembleDataset(tensor=DenseTensor(np.ldexp(arr, e)), labels=labels), plan, banks
+
+
+def mixing_at_unit_scale(e):
+    """`estimate_mixing` of the images and slices unscaled by 2^e, NaN read
+    as 0: the weights at every scale, and for the NaN image too."""
+    def estimate(bank, images):
+        unit = CommonFeatureBank(slices=[np.ldexp(s, -e) for s in bank.slices],
+                                 mixing=bank.mixing)
+        return estimate_mixing(unit, np.nan_to_num(np.ldexp(images, -e)))
+    return estimate
+
+
+class TestExpandedSearch:
+    @given(seed=st.integers(0, 2 ** 32 - 1), k=st.sampled_from([1, 2, 3]),
+           tau=st.sampled_from([0.0, 0.3]), e=st.sampled_from([0, 600, -600]),
+           duplicated=st.booleans(), nan=st.booleans())
+    def test_grid_matches_the_search_of_split_vectors(self, seed, k, tau, e, duplicated, nan):
+        ds, plan, banks = random_banks(seed, duplicated, nan, e)
+        rule, estimate = SubsetRule(tau), mixing_at_unit_scale(e)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(classify_mod, "_fit_banks", lambda *args: {0: list(banks)})
+            mp.setattr(classify_mod, "estimate_mixing", estimate)
+            grid = run_grid(ds, plan, ["ll1"], ["knn", "centroid"],
+                            ExperimentConfig(realizations=1, k=k, tau=tau))["ll1"]
+        # oracle: the public searches on the vectors that split_features forms
+        train = [split_features(group_tensor(ds, plan.members[g])[0], bank, rule)
+                 for g, bank in zip(plan.train_groups, banks)]
+        slices = [s for bank in banks for s in bank.slices]
+        pooled = CommonFeatureBank(slices=slices, mixing=np.zeros((0, len(slices))))
+        held_out, labels = group_tensor(
+            ds, [q for g in plan.test_groups for q in plan.members[g]])
+        test = split_features(held_out, pooled, rule,
+                              weights=estimate(pooled, held_out.values))
+        train_labels = [ds.labels[q] for g in plan.train_groups for q in plan.members[g]]
+        train = LabeledVectors(np.concatenate([unfold(s.individual, 2) for s in train]),
+                               train_labels)
+        test = LabeledVectors(unfold(test.individual, 2), labels)
+        for got, want in ((grid["knn"], knn_classify(train, test, k)),
+                          (grid["centroid"], nearest_centroid(train, test))):
+            assert got.class_ids == want.class_ids
+            np.testing.assert_array_equal(got.confusion, want.confusion)
 
 
 class TestReports:
