@@ -48,7 +48,7 @@ from .decomp import DecompConfig
 from .features import (
     CommonFeatureBank,
     SubsetRule,
-    _subtract_common,
+    _common_parts,
     estimate_mixing,
     fit_feature_bank,
 )
@@ -76,7 +76,7 @@ class LabeledVectors:
     (n x K, finite and nonnegative) default to K = 0, and then feature
     vector i is row i.  Otherwise it is the individual part of row i: the
     row less weights[i, k] * slices[k] over the positive weights, in
-    ascending k, as `features._subtract_common` forms it.  The searches
+    ascending k, as `features._common_parts` sums it.  The searches
     expand its distances from the rows and the weights, and form an
     individual part only where they need it exactly (`_individual`)."""
 
@@ -293,22 +293,18 @@ def _in_range(tmat: np.ndarray, xmat: np.ndarray, smat: np.ndarray) -> tuple:
     return _in_range(*(np.ldexp(m, -shift) for m in (tmat, xmat, smat)))
 
 
-# keeps the features of positive weight, as `_individual` forms them
-_POSITIVE = SubsetRule()
-
-
 def _individual(rows: np.ndarray, weights: np.ndarray, smat: np.ndarray, at,
                 product: np.ndarray | None = None) -> np.ndarray:
     """rows[at] (`at` a sequence of indices) less the rows' common parts,
     weights[i, k] * smat[k] over the positive weights of row i in ascending
-    k, in a new matrix: the common parts are formed by `_subtract_common`
-    (each product in `product`, if given) and subtracted as the split
-    subtracts them, a row at a time, so that no copy of the rows is held
-    beside them."""
+    k, in a new matrix: the common parts are summed by
+    `features._common_parts` (each product in `product`, if given) and
+    subtracted as the split subtracts them, a row at a time, so that no
+    copy of the rows is held beside them."""
     if not len(smat):
         return rows[at]
     out = np.zeros((len(at), rows.shape[1]))
-    _subtract_common(None, smat, weights[at], _POSITIVE, common=out, product=product)
+    _common_parts(smat, weights[at], out, product)
     for i, row in zip(at, out):
         np.subtract(rows[i], row, out=row)
     return out
@@ -513,11 +509,9 @@ def _featurize(ds: EnsembleDataset, plan: SplitPlan, banks: list | None,
         train_weights[q * bank.n_images:(q + 1) * bank.n_images,
                       at:at + bank.n_features] = bank.mixing
         at += bank.n_features
-    for weights in (train_weights, test_weights):  # zero where the rule drops a feature
-        weights[[~rule.select(row) for row in weights]] = 0.0
     smat = np.stack([s.ravel(order="F") for s in slices])
-    return (LabeledVectors(vectors[0], labels[0], weights=train_weights, slices=smat),
-            LabeledVectors(vectors[1], labels[1], weights=test_weights, slices=smat))
+    return tuple(LabeledVectors(v, lab, weights=rule.mask(w), slices=smat)
+                 for v, lab, w in zip(vectors, labels, (train_weights, test_weights)))
 
 
 def run_grid(ds: EnsembleDataset, plan: SplitPlan, methods, classifiers,

@@ -10,11 +10,11 @@ update, and T x_1 A^T (slices A^T T_k), contracted with C or with B, the
 B and C updates.  Each update solves one R x R system on the Hadamard
 product of two Gram matrices, each Gram formed once per sweep, or takes
 its pseudoinverse where pinv would drop a singular value.  The LL1 sweep
-updates each term's two matrix factors in turn (Gauss-Seidel)
-by least squares on an O x P matrix: the input contracted with the term's
-mixing vector, less the other terms' slices weighted by how much their
-mixing vectors overlap it.  It then refreshes the whole mixing matrix by
-row-wise nonnegative least squares against the term slices.  The LL1 sweep
+updates each term's two matrix factors in turn (Gauss-Seidel) by least
+squares on an O x P matrix: the input contracted with the term's mixing
+vector, less the other terms' slices weighted by how much their mixing
+vectors overlap it.  After each term it refreshes the whole mixing matrix
+by row-wise NNLS against the term slices: K solves per sweep.  It
 runs on an order-4 stack of same-shape ensembles at once, read in place,
 each step one batched call, and gives each ensemble the result it gets
 alone, bit for bit; `ll1_nn` is its one-ensemble case.
@@ -53,7 +53,7 @@ INIT_HOSVD = "hosvd"
 @dataclass
 class DecompConfig:
     """Settings of a CPD or LL1 fit.  max_sweeps >= 1 and the seed of the
-    random start and of zero-column redraws are integers, rel_tol > 0 is a
+    random start and of zero-column redraws are integers, rel_tol > 0 a finite
     number, numpy's included; a bool or a misplaced fraction raises ValueError."""
 
     max_sweeps: int = 500
@@ -63,8 +63,8 @@ class DecompConfig:
 
     def __post_init__(self):
         _check_count("max_sweeps", self.max_sweeps)  # a fractional cap is never reached
-        if not (_is_number(self.rel_tol) and self.rel_tol > 0):
-            raise ValueError(f"rel_tol must be a positive number, got {self.rel_tol!r}")
+        if not (_is_number(self.rel_tol) and 0 < self.rel_tol < math.inf):
+            raise ValueError(f"rel_tol must be a finite positive number, got {self.rel_tol!r}")
         if not _is_number(self.seed, integral=True):  # it goes to np.random.default_rng
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.init not in (INIT_RANDOM, INIT_HOSVD):
@@ -477,9 +477,10 @@ def ll1_nn(t: DenseTensor, ranks, cfg: DecompConfig | None = None) -> LL1Factors
     M_k = T x_3 c_k - sum_{n != k} (c_n^T c_k) S_n, an O x P matrix.  The
     exact least-squares updates are then A_k = M_k B_k ((c_k^T c_k) B_k^T B_k)^+
     and B_k = M_k^T A_k ((c_k^T c_k) A_k^T A_k)^+, with no O x P x Q
-    residual formed.  The whole mixing matrix is then refreshed by
-    nonnegative least squares of the original mode-2 unfolding against the
-    vectorized slices of all terms, and everything is renormalized.
+    residual formed.  After each term, the whole mixing matrix is refreshed
+    by nonnegative least squares of the original mode-2 unfolding against
+    the vectorized slices of all terms (K solves per sweep), and everything
+    is renormalized.
     The mixing vectors come back elementwise >= 0 with exact zeros allowed;
     zero entries are flagged in diagnostics.
 
@@ -502,7 +503,7 @@ def _ll1_stack(t: DenseTensor, ranks, cfgs: list) -> list:
     The stack is read in place, as the view of its d X_3 unfoldings; it is
     copied, once, only to scale ensembles into range (`_x3_in_range`).
     Each step of the sweep runs once for the stack (batched GEMMs and
-    pseudoinverses, one mixing NNLS), as does the Gram-form fit
+    pseudoinverses, one stacked mixing NNLS per term), as does the Gram-form fit
     (`_gram_fits`).  Only the X_3 views are read.  Init and
     replacement draws, flags, the resolved fit with its fallback to the
     residual of the last mixing update's R M, and the convergence test

@@ -3,6 +3,8 @@
 A block-term decomposition of a stacked ensemble yields a bank of shared
 feature slices plus per-image nonnegative mixing weights.  Each image then
 splits exactly into the mixed common part and an individual remainder.
+Which features an image keeps (`SubsetRule.mask`) and how its common part
+is summed (`_common_parts`) are decided here alone, for the classifiers too.
 """
 
 from __future__ import annotations
@@ -47,21 +49,29 @@ class CommonFeatureBank:
 
 @dataclass
 class SubsetRule:
-    """Keep features whose mixing weight exceeds tau times the row maximum.
-
-    tau = 0 keeps every feature with a strictly positive weight.
-    """
+    """Keep features whose mixing weight exceeds tau times the row maximum,
+    for a finite tau >= 0.  tau = 0 keeps every feature with a strictly
+    positive weight; a kept weight is finite, and a row holding a NaN or
+    +inf keeps none."""
 
     tau: float = 0.0
 
     def __post_init__(self):
         # tau above 1 is allowed: it empties the selection
-        if not (_is_number(self.tau) and self.tau >= 0.0):
-            raise ValueError(f"tau must be a nonnegative number, got {self.tau!r}")
-        self.tau = float(self.tau)  # so even inf * 0.0 is NaN with no numpy warning
+        if not (_is_number(self.tau) and 0.0 <= self.tau < np.inf):
+            raise ValueError(f"tau must be a finite nonnegative number, got {self.tau!r}")
+        self.tau = float(self.tau)  # so 0.0 * inf, at a row holding inf, is NaN without a warning
 
     def select(self, row: np.ndarray) -> np.ndarray:
         return row > self.tau * float(np.max(row, initial=0.0))
+
+    def mask(self, weights: np.ndarray) -> np.ndarray:
+        """A float64 copy of the Q x K `weights` with 0.0 wherever `select`
+        drops a feature of its row: its positive entries are those kept."""
+        out = np.array(weights, dtype=np.float64)
+        for row in out:
+            row[~self.select(row)] = 0.0
+        return out
 
 
 @dataclass
@@ -153,26 +163,19 @@ def split_single(bank: CommonFeatureBank, image: np.ndarray,
             split.selected[0])
 
 
-def _subtract_common(rows: np.ndarray | None, slices: list, weights: np.ndarray,
-                     rule: SubsetRule, common: np.ndarray | None = None,
-                     product: np.ndarray | None = None) -> list:
-    """Image q's common part, sum_k weights[q, k] * slice_k, added in
-    ascending k over the features the rule keeps for weights[q], into a zero
-    row or into row q of a zero `common`; unless `rows` is None, it is
-    subtracted in place from image row q of `rows`.  Each product is formed
-    in `product`, one row of scratch, new per call by default.  Returns the
-    indices kept per row."""
+def _common_parts(slices: list, weights: np.ndarray, common: np.ndarray,
+                  product: np.ndarray | None = None) -> list:
+    """Add image q's common part, weights[q, k] * slice_k over its positive
+    weights in ascending k, into row q of `common`, one flattened image per
+    row.  Each product is formed in `product`, one row of scratch, new per
+    call by default.  Returns the indices of the positive weights per row."""
     flat = [s.reshape(-1, order="F") for s in slices]  # F-ordered: views
-    if product is None:
-        product = np.empty(flat[0].size if flat else 0)
+    product = np.empty(common.shape[1]) if product is None else product
     selected = []
-    for q, row in enumerate(weights):
-        kept = np.flatnonzero(rule.select(row))
-        out = np.zeros(rows.shape[1]) if common is None else common[q]
+    for row, out in zip(weights, common):
+        kept = np.flatnonzero(row > 0.0)
         for k in kept:
             out += np.multiply(flat[k], row[k], out=product)
-        if rows is not None:
-            rows[q] -= out
         selected.append(kept.tolist())
     return selected
 
@@ -186,8 +189,9 @@ def split_features(t: DenseTensor, bank: CommonFeatureBank,
     By default the bank's own mixing rows are used; pass `weights` (Q x K)
     to split held-out images with externally estimated mixing instead.
     Image q's common part is sum_k weights[q, k] * slice_k, added in
-    ascending k over the features the rule keeps for weights[q]; its
-    individual part is slice q minus that, elementwise.
+    ascending k over the features the rule keeps for weights[q]
+    (`_common_parts` of the masked weights); its individual part is slice
+    q minus that, elementwise.  `weights` is left unchanged.
     """
     if t.order != 3:
         raise ValueError("expected a stacked ensemble of matrix slices")
@@ -207,8 +211,8 @@ def split_features(t: DenseTensor, bank: CommonFeatureBank,
 
     # the common stack is filled through its Q x (O P) row view, in place
     common = np.zeros(t.shape, order="F")
-    selected = _subtract_common(None, bank.slices, weights, rule,
-                                common=common.reshape(-1, n_images, order="F").T)
+    selected = _common_parts(bank.slices, rule.mask(weights),
+                             common.reshape(-1, n_images, order="F").T)
     individual = np.subtract(t.values, common, order="F")
     return FeatureSplit(common=DenseTensor._wrap(common),
                         individual=DenseTensor._wrap(individual), selected=selected)

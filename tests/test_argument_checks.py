@@ -83,7 +83,7 @@ class TestExperimentConfigFields:
     ("realizations", 2.5, "realizations must be an integer, got 2.5"),
     ("k", True, "k must be an integer, got True"),
     ("ranks", [1.5], "ranks must be a nonempty list of positive integers, got [1.5]"),
-    ("tau", True, "tau must be a nonnegative number, got True"),
+    ("tau", True, "tau must be a finite nonnegative number, got True"),
     ("dataset", {"kind": "face-fixture", "height": 8, "width": 6, "n_classes": 2,
                  "per_class": True}, "per_class must be a positive integer, got True"),
 ])
@@ -103,7 +103,8 @@ class TestSeedsAndCounts:
 
     @pytest.mark.parametrize("kwargs", [
         {"seed": 1.5}, {"seed": True}, {"seed": "0"}, {"seed": None},
-        {"rel_tol": True}, {"rel_tol": "1e-8"},
+        {"rel_tol": True}, {"rel_tol": "1e-8"}, {"rel_tol": float("inf")},
+        {"rel_tol": np.float64("inf")}, {"rel_tol": float("nan")},
     ])
     def test_decomp_config(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
@@ -131,9 +132,9 @@ class TestSeedsAndCounts:
         with pytest.raises(ValueError, match="^seed must be an integer"):
             make()
 
-    @pytest.mark.parametrize("tau", [True, "0.5", None])
+    @pytest.mark.parametrize("tau", [True, "0.5", None, float("inf"), np.float64("nan"), -1.0])
     def test_subset_rule(self, tau):
-        with pytest.raises(ValueError, match="^tau must be a nonnegative number"):
+        with pytest.raises(ValueError, match="^tau must be a finite nonnegative number"):
             SubsetRule(tau)
 
     def test_numpy_integers_are_accepted(self, tmp_path):

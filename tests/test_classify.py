@@ -654,18 +654,18 @@ class TestRunGrid:
         plan = make_group_splits(ds, groups=10, train=5, seed=0)
         cfg = ExperimentConfig(realizations=1, max_sweeps=3)
         formed, kept = [], []
-        subtract, prefilter = classify_mod._subtract_common, classify_mod._prefilter
+        common_parts, prefilter = classify_mod._common_parts, classify_mod._prefilter
 
-        def spy_subtract(rows, slices, weights, *args, **kwargs):
+        def spy_common_parts(slices, weights, *args):
             formed.append(len(weights))
-            return subtract(rows, slices, weights, *args, **kwargs)
+            return common_parts(slices, weights, *args)
 
         def spy_prefilter(*args):
             keep = prefilter(*args)
             kept.extend(np.count_nonzero(keep, axis=1))
             return keep
 
-        monkeypatch.setattr(classify_mod, "_subtract_common", spy_subtract)
+        monkeypatch.setattr(classify_mod, "_common_parts", spy_common_parts)
         monkeypatch.setattr(classify_mod, "_prefilter", spy_prefilter)
         run_grid(ds, plan, ["ll1"], ["knn"], cfg)
         assert kept == [1] * 200

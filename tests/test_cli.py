@@ -27,13 +27,20 @@ from tensplit.dtf import DtfFormatError, read_tensor, write_tensor
 from tensplit.kernels import ConvergenceError
 
 
+def strict_json(line):
+    """The object of one line of RFC 8259 JSON, which has no NaN or Infinity."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(line, parse_constant=reject)
+
+
 def run_cli(capsys, argv):
     """Invoke the CLI in-process and enforce the one-JSON-line contract."""
     code = main(argv)
     out = capsys.readouterr().out
     lines = out.splitlines()
     assert len(lines) == 1, f"expected exactly one stdout line, got {lines!r}"
-    return code, json.loads(lines[0])
+    return code, strict_json(lines[0])
 
 
 def rank1_tensor_file(path, shape=(4, 3, 5), seed=0):
@@ -265,6 +272,18 @@ class TestDecompose:
         assert payload["status"] == "error"
         assert not (tmp_path / "f").exists()
 
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0"])
+    def test_non_finite_or_zero_tolerance_exits_3(self, capsys, tmp_path, tol):
+        tfile = tmp_path / "t.dtf1"
+        rank1_tensor_file(tfile)
+        code, payload = run_cli(capsys, [
+            "decompose", str(tfile), "--method", "ll1", "--ranks", "1", "--tol", tol,
+            "--out", str(tmp_path / "f"),
+        ])
+        assert code == 3
+        assert payload["error"].startswith("rel_tol must be a finite positive number")
+        assert not (tmp_path / "f").exists()
+
     def test_hosvd_rank_above_the_unfolding_rank_exits_3(self, capsys, tmp_path):
         tfile = tmp_path / "t.dtf1"
         write_tensor(DenseTensor(np.random.default_rng(0).standard_normal((10, 2, 2))), tfile)
@@ -321,6 +340,16 @@ class TestSplit:
         assert code == 0
         assert payload["common_ratio"] == 0.0
         assert abs(payload["individual_ratio"] - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("tau", ["inf", "nan", "-1"])
+    def test_non_finite_or_negative_tau_exits_3(self, capsys, tmp_path, tau):
+        # the one stdout line is strict JSON: no Infinity from the tau echoed
+        tfile, bank = self.fit_bank(capsys, tmp_path)
+        code, payload = run_cli(capsys, [
+            "split", str(tfile), str(bank), "--tau", tau, "--out", str(tmp_path / "s")])
+        assert code == 3
+        assert payload["error"].startswith("tau must be a finite nonnegative number")
+        assert not (tmp_path / "s").exists()
 
     def test_individual_ratio_grows_with_tau(self, capsys, tmp_path):
         tfile, bank = self.fit_bank(capsys, tmp_path)
@@ -515,6 +544,8 @@ class TestExperiment:
         ({"methods": ["pca"]}, "unknown method 'pca'"),
         ({"classifiers": []}, "classifiers must be a nonempty list"),
         ({"split": {"groups": 4, "train": True}}, "train must be an integer"),
+        ({"tau": float("inf")}, "tau must be a finite nonnegative number, got inf"),
+        ({"rel_tol": float("inf")}, "rel_tol must be a finite positive number, got inf"),
     ])
     def test_settings_are_checked_before_any_file_is_read(self, capsys, tmp_path,
                                                           overrides, message):
@@ -816,7 +847,7 @@ def test_cli_contract_on_random_argv(tmp_path_factory, data):
         code = main(argv)
     lines = stdout.getvalue().splitlines()
     assert len(lines) == 1, f"expected one stdout line, got {lines!r}"
-    payload = json.loads(lines[0])
+    payload = strict_json(lines[0])  # a NaN or an Infinity anywhere fails
     assert code in (0, 2, 3, 4)
     if payload["status"] == "error":
         assert payload["code"] == code

@@ -220,27 +220,42 @@ class TestSplit:
                 np.testing.assert_array_equal(ind, split.individual.to_array()[:, :, q])
                 assert kept == split.selected[q]
 
-    @pytest.mark.parametrize("tau", [0.0, 0.3])
+    @pytest.mark.parametrize("tau", [0.0, 0.3, 1.1])
     def test_split_is_the_per_image_accumulation(self, tau):
         # oracle: image q's common part built on O x P slices from zero, one
-        # kept feature at a time in ascending k, then subtracted from image q
+        # kept feature at a time in ascending k, then subtracted from image q;
+        # for the bank's mixing and for external weights whose rows hold
+        # -inf, zeros only, negatives only, a NaN and an inf
         rng = np.random.default_rng(19)
         slices = [rng.standard_normal((7, 6)) for _ in range(4)]
-        weights = rng.uniform(0.0, 1.0, size=(5, 4)) * (rng.uniform(size=(5, 4)) > 0.3)
+        mixing = rng.uniform(0.0, 1.0, size=(5, 4)) * (rng.uniform(size=(5, 4)) > 0.3)
+        external = np.array([[0.5, -np.inf, 0.3, 0.8],
+                             [0.0, 0.0, 0.0, 0.0],
+                             [-1.0, -0.5, -2.0, -0.1],
+                             [0.4, np.nan, 0.9, 0.2],
+                             [0.7, 0.1, np.inf, 0.3]])
         t = DenseTensor(rng.standard_normal((7, 6, 5)))
         rule = SubsetRule(tau)
-        common = np.zeros(t.shape)
-        for q, row in enumerate(weights):
-            for k in np.flatnonzero(rule.select(row)):
-                common[:, :, q] += row[k] * slices[k]
-        bank = CommonFeatureBank(slices=slices, mixing=weights)
-        for layout in ("F", "C"):  # slices set after construction keep their layout
-            bank.slices = [np.asarray(s, order=layout) for s in slices]
-            split = split_features(t, bank, rule)
-            assert np.array_equal(split.common.values, common)
-            assert np.array_equal(split.individual.values, t.values - common)
-            assert split.selected == [np.flatnonzero(rule.select(r)).tolist()
-                                      for r in weights]
+        bank = CommonFeatureBank(slices=slices, mixing=mixing)
+        for weights in (None, external):
+            rows = mixing if weights is None else weights
+            before = rows.copy()
+            masked = rule.mask(rows)
+            assert not np.shares_memory(masked, rows)
+            assert masked.tobytes() == np.where([rule.select(r) for r in rows],
+                                                rows, 0.0).tobytes()
+            common = np.zeros(t.shape)
+            for q, row in enumerate(rows):
+                for k in np.flatnonzero(rule.select(row)):
+                    common[:, :, q] += row[k] * slices[k]
+            for layout in ("F", "C"):  # slices set after construction keep their layout
+                bank.slices = [np.asarray(s, order=layout) for s in slices]
+                split = split_features(t, bank, rule, weights=weights)
+                assert np.array_equal(split.common.values, common)
+                assert np.array_equal(split.individual.values, t.values - common)
+                assert split.selected == [np.flatnonzero(rule.select(r)).tolist()
+                                          for r in rows]
+            assert rows.tobytes() == before.tobytes()  # the caller's weights are kept
 
     def test_banks_hold_f_ordered_slices(self):
         rng = np.random.default_rng(18)
