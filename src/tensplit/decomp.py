@@ -14,26 +14,29 @@ updates each term's two matrix factors in turn (Gauss-Seidel) by least
 squares on an O x P matrix: the input contracted with the term's mixing
 vector, less the other terms' slices weighted by how much their mixing
 vectors overlap it.  After each term it refreshes the whole mixing matrix
-by row-wise NNLS against the term slices: K solves per sweep.  It
-runs on an order-4 stack of same-shape ensembles at once, read in place,
-each step one batched call, and gives each ensemble the result it gets
-alone, bit for bit; `ll1_nn` is its one-ensemble case.
+by row-wise NNLS against the term slices: K solves per sweep, which
+with the K contractions make 2K passes over the input.  It runs on an
+order-4 stack of same-shape ensembles at once, read in place, each step
+one batched call, and gives each ensemble the result it gets alone, bit
+for bit; `ll1_nn` is its one-ensemble case.
 
 CPD and LL1 take the relative fit of every sweep from one function,
 `_gram_fits`, in Gram form, ||T - T^||^2 = ||T||^2 - 2 <T, T^> + ||T^||^2,
 for a model whose mode-3 unfolding is (R M)^T (CPD: R = B kr A,
-M = (C diag(w))^T): from the X_3 R and R^T R the sweep already holds and
-the mixing M, so no dense model is built.  It reduces the statistics of a
-whole stack at once, each equal to the tensor's own bit for bit; a CPD fit
-is the stack of one.  Where their rounding bound cannot resolve the fit or
-its change since the last sweep, the caller takes the fit from the
-residual X_3 - (R M)^T (`_model_x3`).
+M = (C diag(w))^T): from the X_3 R and R^T R the sweep already holds (the
+C update's, or those LL1's last mixing solve formed) and the mixing M, so
+no dense model is built and the input is not read again.  It reduces the
+statistics of a whole stack at once, each equal to the tensor's own bit
+for bit; a CPD fit is the stack of one.  Where their rounding bound
+cannot resolve the fit or its change since the last sweep, the caller
+takes the fit from the residual X_3 - (R M)^T (`_model_x3`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -219,16 +222,17 @@ def _relative_fit(x: np.ndarray, model: np.ndarray, norm_t: float) -> float:
 
 
 def _gram_fits(xr: np.ndarray, gram: np.ndarray, mixing: np.ndarray, norm_sq: list,
-               norms: list, histories: list, size: int, n_round: int, n_products: int) -> list:
+               norms: list, histories: list, size: int, n_round: int, underflow: list) -> list:
     """The relative fit of each model R M of a stack in Gram form,
     ||T - T^||^2 = ||T||^2 - 2 <T, T^> + ||T^||^2, or None where the bound
     below cannot resolve the fit or its change from the last fit in
     histories[g].  The caller passes the X_3 R (xr) and R^T R (gram) it
     holds, the mixing M (one row per column of R), each T's ||T||^2 and
     ||T|| (`_x3_in_range`) and its number of entries, the most roundings
-    an entry of X_3 R or R^T R has passed through (n_round) and the number
-    of products forming them.  <T, T^> = sum(M * (X_3 R)^T),
-    ||T^||^2 = sum(M * R^T R M), the bound's S = sum_k ||R_k|| ||M_k|| and
+    an entry of X_3 R or R^T R has passed through (n_round) and, per T,
+    what underflow can add to them, in the units the bound below counts
+    (underflow).  <T, T^> = sum(M * (X_3 R)^T), ||T^||^2 = sum(M * R^T R M),
+    the bound's S = sum_k ||R_k|| ||M_k|| and
     max|M| are each one reduction over the stack, equal to each tensor's
     own bit for bit while every tensor's block of the reduced array is one
     contiguous run of memory laid out as its own array: numpy then sums
@@ -260,13 +264,23 @@ def _gram_fits(xr: np.ndarray, gram: np.ndarray, mixing: np.ndarray, norm_sq: li
     # So |computed err^2 - err^2| <= gamma_n (||T|| + S)^2 to first order, n
     # being the largest count plus 2.  (The stored factors, LL1's
     # renormalized, and the dense fallback's R put the model a few ulps of
-    # S off R M, far inside this.)  Under gradual underflow each product
-    # may instead err by half the smallest subnormal; on its way to err^2
-    # it meets at most two entries of M and otherwise numbers of modulus at
-    # most 1 (the callers see to it), so add the number of products times
-    # the smallest subnormal times (1 + max|M|)^2, the largest modulus
-    # since CPD's M, unlike LL1's, may have negative entries.  The bound is
-    # doubled, covering the second-order terms and its own rounding.  With
+    # S off R M, far inside this.)
+    # Under gradual underflow a product may instead err by up to half the
+    # smallest subnormal, while sums in the subnormal range are exact
+    # (Higham, section 2.1).  underflow[g] bounds what underflow adds to
+    # T's X_3 R and R^T R, in units of half the smallest subnormal summed
+    # over their entries: the number of products forming them where they
+    # are formed as they are used, as in CPD, each product erring by at
+    # most one unit; `_ll1_stack` derives it for statistics formed on a
+    # design scaled by a power of two.  The products formed here, the
+    # squares of T, those of R^T R M and the two elementwise, add one unit
+    # each.  On its way to err^2 an error in an entry of X_3 R or R^T R
+    # meets at most two entries of M and otherwise numbers of modulus at
+    # most 1 (the callers see to it), so add the units times the smallest
+    # subnormal times (1 + max|M|)^2, the largest modulus since CPD's M,
+    # unlike LL1's, may have negative entries.  (An entry that overflowed
+    # makes err^2 non-finite: no fit.)  The bound is doubled, covering the
+    # second-order terms and its own rounding.  With
     # err2 > 2 bound the exact squared error x has x >= err2 / 2, so
     # |sqrt(err2) - sqrt(x)| = |err2 - x| / (sqrt(err2) + sqrt(x)) <=
     # bound / sqrt(err2); two more roundings, the root and the division,
@@ -275,12 +289,12 @@ def _gram_fits(xr: np.ndarray, gram: np.ndarray, mixing: np.ndarray, norm_sq: li
     n = max(size.bit_length() + 23, n_round + n_terms + n_terms * q) + 2
     u = _EPS / 2
     gamma = n * u / (1.0 - n * u)
-    n_products += size + n_terms * (n_terms + 2) * q  # squares of T, R^T R M, two elementwise
+    own = size + n_terms * (n_terms + 2) * q  # squares of T, R^T R M, two elementwise
     fits = []
-    for t_sq, t_norm, history, t_inner, t_model_sq, scale, reach in zip(
-            norm_sq, norms, histories, inner, model_sq, scales, reaches):
+    for t_sq, t_norm, history, t_inner, t_model_sq, scale, reach, units in zip(
+            norm_sq, norms, histories, inner, model_sq, scales, reaches, underflow):
         err2 = t_sq - 2.0 * t_inner + t_model_sq
-        bound = gamma * (t_norm + scale) ** 2 + n_products * _SUBNORMAL * (1.0 + reach) ** 2
+        bound = gamma * (t_norm + scale) ** 2 + (units + own) * _SUBNORMAL * (1.0 + reach) ** 2
         fit = None
         if t_norm > 0 and err2 > 2.0 * bound and math.isfinite(err2 + bound):
             root = math.sqrt(err2)
@@ -417,7 +431,7 @@ def cpd_als(t: DenseTensor, rank: int, cfg: DecompConfig | None = None) -> Krusk
 
         mixing = (c * weights).T
         (fit,) = _gram_fits(m3[None], gab[None], mixing[None], [norm_sq], [norm_t],
-                            [history], t.size, I + J + 1, n_products)
+                            [history], t.size, I + J + 1, [n_products])
         if fit is None:
             fit = _relative_fit(x3, _model_x3(khatri_rao(b, a), mixing), norm_t)
         history.append(fit)
@@ -486,7 +500,8 @@ def ll1_nn(t: DenseTensor, ranks, cfg: DecompConfig | None = None) -> LL1Factors
 
     After a sweep the model is the last mixing update's regressor R (one
     vectorized slice per column) times its raw mixing M, so the recorded
-    fit is taken in Gram form (`_gram_fits`) from X_3 R, R^T R and M.  Where
+    fit is taken in Gram form (`_gram_fits`) from M and the X_3 R and R^T R
+    that the last mixing solve formed (X_3 R one row at a time).  Where
     its rounding bound cannot resolve the fit or its change, the residual
     X_3 - (R M)^T gives it.  As in cpd_als, an input whose norm lies
     outside [2^-500, 2^500] is fitted scaled by a power of two, and the
@@ -504,7 +519,9 @@ def _ll1_stack(t: DenseTensor, ranks, cfgs: list) -> list:
     copied, once, only to scale ensembles into range (`_x3_in_range`).
     Each step of the sweep runs once for the stack (batched GEMMs and
     pseudoinverses, one stacked mixing NNLS per term), as does the Gram-form fit
-    (`_gram_fits`).  Only the X_3 views are read.  Init and
+    (`_gram_fits`), on the X_3 R and R^T R of the last term's solve
+    (`_nnls_stack`'s statistics); so a sweep reads the X_3 views 2K times,
+    once per contraction and once per solve.  Init and
     replacement draws, flags, the resolved fit with its fallback to the
     residual of the last mixing update's R M, and the convergence test
     stay per ensemble; one leaves the stack when it converges or reaches
@@ -538,9 +555,6 @@ def _ll1_stack(t: DenseTensor, ranks, cfgs: list) -> list:
     mixing = np.concatenate(c_vecs, axis=1)  # mixing[i, n]: term n's mixing vector c_n
     c_names = [f"c{n}" for n in range(n_terms)]
 
-    # X_3 R and R^T R, GEMMs of length OP, for `_gram_fits`: n_round = OP,
-    # and after an underflow in one of their products come two entries of M
-    n_products = O * P * (Q + n_terms) * n_terms
     histories: list[list[float]] = [[] for _ in cfgs]
     results: list = [None] * d
     live = np.arange(d)  # the ensemble at each position of the stack
@@ -568,14 +582,17 @@ def _ll1_stack(t: DenseTensor, ranks, cfgs: list) -> list:
             b_hat = m_k @ a_hat @ _pinv_stack(ck_sq * (a_hat.swapaxes(1, 2) @ a_hat))
             slots[..., k] = b_hat @ a_hat.swapaxes(1, 2)
 
-            # joint mixing update against the original rhs
+            # joint mixing update against the original rhs; the last term's
+            # also returns the statistics the sweep's fit is taken from
+            last = k == n_terms - 1
             try:
-                mixing_raw = _nnls_stack(regressor, x3).swapaxes(1, 2)
+                solved = _nnls_stack(regressor, x3, last)
             except ConvergenceError as exc:
                 raise ConvergenceError(
                     f"mixing-mode NNLS failed while updating term {k}: {exc}",
                     index=int(live[exc.index]),
                 ) from exc
+            mixing_raw = (solved[0] if last else solved).swapaxes(1, 2)
 
             a_mats[k], na = _normalize_columns(a_hat, live_rngs, live_flags, f"a{k}")
             b_mats[k], nb = _normalize_columns(b_hat, live_rngs, live_flags, f"b{k}")
@@ -583,9 +600,27 @@ def _ll1_stack(t: DenseTensor, ranks, cfgs: list) -> list:
             for n in range(n_terms):
                 w_vecs[n] = (na * nb if n == k else w_vecs[n]) * gamma[:, n, None]
 
-        fits = _gram_fits(x3 @ regressor, regressor.swapaxes(1, 2) @ regressor, mixing_raw,
-                          [norm_sq[i] for i in ids], [norms[i] for i in ids],
-                          [histories[i] for i in ids], O * P * Q, O * P, n_products)
+        # For `_gram_fits`: the last solve formed X_3 R' and R'^T R', sums of
+        # OP products (n_round = OP), on R' = R / scale, scale being the
+        # power of two that puts R's peak in [0.5, 1), and scaled them back
+        # by scale and scale^2.  Power-of-two scaling adds no relative
+        # rounding, so the gamma term holds as for unscaled products, with
+        # S taken from the computed R^T R.  Its underflow is counted here,
+        # in units of half the smallest subnormal: R' may differ from
+        # R / scale by one unit per entry, and each product may underflow by
+        # one.  A product x r' of X_3 R' then differs from x r / scale by at
+        # most |x| + 1 <= ||T|| + 1 units, and one of R'^T R' from its
+        # exact (r_a / scale)(r_b / scale) by at most 4: its own, each
+        # entry's rounding times the other entry, of modulus below 1, and
+        # the two roundings' product.  Scaling back multiplies these by
+        # scale and scale^2, and rounds each of the QK + K^2 entries by at
+        # most one more unit where its result is subnormal.
+        _, xr, gram, scale = solved
+        underflow = [O * P * n_terms * (Q * (1.0 + norms[i]) + 4 * n_terms * s) * s
+                     + n_terms * (Q + n_terms) for i, s in zip(ids, scale.tolist())]
+        fits = _gram_fits(xr, gram, mixing_raw, [norm_sq[i] for i in ids],
+                          [norms[i] for i in ids], [histories[i] for i in ids], O * P * Q,
+                          O * P, underflow)
         keep = np.ones(live.size, dtype=bool)
         for pos, (i, fit) in enumerate(zip(ids, fits)):
             history = histories[i]
@@ -691,7 +726,22 @@ def greedy_cosine_match(estimated: np.ndarray, reference: np.ndarray):
 # factor bundles (see dtf.write_bundle)
 
 
+@cache
+def _provenance() -> dict:
+    """The versions a bundle's numbers depend on, read once per process:
+    this package's, numpy's, and the name and version of the BLAS numpy
+    was built against.  Neither the kernel that BLAS picks at run time nor
+    its thread count is known to numpy, so neither is recorded."""
+    from . import __version__
+
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {"tensplit": __version__, "numpy": np.__version__,
+            "blas": blas.get("name"), "blas_version": blas.get("version")}
+
+
 def save_factors(f, outdir) -> None:
+    """Write a factor bundle; its manifest carries the fit diagnostics and
+    a `provenance` stamp (`_provenance`), which `load_factors` ignores."""
     diag = getattr(f, "diagnostics", None) or Diagnostics()
     manifest = {
         "fit_history": list(diag.fit_history),
@@ -699,6 +749,7 @@ def save_factors(f, outdir) -> None:
         "sweeps": diag.sweeps,
         "converged": diag.converged,
         "flags": list(diag.flags),
+        "provenance": dict(_provenance()),
     }
     if isinstance(f, KruskalFactors):
         manifest.update(type="cpd", K=f.rank, ranks=[1] * f.rank,

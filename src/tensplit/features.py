@@ -67,10 +67,11 @@ class SubsetRule:
 
     def mask(self, weights: np.ndarray) -> np.ndarray:
         """A float64 copy of the Q x K `weights` with 0.0 wherever `select`
-        drops a feature of its row: its positive entries are those kept."""
+        drops a feature of its row: its positive entries are those kept.
+        All rows are compared at once, each as `select` compares it."""
         out = np.array(weights, dtype=np.float64)
-        for row in out:
-            row[~self.select(row)] = 0.0
+        with np.errstate(invalid="ignore"):  # 0.0 * inf is NaN, which keeps nothing
+            out[~(out > self.tau * np.max(out, axis=1, initial=0.0)[:, None])] = 0.0
         return out
 
 
@@ -187,7 +188,8 @@ def split_features(t: DenseTensor, bank: CommonFeatureBank,
     parts.
 
     By default the bank's own mixing rows are used; pass `weights` (Q x K)
-    to split held-out images with externally estimated mixing instead.
+    to split held-out images with externally estimated mixing instead;
+    they must be finite and nonnegative, as `LabeledVectors` requires.
     Image q's common part is sum_k weights[q, k] * slice_k, added in
     ascending k over the features the rule keeps for weights[q]
     (`_common_parts` of the masked weights); its individual part is slice
@@ -208,6 +210,8 @@ def split_features(t: DenseTensor, bank: CommonFeatureBank,
         weights = bank.mixing
     elif weights.shape != (n_images, bank.n_features):
         raise ValueError("weights must be n_images x n_features")
+    elif not np.all((weights >= 0.0) & (weights < np.inf)):
+        raise ValueError("weights must be finite and nonnegative")
 
     # the common stack is filled through its Q x (O P) row view, in place
     common = np.zeros(t.shape, order="F")

@@ -161,24 +161,33 @@ def nnls_multi(a, ys, tol: float = 1e-10, max_iter: int | None = None) -> np.nda
     ys = _as_matrix(ys, "ys")
     if ys.shape[0] != a.shape[0]:
         raise ValueError(f"a has {a.shape[0]} rows but ys has {ys.shape[0]}")
-    return _nnls_stack(a[None], ys.T[None], tol, max_iter)[0].T
+    return _nnls_stack(a[None], ys.T[None], tol=tol, max_iter=max_iter)[0].T
 
 
-def _nnls_stack(a: np.ndarray, yst: np.ndarray, tol: float = 1e-10,
-                max_iter: int | None = None) -> np.ndarray:
+def _nnls_stack(a: np.ndarray, yst: np.ndarray, stats: bool = False, tol: float = 1e-10,
+                max_iter: int | None = None):
     """nnls_multi of each design of a stack: for a of shape (d, m, n) and
     yst of shape (d, r, m), row q of result[i] is nnls(a[i], yst[i, q]) bit
     for bit.  Each design has its own scale, finiteness and conditioning
     test; the rows of all well-conditioned designs share one unconstrained
     solve and, where it is infeasible, one Gram-form iteration; each
     ill-conditioned design is solved alone by least squares on its QR
-    factor.  A ConvergenceError names the failing design in `index`."""
+    factor.  A ConvergenceError names the failing design in `index`.
+
+    With `stats`, returns (result, aty, g, scale): also the statistics the
+    solve formed on design i scaled by 1 / scale[i], a power of two, each
+    scaled back by np.ldexp: g[i] = a[i]^T a[i], one matmul, and
+    aty[i, q] = a[i]^T yst[i, q], one matmul per row.  The scaling is
+    exact in the normal range, so there they are those products of the
+    unscaled design bit for bit; `decomp._ll1_stack` counts what it does
+    under underflow for the fit's rounding bound."""
     n_designs, _, n = a.shape
     n_rhs = yst.shape[1]
     if max_iter is None:
         max_iter = max(30, 10 * n)
     if n == 0 or n_rhs == 0:
-        return np.zeros((n_designs, n_rhs, n))
+        x = np.zeros((n_designs, n_rhs, n))
+        return (x, x.copy(), np.matmul(a.swapaxes(1, 2), a), np.ones(n_designs)) if stats else x
     # Scaling by a power of two is exact and commutes with every rounding,
     # so every power-of-two multiple of a design gets one result.
     # Unscaled, a design far from unit scale overflows or underflows its
@@ -233,7 +242,11 @@ def _nnls_stack(a: np.ndarray, yst: np.ndarray, tol: float = 1e-10,
     except ConvergenceError as exc:
         exc.index = int(gram.nonzero()[0][design[exc.index]] if i is None else i)
         raise
-    return np.ldexp(x, shift)
+    x = np.ldexp(x, shift)
+    if not stats:
+        return x
+    back = -shift
+    return x, np.ldexp(aty, back), np.ldexp(g, 2 * back), np.ldexp(1.0, back[:, 0, 0])
 
 
 def _ill_conditioned(g: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import mutated_bytes
+import tensplit
 import tensplit.features as features_mod
 from tensplit import cli
 from tensplit.cli import OUT_ENV, build_parser, main
@@ -182,6 +183,30 @@ class TestDecompose:
         assert code == 0
         assert payload["sweeps"] == 0
         assert payload["fit"] < 1e-10
+
+    @pytest.mark.parametrize("method, ranks", [("ll1", "2,1"), ("cpd", "3"),
+                                               ("hosvd", "2,2,2")])
+    def test_bundles_are_stamped_and_reproducible(self, capsys, tmp_path, method, ranks):
+        tfile = tmp_path / "t.dtf1"
+        write_tensor(DenseTensor(np.random.default_rng(6).uniform(0, 1, (5, 4, 6))), tfile)
+        bundles = []
+        for name in ("a", "b"):
+            code, payload = run_cli(capsys, [
+                "decompose", str(tfile), "--method", method, "--ranks", ranks,
+                "--max-sweeps", "20", "--seed", "7", "--out", str(tmp_path / name)])
+            assert code in (0, 4)
+            bundles.append({p.name: p.read_bytes() for p in (tmp_path / name).iterdir()})
+        assert bundles[0] == bundles[1]  # two same-seed runs write the same bytes
+        manifest = json.loads(bundles[0]["manifest.json"])
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert manifest["provenance"] == {
+            "tensplit": tensplit.__version__, "numpy": np.__version__,
+            "blas": blas["name"], "blas_version": blas["version"]}
+        # loading ignores the stamp: a bundle without one saves back as the original
+        del manifest["provenance"]
+        (tmp_path / "a" / "manifest.json").write_text(json.dumps(manifest))
+        save_factors(load_factors(tmp_path / "a"), tmp_path / "c")
+        assert {p.name: p.read_bytes() for p in (tmp_path / "c").iterdir()} == bundles[0]
 
     def test_payload_reports_flags(self, capsys, tmp_path):
         tfile = tmp_path / "t.dtf1"

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -105,6 +106,32 @@ class TestSubsetRule:
     def test_negative_tau_rejected(self):
         with pytest.raises(ValueError):
             SubsetRule(tau=-0.1)
+
+    @pytest.mark.parametrize("tau", [0.0, 0.5, 1.0, 2.0])
+    def test_mask_is_select_per_row(self, tau):
+        # every row that `select` can meet: a row holding a NaN or +inf
+        # keeps nothing, at tau 0 too (0 * inf), with no warning
+        rows = np.array([[0.5, 0.2, 0.5, 0.1],
+                         [0.7, 0.1, np.inf, 0.3],
+                         [0.4, np.nan, 0.9, 0.2],
+                         [0.5, -np.inf, 0.3, 0.8],
+                         [-1.0, -0.5, -2.0, -0.1],
+                         [0.3, -0.3, 0.0, 0.6],
+                         [0.0, 0.0, 0.0, 0.0],
+                         [-0.0, 0.0, -0.0, 0.0],
+                         [np.inf, np.inf, 1.0, 0.0],
+                         [5e-324, 0.0, 1e-300, 1e300]])
+        rule = SubsetRule(tau)
+        before = rows.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            masked = rule.mask(rows)
+            want = np.array([np.where(rule.select(r), r, 0.0) for r in rows])
+        assert masked.tobytes() == want.tobytes()
+        assert not np.shares_memory(masked, rows)
+        assert rows.tobytes() == before.tobytes()
+        assert not masked[[1, 2, 4, 6, 7, 8]].any()
+        assert rule.mask(np.zeros((3, 0))).shape == (3, 0)
 
 
 class TestSplit:
@@ -225,15 +252,17 @@ class TestSplit:
         # oracle: image q's common part built on O x P slices from zero, one
         # kept feature at a time in ascending k, then subtracted from image q;
         # for the bank's mixing and for external weights whose rows hold
-        # -inf, zeros only, negatives only, a NaN and an inf
+        # zeros only, ties, the smallest subnormal and a weight of 1e300
+        # (`test_mask_is_select_per_row` masks the rows that split_features
+        # rejects)
         rng = np.random.default_rng(19)
         slices = [rng.standard_normal((7, 6)) for _ in range(4)]
         mixing = rng.uniform(0.0, 1.0, size=(5, 4)) * (rng.uniform(size=(5, 4)) > 0.3)
-        external = np.array([[0.5, -np.inf, 0.3, 0.8],
+        external = np.array([[0.5, 0.0, 0.3, 0.8],
                              [0.0, 0.0, 0.0, 0.0],
-                             [-1.0, -0.5, -2.0, -0.1],
-                             [0.4, np.nan, 0.9, 0.2],
-                             [0.7, 0.1, np.inf, 0.3]])
+                             [0.2, 0.2, 0.2, 0.2],
+                             [0.4, 5e-324, 0.9, 0.2],
+                             [0.7, 0.1, 1e300, 0.3]])
         t = DenseTensor(rng.standard_normal((7, 6, 5)))
         rule = SubsetRule(tau)
         bank = CommonFeatureBank(slices=slices, mixing=mixing)
@@ -295,6 +324,21 @@ class TestSplit:
             np.testing.assert_array_equal(com, split.common.values[:, :, q])
             np.testing.assert_array_equal(ind, split.individual.values[:, :, q])
             assert kept == split.selected[q]
+
+    def test_external_weights_must_be_finite_and_nonnegative(self):
+        rng = np.random.default_rng(20)
+        bank = CommonFeatureBank(slices=[rng.standard_normal((4, 3)) for _ in range(4)],
+                                 mixing=rng.uniform(size=(2, 4)))
+        t = DenseTensor(rng.standard_normal((4, 3, 2)))
+        for bad in (np.nan, np.inf, -np.inf, -0.5, -5e-324):
+            weights = np.array([[0.7, 0.1, bad, 0.3], [0.2, 0.4, 0.1, 0.9]])
+            with pytest.raises(ValueError, match="weights must be finite and nonnegative"):
+                split_features(t, bank, weights=weights)
+            with pytest.raises(ValueError, match="weights must be finite and nonnegative"):
+                split_single(bank, t.values[:, :, 0], weights[0])
+        # -0.0 is nonnegative, and keeps no feature
+        weights = np.array([[0.7, -0.0, 0.0, 0.3], [0.2, 0.4, 0.1, 0.9]])
+        assert split_features(t, bank, weights=weights).selected == [[0, 3], [0, 1, 2, 3]]
 
     def test_shape_validation(self):
         bank = CommonFeatureBank(slices=[np.ones((3, 3))], mixing=np.ones((2, 1)))

@@ -117,9 +117,15 @@ def ll1_per_tensor(t, ranks, cfg):
                     w_vecs[k] = np.abs(na) * np.abs(nb) * gamma
                 else:
                     w_vecs[n] = w_vecs[n] * gamma
-        (fit,) = decomp._gram_fits((x3 @ regressor)[None], (regressor.T @ regressor)[None],
-                                   mixing_raw[None], [norm_sq], [norm_t], [history], t.size,
-                                   O * P, O * P * (Q + n_terms) * n_terms)
+        # X_3 R as the last mixing solve forms it, one row at a time; the
+        # solve scales R by 1 / scale to a peak in [0.5, 1), and the bound
+        # counts its underflow as `decomp._ll1_stack` derives it
+        xr = np.stack([row @ regressor for row in np.ascontiguousarray(x3)])
+        s = 2.0 ** math.frexp(float(np.max(np.abs(regressor))))[1]
+        underflow = (O * P * n_terms * (Q * (1.0 + norm_t) + 4 * n_terms * s) * s
+                     + n_terms * (Q + n_terms))
+        (fit,) = decomp._gram_fits(xr[None], (regressor.T @ regressor)[None], mixing_raw[None],
+                                   [norm_sq], [norm_t], [history], t.size, O * P, [underflow])
         if fit is None:
             fit = decomp._relative_fit(x3, (regressor @ mixing_raw).T, norm_t)
         history.append(fit)
@@ -304,6 +310,73 @@ class TestStackedFit:
         assert calls == [3, 3, 2] and info.value.index == 2
 
 
+def _handoff_spy(monkeypatch):
+    """Record each mixing solve of the LL1 sweep, with a copy of its design
+    (the sweep rewrites R in place), and each `_gram_fits` call with the
+    last solve before it."""
+    solves, handed = [], []
+    real_solve, real_fits = kernels._nnls_stack, decomp._gram_fits
+
+    def solve(a, yst, *args):
+        out = real_solve(a, yst, *args)
+        solves.append((a.copy(), yst, out))
+        return out
+
+    def fits(xr, gram, mixing, *args):
+        handed.append((xr, gram, mixing, solves[-1]))
+        return real_fits(xr, gram, mixing, *args)
+
+    monkeypatch.setattr(decomp, "_nnls_stack", solve)
+    monkeypatch.setattr(decomp, "_gram_fits", fits)
+    return solves, handed
+
+
+class TestMixingHandOff:
+    """The per-sweep fit takes X_3 R and R^T R from the sweep's last mixing
+    solve, which forms them on its design scaled by 2^shift: unscaled, they
+    are R^T R as one matmul forms it and X_3 R one row at a time."""
+
+    def check(self, monkeypatch, ts, ranks, cfgs, scaled=False):
+        solves, handed = _handoff_spy(monkeypatch)
+        fits = decomp._ll1_stack(ts, ranks, cfgs)
+        monkeypatch.undo()
+        sweeps = max(f.diagnostics.sweeps for f in fits)
+        assert len(handed) == sweeps and len(solves) == len(ranks) * sweeps
+        for sweep, (xr, gram, mixing, (a, x3, out)) in enumerate(handed):
+            assert out is solves[len(ranks) * (sweep + 1) - 1][2]  # the sweep's last solve
+            x, got_xr, got_gram, scale = out
+            assert xr is got_xr and gram is got_gram
+            assert mixing.tobytes() == np.ascontiguousarray(x.swapaxes(1, 2)).tobytes()
+            want_xr = np.stack([[row @ r for row in np.ascontiguousarray(y)]
+                                for y, r in zip(x3, a)])
+            assert xr.tobytes() == want_xr.tobytes()
+            assert gram.tobytes() == (a.swapaxes(1, 2) @ a).tobytes()
+            peaks = np.abs(a).max(axis=(1, 2))
+            assert (scale / 2 <= peaks).all() and (peaks < scale).all()
+            if scaled:
+                assert (np.abs(np.log2(scale)) >= 30).all()
+        for t, cfg, f in zip(ensembles(ts), cfgs, fits, strict=True):
+            assert_same_fit(f, ll1_per_tensor(t, ranks, cfg))
+        return fits
+
+    @pytest.mark.parametrize("ranks", [[1, 1], [2, 1]])
+    def test_fixture_groups(self, monkeypatch, ranks):
+        cfgs = [DecompConfig(seed=g, max_sweeps=30) for g in range(3)]
+        self.check(monkeypatch, fixture_groups(3), ranks, cfgs)
+
+    def test_groups_converging_at_different_sweeps(self, monkeypatch):
+        cfgs = [DecompConfig(seed=10 + g, max_sweeps=200) for g in range(3)]
+        fits = self.check(monkeypatch, fixture_groups(1), [2, 1], cfgs)
+        assert len({f.diagnostics.sweeps for f in fits}) > 1
+
+    @pytest.mark.parametrize("power", [-40, 40])
+    def test_designs_far_from_unit_scale(self, monkeypatch, power):
+        # in range, so the fit is not rescaled, but its R has a peak near 2^power
+        ts = DenseTensor(np.ldexp(fixture_groups(3).values, power))
+        cfgs = [DecompConfig(seed=g, max_sweeps=20) for g in range(3)]
+        self.check(monkeypatch, ts, [2, 1], cfgs, scaled=True)
+
+
 class TestFeatureBankList:
     def test_list_equals_single_fits_with_restarts(self):
         ts = fixture_groups(4)
@@ -347,7 +420,7 @@ class TestFeatureBankList:
 
 
 def gram_fits_per_tensor(xr, gram, mixing, norm_sq, norms, histories, size, n_round,
-                         n_products):
+                         underflow):
     """Oracle: `decomp._gram_fits` one tensor at a time, its statistics
     taken by np.sum, np.diag, np.linalg.norm and np.max, and its rounding
     bound and resolution rule written out as its comment derives them."""
@@ -355,7 +428,7 @@ def gram_fits_per_tensor(xr, gram, mixing, norm_sq, norms, histories, size, n_ro
     n = max(size.bit_length() + 23, n_round + n_terms + n_terms * q) + 2
     u = decomp._EPS / 2
     gamma = n * u / (1.0 - n * u)
-    n_products += size + n_terms * (n_terms + 2) * q
+    own = size + n_terms * (n_terms + 2) * q
     fits = []
     for pos, mix in enumerate(mixing):
         inner = float(np.sum(mix * xr[pos].T))
@@ -364,7 +437,7 @@ def gram_fits_per_tensor(xr, gram, mixing, norm_sq, norms, histories, size, n_ro
         reach = float(np.max(np.abs(mix)))
         err2 = norm_sq[pos] - 2.0 * inner + model_sq
         bound = (gamma * (norms[pos] + scale) ** 2
-                 + n_products * decomp._SUBNORMAL * (1.0 + reach) ** 2)
+                 + (underflow[pos] + own) * decomp._SUBNORMAL * (1.0 + reach) ** 2)
         fit = None
         if norms[pos] > 0 and err2 > 2.0 * bound and math.isfinite(err2 + bound):
             fit = math.sqrt(err2) / norms[pos]
@@ -382,9 +455,11 @@ class TestGramFits:
            rows=st.integers(1, 12), zeros=st.floats(0.0, 0.5), signed=st.booleans(),
            shift=st.sampled_from([0, 0, -500, -535]),
            moves=st.lists(st.sampled_from([None, 0.0, 1e-12, 1e-3]), min_size=7, max_size=7),
+           scales=st.lists(st.sampled_from([1.0, 2.0 ** -40, 2.0 ** 40]), min_size=7,
+                           max_size=7),
            seed=st.integers(0, 2**32 - 1))
     def test_equals_per_tensor_fits(self, tensors, terms, q, rows, zeros, signed, shift,
-                                    moves, seed):
+                                    moves, scales, seed):
         rng = np.random.default_rng(seed)
         regressor = rng.standard_normal((tensors, rows, terms)) * 2.0 ** shift
         x3 = rng.standard_normal((tensors, q, rows)) * 2.0 ** shift
@@ -399,7 +474,9 @@ class TestGramFits:
         xr, gram = x3 @ regressor, regressor.swapaxes(1, 2) @ regressor
         norm_sq = [float(np.sum(np.square(x))) for x in x3]
         norms = [float(np.linalg.norm(x)) for x in x3]
-        counts = (q * rows, rows, (q + terms) * rows * terms)
+        # each tensor's products counted as if taken on a design scaled by 1 / scale
+        counts = (q * rows, rows, [(q + terms * s) * s * rows * terms + (q + terms) * terms
+                                   for s in scales[:tensors]])
         fresh = gram_fits_per_tensor(xr, gram, mixing, norm_sq, norms, [[]] * tensors,
                                      *counts)
         # a last fit equal to this one's, just off it or far from it
@@ -420,7 +497,7 @@ class TestGramFits:
         mixing = -np.ones((1, 2, 3))
         xr, gram = x3 @ regressor, regressor.swapaxes(1, 2) @ regressor
         args = (xr, gram, mixing, [float(np.sum(np.square(x3)))],
-                [float(np.linalg.norm(x3))], [[]], 12, 4, (3 + 2) * 4 * 2)
+                [float(np.linalg.norm(x3))], [[]], 12, 4, [(3 + 2) * 4 * 2])
         assert decomp._gram_fits(*args) == gram_fits_per_tensor(*args) == [None]
 
 
@@ -450,6 +527,32 @@ class TestNnlsStack:
         for i in range(designs):
             want = nnls_multi(a[i], yst[i].T)
             assert x[i].T.tobytes() == np.ascontiguousarray(want).tobytes()
+
+    @given(designs=st.integers(1, 4), rows=st.integers(3, 9), cols=st.integers(1, 4),
+           rhs=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+           kinds=st.lists(st.integers(0, 2), min_size=4, max_size=4),
+           shifts=st.lists(st.sampled_from([0, -30, 40, 300]), min_size=4, max_size=4))
+    def test_stats_are_the_unscaled_products(self, designs, rows, cols, rhs, seed, kinds,
+                                             shifts):
+        # in the normal range, whichever path solves each design
+        rng = np.random.default_rng(seed)
+        a = np.stack([np.ldexp(_design(rng, kinds[i], rows, cols), shifts[i])
+                      for i in range(designs)])
+        yst = rng.standard_normal((designs, rhs, rows))
+        x, aty, g, scale = kernels._nnls_stack(a, yst, True)
+        assert x.tobytes() == kernels._nnls_stack(a, yst).tobytes()
+        assert aty.tobytes() == np.stack([[y @ ai for y in ys]
+                                          for ys, ai in zip(yst, a)]).tobytes()
+        assert g.tobytes() == (a.swapaxes(1, 2) @ a).tobytes()
+        peaks = np.abs(a).max(axis=(1, 2))
+        assert (scale / 2 <= peaks).all() and (peaks < scale).all()
+
+    def test_empty_stats(self):
+        for n, r in ((0, 2), (2, 0)):
+            x, aty, g, scale = kernels._nnls_stack(np.ones((3, 4, n)), np.ones((3, r, 4)), True)
+            assert x.shape == aty.shape == (3, r, n) and not (x.any() or aty.any())
+            assert g.tobytes() == np.full((3, n, n), 4.0).tobytes()  # a^T a of all-ones 4 x n designs
+            assert scale.tolist() == [1.0] * 3
 
     def test_full_passive_sets_finish_without_a_dual(self, monkeypatch):
         # every row's solution is positive in both coordinates, so the
