@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DenseTensor, _is_number, unfold
+from .core import DenseTensor, _finite_nonneg, _is_number, unfold
 from .dataset import EnsembleDataset, SplitPlan, group_tensor, make_group_splits
 from .decomp import DecompConfig
 from .features import (
@@ -53,7 +53,7 @@ from .features import (
     fit_feature_bank,
 )
 from .kernels import ConvergenceError
-from .seeds import derive_seed
+from .seeds import derive_seed, seed_sequence
 
 METHOD_RAW = "raw"
 METHOD_CPD = "cpd"
@@ -103,7 +103,7 @@ class LabeledVectors:
             raise ValueError("slices must be the rows of one matrix, one value per dimension")
         if self.weights.shape != (len(self), len(self.slices)):
             raise ValueError("weights must hold one row per vector and one column per slice")
-        if not np.all((self.weights >= 0.0) & (self.weights < math.inf)):
+        if not _finite_nonneg(self.weights):
             raise ValueError("weights must be finite and nonnegative")
 
     def __len__(self) -> int:
@@ -419,9 +419,10 @@ def nearest_centroid(train: LabeledVectors, test: LabeledVectors) -> EvalReport:
 @dataclass
 class ExperimentConfig:
     """Settings of an experiment grid.  `realizations`, `k` and the block
-    `ranks` are integers >= 1; `SubsetRule` checks `tau`, and `DecompConfig`
-    checks `seed`, `max_sweeps` and `rel_tol`.  numpy's numbers are
-    accepted; a bool or a misplaced fraction raises ValueError."""
+    `ranks` are integers >= 1; `SubsetRule` checks `tau`, `seed_sequence`
+    the seed, which names streams and may be negative, and `DecompConfig`
+    `max_sweeps` and `rel_tol`.  numpy's numbers are accepted; a bool or a
+    misplaced fraction raises ValueError."""
 
     seed: int = 0
     realizations: int = 100
@@ -445,7 +446,8 @@ class ExperimentConfig:
                 and all(_is_number(L, True) and L >= 1 for L in ranks)):
             raise ValueError(f"ranks must be a nonempty list of positive integers, got {ranks!r}")
         SubsetRule(self.tau)
-        DecompConfig(max_sweeps=self.max_sweeps, rel_tol=self.rel_tol, seed=self.seed)
+        seed_sequence(self.seed)
+        DecompConfig(max_sweeps=self.max_sweeps, rel_tol=self.rel_tol)
 
 
 def check_grid(methods, classifiers) -> None:

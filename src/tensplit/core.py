@@ -111,6 +111,12 @@ def _check_count(name: str, v) -> None:
         raise ValueError(f"{name} must be a positive integer, got {v!r}")
 
 
+def _finite_nonneg(values: np.ndarray) -> bool:
+    """Whether every entry of `values` is finite and >= 0 (NaN is neither);
+    an empty array is."""
+    return bool(np.all((values >= 0.0) & (values < math.inf)))
+
+
 def _as_matrix(m, name: str = "matrix") -> np.ndarray:
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:

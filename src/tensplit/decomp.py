@@ -23,13 +23,14 @@ for bit; `ll1_nn` is its one-ensemble case.
 CPD and LL1 take the relative fit of every sweep from one function,
 `_gram_fits`, in Gram form, ||T - T^||^2 = ||T||^2 - 2 <T, T^> + ||T^||^2,
 for a model whose mode-3 unfolding is (R M)^T (CPD: R = B kr A,
-M = (C diag(w))^T): from the X_3 R and R^T R the sweep already holds (the
-C update's, or those LL1's last mixing solve formed) and the mixing M, so
-no dense model is built and the input is not read again.  It reduces the
-statistics of a whole stack at once, each equal to the tensor's own bit
-for bit; a CPD fit is the stack of one.  Where their rounding bound
-cannot resolve the fit or its change since the last sweep, the caller
-takes the fit from the residual X_3 - (R M)^T (`_model_x3`).
+M = (C diag(w))^T): from the X_3 R and R^T R the sweep already holds and
+the mixing M (the C update's, or LL1's last mixing solve's, with R scaled
+by a power of two and M by its inverse), so no dense model is built and
+the input is not read again.  It reduces the statistics of a whole stack
+at once, each equal to the tensor's own bit for bit; a CPD fit is the
+stack of one.  Where their rounding bound cannot resolve the fit or its
+change since the last sweep, the caller takes the fit from the residual
+X_3 - (R M)^T (`_model_x3`).
 """
 
 from __future__ import annotations
@@ -41,9 +42,9 @@ from functools import cache
 import numpy as np
 
 from . import dtf
-from .core import (DenseTensor, _check_count, _is_number, fold, khatri_rao, mode_n_product,
-                   norm_frobenius, unfold)
-from .kernels import (ConvergenceError, _gufunc, _linalg_errstate, _nnls_stack, _pinv_stack,
+from .core import (DenseTensor, _check_count, _finite_nonneg, _is_number, fold, khatri_rao,
+                   mode_n_product, norm_frobenius, unfold)
+from .kernels import (ConvergenceError, _gufunc, _linalg_errstate, _nnls_scaled, _pinv_stack,
                       pinv, svd)
 
 _EPS = np.finfo(np.float64).eps
@@ -55,7 +56,7 @@ INIT_HOSVD = "hosvd"
 
 @dataclass
 class DecompConfig:
-    """Settings of a CPD or LL1 fit.  max_sweeps >= 1 and the seed of the
+    """Settings of a CPD or LL1 fit.  max_sweeps >= 1 and the seed >= 0 of the
     random start and of zero-column redraws are integers, rel_tol > 0 a finite
     number, numpy's included; a bool or a misplaced fraction raises ValueError."""
 
@@ -68,8 +69,8 @@ class DecompConfig:
         _check_count("max_sweeps", self.max_sweeps)  # a fractional cap is never reached
         if not (_is_number(self.rel_tol) and 0 < self.rel_tol < math.inf):
             raise ValueError(f"rel_tol must be a finite positive number, got {self.rel_tol!r}")
-        if not _is_number(self.seed, integral=True):  # it goes to np.random.default_rng
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        if not (_is_number(self.seed, integral=True) and self.seed >= 0):  # default_rng's rule
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.init not in (INIT_RANDOM, INIT_HOSVD):
             raise ValueError(f"unknown init scheme {self.init!r}")
 
@@ -222,16 +223,16 @@ def _relative_fit(x: np.ndarray, model: np.ndarray, norm_t: float) -> float:
 
 
 def _gram_fits(xr: np.ndarray, gram: np.ndarray, mixing: np.ndarray, norm_sq: list,
-               norms: list, histories: list, size: int, n_round: int, underflow: list) -> list:
+               norms: list, histories: list, size: int, n_round: int, underflow: int) -> list:
     """The relative fit of each model R M of a stack in Gram form,
     ||T - T^||^2 = ||T||^2 - 2 <T, T^> + ||T^||^2, or None where the bound
     below cannot resolve the fit or its change from the last fit in
     histories[g].  The caller passes the X_3 R (xr) and R^T R (gram) it
     holds, the mixing M (one row per column of R), each T's ||T||^2 and
     ||T|| (`_x3_in_range`) and its number of entries, the most roundings
-    an entry of X_3 R or R^T R has passed through (n_round) and, per T,
-    what underflow can add to them, in the units the bound below counts
-    (underflow).  <T, T^> = sum(M * (X_3 R)^T), ||T^||^2 = sum(M * R^T R M),
+    an entry of X_3 R or R^T R has passed through (n_round) and the number
+    of products that formed them (underflow), the same for every T.
+    <T, T^> = sum(M * (X_3 R)^T), ||T^||^2 = sum(M * R^T R M),
     the bound's S = sum_k ||R_k|| ||M_k|| and
     max|M| are each one reduction over the stack, equal to each tensor's
     own bit for bit while every tensor's block of the reduced array is one
@@ -263,19 +264,16 @@ def _gram_fits(xr: np.ndarray, gram: np.ndarray, mixing: np.ndarray, norm_sq: li
     #   * the two operations joining the three add 2 u (||T|| + S)^2.
     # So |computed err^2 - err^2| <= gamma_n (||T|| + S)^2 to first order, n
     # being the largest count plus 2.  (The stored factors, LL1's
-    # renormalized, and the dense fallback's R put the model a few ulps of
-    # S off R M, far inside this.)
+    # renormalized, and the fallback's model put it a few ulps of S off the
+    # R M passed here, far inside this; `_ll1_stack` bounds LL1's underflow.)
     # Under gradual underflow a product may instead err by up to half the
     # smallest subnormal, while sums in the subnormal range are exact
-    # (Higham, section 2.1).  underflow[g] bounds what underflow adds to
-    # T's X_3 R and R^T R, in units of half the smallest subnormal summed
-    # over their entries: the number of products forming them where they
-    # are formed as they are used, as in CPD, each product erring by at
-    # most one unit; `_ll1_stack` derives it for statistics formed on a
-    # design scaled by a power of two.  The products formed here, the
-    # squares of T, those of R^T R M and the two elementwise, add one unit
-    # each.  On its way to err^2 an error in an entry of X_3 R or R^T R
-    # meets at most two entries of M and otherwise numbers of modulus at
+    # (Higham, section 2.1).  So in units of half the smallest subnormal
+    # summed over their entries, underflow adds at most one unit per
+    # product to X_3 R and R^T R, `underflow` in all.  The products formed
+    # here, the squares of T, those of R^T R M and the two elementwise, add
+    # one unit each.  On its way to err^2 an error in an entry of X_3 R or
+    # R^T R meets at most two entries of M and otherwise numbers of modulus at
     # most 1 (the callers see to it), so add the units times the smallest
     # subnormal times (1 + max|M|)^2, the largest modulus since CPD's M,
     # unlike LL1's, may have negative entries.  (An entry that overflowed
@@ -289,12 +287,12 @@ def _gram_fits(xr: np.ndarray, gram: np.ndarray, mixing: np.ndarray, norm_sq: li
     n = max(size.bit_length() + 23, n_round + n_terms + n_terms * q) + 2
     u = _EPS / 2
     gamma = n * u / (1.0 - n * u)
-    own = size + n_terms * (n_terms + 2) * q  # squares of T, R^T R M, two elementwise
+    units = underflow + size + n_terms * (n_terms + 2) * q
     fits = []
-    for t_sq, t_norm, history, t_inner, t_model_sq, scale, reach, units in zip(
-            norm_sq, norms, histories, inner, model_sq, scales, reaches, underflow):
+    for t_sq, t_norm, history, t_inner, t_model_sq, scale, reach in zip(
+            norm_sq, norms, histories, inner, model_sq, scales, reaches):
         err2 = t_sq - 2.0 * t_inner + t_model_sq
-        bound = gamma * (t_norm + scale) ** 2 + (units + own) * _SUBNORMAL * (1.0 + reach) ** 2
+        bound = gamma * (t_norm + scale) ** 2 + units * _SUBNORMAL * (1.0 + reach) ** 2
         fit = None
         if t_norm > 0 and err2 > 2.0 * bound and math.isfinite(err2 + bound):
             root = math.sqrt(err2)
@@ -431,7 +429,7 @@ def cpd_als(t: DenseTensor, rank: int, cfg: DecompConfig | None = None) -> Krusk
 
         mixing = (c * weights).T
         (fit,) = _gram_fits(m3[None], gab[None], mixing[None], [norm_sq], [norm_t],
-                            [history], t.size, I + J + 1, [n_products])
+                            [history], t.size, I + J + 1, n_products)
         if fit is None:
             fit = _relative_fit(x3, _model_x3(khatri_rao(b, a), mixing), norm_t)
         history.append(fit)
@@ -499,13 +497,14 @@ def ll1_nn(t: DenseTensor, ranks, cfg: DecompConfig | None = None) -> LL1Factors
     zero entries are flagged in diagnostics.
 
     After a sweep the model is the last mixing update's regressor R (one
-    vectorized slice per column) times its raw mixing M, so the recorded
-    fit is taken in Gram form (`_gram_fits`) from M and the X_3 R and R^T R
-    that the last mixing solve formed (X_3 R one row at a time).  Where
-    its rounding bound cannot resolve the fit or its change, the residual
-    X_3 - (R M)^T gives it.  As in cpd_als, an input whose norm lies
-    outside [2^-500, 2^500] is fitted scaled by a power of two, and the
-    weights are scaled back.  This is the one-tensor case of `_ll1_stack`.
+    vectorized slice per column) times its raw mixing M.  That solve scaled
+    R by a power of two, 2^s, and the recorded fit is taken in Gram form
+    (`_gram_fits`) from what it formed: X_3 R' (one row at a time) and
+    R'^T R' of R' = R 2^s, and its solution M 2^-s.  Where its rounding
+    bound cannot resolve the fit or its change, the residual X_3 - (R M)^T
+    gives it.  As in cpd_als, an input whose norm lies outside
+    [2^-500, 2^500] is fitted scaled by a power of two, and the weights are
+    scaled back.  This is the one-tensor case of `_ll1_stack`.
     """
     _require_order3(t, "ll1_nn")
     return _ll1_stack(t, ranks, [cfg or DecompConfig()])[0]
@@ -519,8 +518,8 @@ def _ll1_stack(t: DenseTensor, ranks, cfgs: list) -> list:
     copied, once, only to scale ensembles into range (`_x3_in_range`).
     Each step of the sweep runs once for the stack (batched GEMMs and
     pseudoinverses, one stacked mixing NNLS per term), as does the Gram-form fit
-    (`_gram_fits`), on the X_3 R and R^T R of the last term's solve
-    (`_nnls_stack`'s statistics); so a sweep reads the X_3 views 2K times,
+    (`_gram_fits`), on the statistics and solution of the last term's solve
+    as `_nnls_scaled` returns them; so a sweep reads the X_3 views 2K times,
     once per contraction and once per solve.  Init and
     replacement draws, flags, the resolved fit with its fallback to the
     residual of the last mixing update's R M, and the convergence test
@@ -582,17 +581,15 @@ def _ll1_stack(t: DenseTensor, ranks, cfgs: list) -> list:
             b_hat = m_k @ a_hat @ _pinv_stack(ck_sq * (a_hat.swapaxes(1, 2) @ a_hat))
             slots[..., k] = b_hat @ a_hat.swapaxes(1, 2)
 
-            # joint mixing update against the original rhs; the last term's
-            # also returns the statistics the sweep's fit is taken from
-            last = k == n_terms - 1
+            # joint mixing update against the original rhs
             try:
-                solved = _nnls_stack(regressor, x3, last)
+                x, xs, aty, g = _nnls_scaled(regressor, x3)
             except ConvergenceError as exc:
                 raise ConvergenceError(
                     f"mixing-mode NNLS failed while updating term {k}: {exc}",
                     index=int(live[exc.index]),
                 ) from exc
-            mixing_raw = (solved[0] if last else solved).swapaxes(1, 2)
+            mixing_raw = x.swapaxes(1, 2)
 
             a_mats[k], na = _normalize_columns(a_hat, live_rngs, live_flags, f"a{k}")
             b_mats[k], nb = _normalize_columns(b_hat, live_rngs, live_flags, f"b{k}")
@@ -600,27 +597,17 @@ def _ll1_stack(t: DenseTensor, ranks, cfgs: list) -> list:
             for n in range(n_terms):
                 w_vecs[n] = (na * nb if n == k else w_vecs[n]) * gamma[:, n, None]
 
-        # For `_gram_fits`: the last solve formed X_3 R' and R'^T R', sums of
-        # OP products (n_round = OP), on R' = R / scale, scale being the
-        # power of two that puts R's peak in [0.5, 1), and scaled them back
-        # by scale and scale^2.  Power-of-two scaling adds no relative
-        # rounding, so the gamma term holds as for unscaled products, with
-        # S taken from the computed R^T R.  Its underflow is counted here,
-        # in units of half the smallest subnormal: R' may differ from
-        # R / scale by one unit per entry, and each product may underflow by
-        # one.  A product x r' of X_3 R' then differs from x r / scale by at
-        # most |x| + 1 <= ||T|| + 1 units, and one of R'^T R' from its
-        # exact (r_a / scale)(r_b / scale) by at most 4: its own, each
-        # entry's rounding times the other entry, of modulus below 1, and
-        # the two roundings' product.  Scaling back multiplies these by
-        # scale and scale^2, and rounds each of the QK + K^2 entries by at
-        # most one more unit where its result is subnormal.
-        _, xr, gram, scale = solved
-        underflow = [O * P * n_terms * (Q * (1.0 + norms[i]) + 4 * n_terms * s) * s
-                     + n_terms * (Q + n_terms) for i, s in zip(ids, scale.tolist())]
-        fits = _gram_fits(xr, gram, mixing_raw, [norm_sq[i] for i in ids],
+        # For `_gram_fits`: the last solve's X_3 R' and R'^T R', sums of OP
+        # products (n_round = OP), OP K (Q + K) products in all, and its
+        # solution x', R' = R 2^s being R scaled by the power of two that
+        # puts its peak in [0.5, 1): the fit is that of the model R' x'.
+        # R' x' is R M exactly unless s < 0 and an entry of R' or of
+        # M = x' 2^s lands below the normal range.  Rounded there by at most
+        # half the smallest subnormal, u_s, it puts entry (j, q) of R' x' at
+        # most u_s sum_k (|x'_kq| + |R_jk|) off that of R M, the fallback's model.
+        fits = _gram_fits(aty, g, xs.swapaxes(1, 2), [norm_sq[i] for i in ids],
                           [norms[i] for i in ids], [histories[i] for i in ids], O * P * Q,
-                          O * P, underflow)
+                          O * P, O * P * n_terms * (Q + n_terms))
         keep = np.ones(live.size, dtype=bool)
         for pos, (i, fit) in enumerate(zip(ids, fits)):
             history = histories[i]
@@ -781,7 +768,7 @@ def load_factors(indir):
 def _bundle_weights(values) -> np.ndarray:
     """A manifest's `lambda` weights, which must be finite and >= 0."""
     weights = np.asarray(values, dtype=np.float64)
-    if not (np.all(np.isfinite(weights)) and np.all(weights >= 0.0)):
+    if not _finite_nonneg(weights):
         raise ValueError(f"lambda weights must be finite and >= 0, got {values}")
     return weights
 
@@ -809,7 +796,7 @@ def _factors_from_bundle(manifest: dict, tensor):
             a, b, c = (tensor(f"term{k:02d}_{part}").to_array() for part in "abc")
             weights = _bundle_weights(manifest["lambda"][k])
             c = c.ravel()
-            if not (np.all(np.isfinite(c)) and np.all(c >= 0.0)):
+            if not _finite_nonneg(c):
                 raise ValueError(f"term {k} mixing entries must be finite and >= 0")
             terms.append(BlockTerm(a=a, b=b, c=c, weights=weights))
         return LL1Factors(terms=terms, fit_history=diag.fit_history, diagnostics=diag)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import dtf
-from .core import DenseTensor, _is_number
+from .core import DenseTensor, _finite_nonneg, _is_number
 from .decomp import DecompConfig, LL1Factors, _ll1_stack
 from .kernels import nnls_multi
 
@@ -25,7 +25,7 @@ class CommonFeatureBank:
     Each slice is held as an F-ordered float64 matrix, like the image stacks."""
 
     slices: list  # K matrices, each O x P
-    mixing: np.ndarray  # Q x K, entries >= 0, unit columns
+    mixing: np.ndarray  # Q x K, entries finite and >= 0, unit columns
     source: LL1Factors | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -35,8 +35,8 @@ class CommonFeatureBank:
         shapes = {s.shape for s in self.slices}
         if len(shapes) > 1:
             raise ValueError("feature slices must share one shape")
-        if np.any(self.mixing < 0):
-            raise ValueError("mixing weights must be nonnegative")
+        if not _finite_nonneg(self.mixing):
+            raise ValueError("mixing weights must be finite and nonnegative")
 
     @property
     def n_features(self) -> int:
@@ -210,7 +210,7 @@ def split_features(t: DenseTensor, bank: CommonFeatureBank,
         weights = bank.mixing
     elif weights.shape != (n_images, bank.n_features):
         raise ValueError("weights must be n_images x n_features")
-    elif not np.all((weights >= 0.0) & (weights < np.inf)):
+    elif not _finite_nonneg(weights):
         raise ValueError("weights must be finite and nonnegative")
 
     # the common stack is filled through its Q x (O P) row view, in place

@@ -150,7 +150,7 @@ def nnls_multi(a, ys, tol: float = 1e-10, max_iter: int | None = None) -> np.nda
     subproblem is least squares on the passive columns of r, one column of
     ys at a time.  Either way each column's arithmetic is the same
     whichever columns share the call, so column j equals nnls(a, ys[:, j])
-    bit for bit.  This is the one-design case of `_nnls_stack`: a finite,
+    bit for bit.  This is the one-design case of `_nnls_scaled`: a finite,
     well-conditioned design makes no gathers and calls LAPACK's gufuncs.
     """
     if not (_is_number(tol) and 0 <= tol < np.inf):
@@ -164,8 +164,14 @@ def nnls_multi(a, ys, tol: float = 1e-10, max_iter: int | None = None) -> np.nda
     return _nnls_stack(a[None], ys.T[None], tol=tol, max_iter=max_iter)[0].T
 
 
-def _nnls_stack(a: np.ndarray, yst: np.ndarray, stats: bool = False, tol: float = 1e-10,
-                max_iter: int | None = None):
+def _nnls_stack(a: np.ndarray, yst: np.ndarray, tol: float = 1e-10,
+                max_iter: int | None = None) -> np.ndarray:
+    """`_nnls_scaled`'s result alone."""
+    return _nnls_scaled(a, yst, tol, max_iter)[0]
+
+
+def _nnls_scaled(a: np.ndarray, yst: np.ndarray, tol: float = 1e-10,
+                 max_iter: int | None = None) -> tuple:
     """nnls_multi of each design of a stack: for a of shape (d, m, n) and
     yst of shape (d, r, m), row q of result[i] is nnls(a[i], yst[i, q]) bit
     for bit.  Each design has its own scale, finiteness and conditioning
@@ -174,27 +180,22 @@ def _nnls_stack(a: np.ndarray, yst: np.ndarray, stats: bool = False, tol: float 
     ill-conditioned design is solved alone by least squares on its QR
     factor.  A ConvergenceError names the failing design in `index`.
 
-    With `stats`, returns (result, aty, g, scale): also the statistics the
-    solve formed on design i scaled by 1 / scale[i], a power of two, each
-    scaled back by np.ldexp: g[i] = a[i]^T a[i], one matmul, and
-    aty[i, q] = a[i]^T yst[i, q], one matmul per row.  The scaling is
-    exact in the normal range, so there they are those products of the
-    unscaled design bit for bit; `decomp._ll1_stack` counts what it does
-    under underflow for the fit's rounding bound."""
-    n_designs, _, n = a.shape
-    n_rhs = yst.shape[1]
+    Returns (result, xs, aty, g): beside the result, what the solver had
+    for each design as it solved it, a[i] scaled by a power of two to a
+    peak in [0.5, 1): its solution xs[i], which one np.ldexp scales back
+    to result[i], aty[i, q] = a[i]^T yst[i, q], one matmul per row, and
+    g[i] = a[i]^T a[i], one matmul.  `decomp._ll1_stack` takes its fit
+    from them."""
+    n = a.shape[2]
     if max_iter is None:
         max_iter = max(30, 10 * n)
-    if n == 0 or n_rhs == 0:
-        x = np.zeros((n_designs, n_rhs, n))
-        return (x, x.copy(), np.matmul(a.swapaxes(1, 2), a), np.ones(n_designs)) if stats else x
     # Scaling by a power of two is exact and commutes with every rounding,
     # so every power-of-two multiple of a design gets one result.
     # Unscaled, a design far from unit scale overflows or underflows its
     # Gram matrix, or puts its duals or solution below the absolute `tol`:
     # wrong supports or a ConvergenceError.  2^shift scales a design's peak
     # into [0.5, 1) and its solution back; a zero design gets shift 0.
-    peak = np.maximum.reduce(np.abs(a), axis=(1, 2))  # NaN or inf where a has one
+    peak = np.maximum.reduce(np.abs(a), axis=(1, 2), initial=0.0)  # NaN or inf where a has one
     shift = -np.frexp(peak)[1][:, None, None]
     a = np.ldexp(a, shift)
     g = np.matmul(a.swapaxes(1, 2), a)
@@ -202,6 +203,9 @@ def _nnls_stack(a: np.ndarray, yst: np.ndarray, stats: bool = False, tol: float 
     # one matrix-vector product per row: a row's a^T y must not depend on
     # how many rows share the call
     aty = np.matmul(yst[:, :, None, :], a[:, None])[:, :, 0, :]
+    if aty.size == 0:  # no unknowns or no right-hand sides
+        x = np.zeros(aty.shape)
+        return x, x.copy(), aty, g
     # a design is finite where its peak is, and so then is g: |g| <= its rows
     finite = np.isfinite(peak) & np.isfinite(aty).all(axis=(1, 2))
     if not finite.all():  # the common case makes no per-design test
@@ -242,11 +246,7 @@ def _nnls_stack(a: np.ndarray, yst: np.ndarray, stats: bool = False, tol: float 
     except ConvergenceError as exc:
         exc.index = int(gram.nonzero()[0][design[exc.index]] if i is None else i)
         raise
-    x = np.ldexp(x, shift)
-    if not stats:
-        return x
-    back = -shift
-    return x, np.ldexp(aty, back), np.ldexp(g, 2 * back), np.ldexp(1.0, back[:, 0, 0])
+    return np.ldexp(x, shift), x, aty, g
 
 
 def _ill_conditioned(g: np.ndarray) -> np.ndarray:

@@ -110,6 +110,14 @@ class TestSeedsAndCounts:
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             DecompConfig(**kwargs)
 
+    def test_decomp_seed_must_be_nonnegative(self):
+        with pytest.raises(ValueError, match="^seed must be a nonnegative integer, got -1$"):
+            DecompConfig(seed=-1)
+        assert DecompConfig(seed=0).seed == 0
+
+    def test_negative_experiment_seeds_are_kept(self):
+        assert ExperimentConfig(seed=-3).seed == -3
+
     @pytest.mark.parametrize("args, kwargs, field", [
         ((6, True, 0), {}, "train"),
         ((6, 3.0, 0), {}, "train"),

@@ -309,6 +309,18 @@ class TestDecompose:
         assert payload["error"].startswith("rel_tol must be a finite positive number")
         assert not (tmp_path / "f").exists()
 
+    @pytest.mark.parametrize("method", ["ll1", "cpd"])
+    def test_negative_seed_exits_3(self, capsys, tmp_path, method):
+        tfile = tmp_path / "t.dtf1"
+        rank1_tensor_file(tfile)
+        code, payload = run_cli(capsys, [
+            "decompose", str(tfile), "--method", method, "--ranks", "1", "--seed", "-1",
+            "--out", str(tmp_path / "f"),
+        ])
+        assert code == 3
+        assert payload["error"] == "seed must be a nonnegative integer, got -1"
+        assert not (tmp_path / "f").exists()
+
     def test_hosvd_rank_above_the_unfolding_rank_exits_3(self, capsys, tmp_path):
         tfile = tmp_path / "t.dtf1"
         write_tensor(DenseTensor(np.random.default_rng(0).standard_normal((10, 2, 2))), tfile)
@@ -489,6 +501,13 @@ class TestExperiment:
         resolved = json.loads((out / "config.json").read_text())
         assert resolved["methods"] == ["raw", "ll1"]
         assert "out" not in resolved
+
+    def test_negative_seed_runs(self, capsys, tmp_path):
+        # an experiment seed only names streams (`seed_sequence`), so it may be negative
+        cfg = experiment_config(tmp_path, seed=-3, methods=["raw", "ll1"], ranks=[1],
+                                max_sweeps=5)
+        code, payload = run_cli(capsys, ["experiment", str(cfg), "--out", str(tmp_path / "r")])
+        assert code == 0 and payload["status"] == "ok"
 
     def test_rerun_is_idempotent(self, capsys, tmp_path):
         cfg = experiment_config(tmp_path)

@@ -75,9 +75,19 @@ class TestBank:
         scores, _ = greedy_cosine_match(est, ref)
         assert np.min(scores) > 1 - 1e-6
 
-    def test_mixing_must_be_nonnegative(self):
-        with pytest.raises(ValueError):
-            CommonFeatureBank(slices=[np.ones((2, 2))], mixing=np.array([[-1.0]]))
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf, -np.inf])
+    def test_mixing_must_be_nonnegative(self, bad):
+        with pytest.raises(ValueError, match="mixing weights must be finite and nonnegative"):
+            CommonFeatureBank(slices=[np.ones((2, 2))], mixing=np.array([[bad]]))
+        # split_features with such a bank's own rows would keep no feature there
+        with pytest.raises(ValueError, match="mixing weights must be finite and nonnegative"):
+            CommonFeatureBank(slices=[np.ones((2, 2))] * 3,
+                              mixing=np.array([[0.5, np.inf, 0.2], [np.nan, 0.1, 0.3]]))
+
+    def test_empty_mixing_passes(self):
+        # the harness's pooled bank holds slices and no mixing rows
+        bank = CommonFeatureBank(slices=[np.ones((2, 2))] * 3, mixing=np.zeros((0, 3)))
+        assert (bank.n_images, bank.n_features) == (0, 3)
 
     def test_fit_feature_bank_restart_validation(self):
         ds = synthetic_color_ensemble(6, 6, seed=0)

@@ -117,15 +117,12 @@ def ll1_per_tensor(t, ranks, cfg):
                     w_vecs[k] = np.abs(na) * np.abs(nb) * gamma
                 else:
                     w_vecs[n] = w_vecs[n] * gamma
-        # X_3 R as the last mixing solve forms it, one row at a time; the
-        # solve scales R by 1 / scale to a peak in [0.5, 1), and the bound
-        # counts its underflow as `decomp._ll1_stack` derives it
+        # X_3 R one row at a time, as the last mixing solve forms it, and
+        # the underflow of the O P K (Q + K) products that form X_3 R and R^T R
         xr = np.stack([row @ regressor for row in np.ascontiguousarray(x3)])
-        s = 2.0 ** math.frexp(float(np.max(np.abs(regressor))))[1]
-        underflow = (O * P * n_terms * (Q * (1.0 + norm_t) + 4 * n_terms * s) * s
-                     + n_terms * (Q + n_terms))
         (fit,) = decomp._gram_fits(xr[None], (regressor.T @ regressor)[None], mixing_raw[None],
-                                   [norm_sq], [norm_t], [history], t.size, O * P, [underflow])
+                                   [norm_sq], [norm_t], [history], t.size, O * P,
+                                   O * P * n_terms * (Q + n_terms))
         if fit is None:
             fit = decomp._relative_fit(x3, (regressor @ mixing_raw).T, norm_t)
         history.append(fit)
@@ -282,14 +279,14 @@ class TestStackedFit:
         assert_same_fit(alone[0], ll1_per_tensor(one, [1], DecompConfig(max_sweeps=5)))
 
     def test_convergence_error_names_the_tensor(self, monkeypatch):
-        real = kernels._nnls_stack
+        real = kernels._nnls_scaled
 
         def stall_second(a, yst, *args):
             if a.shape[0] > 1:
                 raise ConvergenceError("stalled", index=1)
             return real(a, yst, *args)
 
-        monkeypatch.setattr(decomp, "_nnls_stack", stall_second)
+        monkeypatch.setattr(decomp, "_nnls_scaled", stall_second)
         ts = fixture_groups(0)
         with pytest.raises(ConvergenceError, match="term 0: stalled") as info:
             decomp._ll1_stack(ts, [1, 1], [DecompConfig(seed=g) for g in range(3)])
@@ -304,7 +301,7 @@ class TestStackedFit:
                 raise ConvergenceError("stalled", index=1)
             return real(a, yst, *args)
 
-        monkeypatch.setattr(decomp, "_nnls_stack", stall_late)
+        monkeypatch.setattr(decomp, "_nnls_scaled", stall_late)
         with pytest.raises(ConvergenceError) as info:
             decomp._ll1_stack(ts, [1, 1], cfgs)
         assert calls == [3, 3, 2] and info.value.index == 2
@@ -315,7 +312,7 @@ def _handoff_spy(monkeypatch):
     (the sweep rewrites R in place), and each `_gram_fits` call with the
     last solve before it."""
     solves, handed = [], []
-    real_solve, real_fits = kernels._nnls_stack, decomp._gram_fits
+    real_solve, real_fits = kernels._nnls_scaled, decomp._gram_fits
 
     def solve(a, yst, *args):
         out = real_solve(a, yst, *args)
@@ -326,15 +323,26 @@ def _handoff_spy(monkeypatch):
         handed.append((xr, gram, mixing, solves[-1]))
         return real_fits(xr, gram, mixing, *args)
 
-    monkeypatch.setattr(decomp, "_nnls_stack", solve)
+    monkeypatch.setattr(decomp, "_nnls_scaled", solve)
     monkeypatch.setattr(decomp, "_gram_fits", fits)
     return solves, handed
 
 
+def _scaled_designs(a):
+    """The designs of the stack a scaled by the powers of two that put each
+    peak in [0.5, 1), and those powers' exponents, as (d, 1, 1) shifts."""
+    shift = -np.frexp(np.abs(a).max(axis=(1, 2)))[1][:, None, None]
+    scaled = np.ldexp(a, shift)
+    peaks = np.abs(scaled).max(axis=(1, 2))
+    assert ((0.5 <= peaks) & (peaks < 1.0)).all()
+    return scaled, shift
+
+
 class TestMixingHandOff:
-    """The per-sweep fit takes X_3 R and R^T R from the sweep's last mixing
-    solve, which forms them on its design scaled by 2^shift: unscaled, they
-    are R^T R as one matmul forms it and X_3 R one row at a time."""
+    """The per-sweep fit takes X_3 R', R'^T R' and the solution x' from the
+    sweep's last mixing solve, as the solve formed them on its design R
+    scaled by a power of two to R': X_3 R' one row at a time and R'^T R' as
+    one matmul forms it."""
 
     def check(self, monkeypatch, ts, ranks, cfgs, scaled=False):
         solves, handed = _handoff_spy(monkeypatch)
@@ -344,17 +352,17 @@ class TestMixingHandOff:
         assert len(handed) == sweeps and len(solves) == len(ranks) * sweeps
         for sweep, (xr, gram, mixing, (a, x3, out)) in enumerate(handed):
             assert out is solves[len(ranks) * (sweep + 1) - 1][2]  # the sweep's last solve
-            x, got_xr, got_gram, scale = out
-            assert xr is got_xr and gram is got_gram
-            assert mixing.tobytes() == np.ascontiguousarray(x.swapaxes(1, 2)).tobytes()
+            x, xs, aty, g = out
+            assert xr is aty and gram is g and mixing.base is xs
+            assert mixing.tobytes() == np.ascontiguousarray(xs.swapaxes(1, 2)).tobytes()
+            design, shift = _scaled_designs(a)
             want_xr = np.stack([[row @ r for row in np.ascontiguousarray(y)]
-                                for y, r in zip(x3, a)])
+                                for y, r in zip(x3, design)])
             assert xr.tobytes() == want_xr.tobytes()
-            assert gram.tobytes() == (a.swapaxes(1, 2) @ a).tobytes()
-            peaks = np.abs(a).max(axis=(1, 2))
-            assert (scale / 2 <= peaks).all() and (peaks < scale).all()
+            assert gram.tobytes() == (design.swapaxes(1, 2) @ design).tobytes()
+            assert x.tobytes() == np.ldexp(xs, shift).tobytes()
             if scaled:
-                assert (np.abs(np.log2(scale)) >= 30).all()
+                assert (np.abs(shift) >= 30).all()
         for t, cfg, f in zip(ensembles(ts), cfgs, fits, strict=True):
             assert_same_fit(f, ll1_per_tensor(t, ranks, cfg))
         return fits
@@ -437,7 +445,7 @@ def gram_fits_per_tensor(xr, gram, mixing, norm_sq, norms, histories, size, n_ro
         reach = float(np.max(np.abs(mix)))
         err2 = norm_sq[pos] - 2.0 * inner + model_sq
         bound = (gamma * (norms[pos] + scale) ** 2
-                 + (underflow[pos] + own) * decomp._SUBNORMAL * (1.0 + reach) ** 2)
+                 + (underflow + own) * decomp._SUBNORMAL * (1.0 + reach) ** 2)
         fit = None
         if norms[pos] > 0 and err2 > 2.0 * bound and math.isfinite(err2 + bound):
             fit = math.sqrt(err2) / norms[pos]
@@ -455,11 +463,9 @@ class TestGramFits:
            rows=st.integers(1, 12), zeros=st.floats(0.0, 0.5), signed=st.booleans(),
            shift=st.sampled_from([0, 0, -500, -535]),
            moves=st.lists(st.sampled_from([None, 0.0, 1e-12, 1e-3]), min_size=7, max_size=7),
-           scales=st.lists(st.sampled_from([1.0, 2.0 ** -40, 2.0 ** 40]), min_size=7,
-                           max_size=7),
            seed=st.integers(0, 2**32 - 1))
     def test_equals_per_tensor_fits(self, tensors, terms, q, rows, zeros, signed, shift,
-                                    moves, scales, seed):
+                                    moves, seed):
         rng = np.random.default_rng(seed)
         regressor = rng.standard_normal((tensors, rows, terms)) * 2.0 ** shift
         x3 = rng.standard_normal((tensors, q, rows)) * 2.0 ** shift
@@ -474,9 +480,8 @@ class TestGramFits:
         xr, gram = x3 @ regressor, regressor.swapaxes(1, 2) @ regressor
         norm_sq = [float(np.sum(np.square(x))) for x in x3]
         norms = [float(np.linalg.norm(x)) for x in x3]
-        # each tensor's products counted as if taken on a design scaled by 1 / scale
-        counts = (q * rows, rows, [(q + terms * s) * s * rows * terms + (q + terms) * terms
-                                   for s in scales[:tensors]])
+        # the products forming X_3 R and R^T R, as the LL1 sweep counts them
+        counts = (q * rows, rows, rows * terms * (q + terms))
         fresh = gram_fits_per_tensor(xr, gram, mixing, norm_sq, norms, [[]] * tensors,
                                      *counts)
         # a last fit equal to this one's, just off it or far from it
@@ -497,7 +502,7 @@ class TestGramFits:
         mixing = -np.ones((1, 2, 3))
         xr, gram = x3 @ regressor, regressor.swapaxes(1, 2) @ regressor
         args = (xr, gram, mixing, [float(np.sum(np.square(x3)))],
-                [float(np.linalg.norm(x3))], [[]], 12, 4, [(3 + 2) * 4 * 2])
+                [float(np.linalg.norm(x3))], [[]], 12, 4, (3 + 2) * 4 * 2)
         assert decomp._gram_fits(*args) == gram_fits_per_tensor(*args) == [None]
 
 
@@ -532,27 +537,27 @@ class TestNnlsStack:
            rhs=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
            kinds=st.lists(st.integers(0, 2), min_size=4, max_size=4),
            shifts=st.lists(st.sampled_from([0, -30, 40, 300]), min_size=4, max_size=4))
-    def test_stats_are_the_unscaled_products(self, designs, rows, cols, rhs, seed, kinds,
-                                             shifts):
-        # in the normal range, whichever path solves each design
+    def test_statistics_are_the_scaled_designs(self, designs, rows, cols, rhs, seed, kinds,
+                                               shifts):
+        # whichever path solves each design
         rng = np.random.default_rng(seed)
         a = np.stack([np.ldexp(_design(rng, kinds[i], rows, cols), shifts[i])
                       for i in range(designs)])
         yst = rng.standard_normal((designs, rhs, rows))
-        x, aty, g, scale = kernels._nnls_stack(a, yst, True)
-        assert x.tobytes() == kernels._nnls_stack(a, yst).tobytes()
+        x, xs, aty, g = kernels._nnls_scaled(a, yst)
+        design, shift = _scaled_designs(a)
         assert aty.tobytes() == np.stack([[y @ ai for y in ys]
-                                          for ys, ai in zip(yst, a)]).tobytes()
-        assert g.tobytes() == (a.swapaxes(1, 2) @ a).tobytes()
-        peaks = np.abs(a).max(axis=(1, 2))
-        assert (scale / 2 <= peaks).all() and (peaks < scale).all()
+                                          for ys, ai in zip(yst, design)]).tobytes()
+        assert g.tobytes() == (design.swapaxes(1, 2) @ design).tobytes()
+        assert x.tobytes() == np.ldexp(xs, shift).tobytes()
 
-    def test_empty_stats(self):
+    def test_empty_statistics(self):
         for n, r in ((0, 2), (2, 0)):
-            x, aty, g, scale = kernels._nnls_stack(np.ones((3, 4, n)), np.ones((3, r, 4)), True)
-            assert x.shape == aty.shape == (3, r, n) and not (x.any() or aty.any())
-            assert g.tobytes() == np.full((3, n, n), 4.0).tobytes()  # a^T a of all-ones 4 x n designs
-            assert scale.tolist() == [1.0] * 3
+            x, xs, aty, g = kernels._nnls_scaled(np.ones((3, 4, n)), np.ones((3, r, 4)))
+            assert x.shape == xs.shape == aty.shape == (3, r, n)
+            assert not (x.any() or xs.any() or aty.any())
+            # a^T a of all-ones 4 x n designs scaled to a peak of 0.5
+            assert g.tobytes() == np.full((3, n, n), 1.0).tobytes()
 
     def test_full_passive_sets_finish_without_a_dual(self, monkeypatch):
         # every row's solution is positive in both coordinates, so the
