@@ -25,9 +25,10 @@ It decomposes the training groups of consecutive realizations together, in
 one stacked fit per distinct block ranks: as many realizations at a time as
 keep their training images within 16 MiB (`_BATCH_BYTES`), and at least
 one.  Those are gathered once, into one buffer the fit reads in place, and
-live only for that fit: each realization's training and held-out image rows
-are then copied once each, and its features are those rows with their
-mixing weights; no image is split before the search.
+live only for that fit: each realization's image rows are then copied once,
+and every method's features are those rows, with mixing weights for a
+fitted method; class means are mean rows with mean weights, and no image
+is split before the search.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DenseTensor, _finite_nonneg, _is_number, unfold
+from .core import DenseTensor, _check_count, _finite_nonneg, _is_number, unfold
 from .dataset import EnsembleDataset, SplitPlan, group_tensor, make_group_splits
 from .decomp import DecompConfig
 from .features import (
@@ -293,18 +294,16 @@ def _in_range(tmat: np.ndarray, xmat: np.ndarray, smat: np.ndarray) -> tuple:
     return _in_range(*(np.ldexp(m, -shift) for m in (tmat, xmat, smat)))
 
 
-def _individual(rows: np.ndarray, weights: np.ndarray, smat: np.ndarray, at,
-                product: np.ndarray | None = None) -> np.ndarray:
+def _individual(rows: np.ndarray, weights: np.ndarray, smat: np.ndarray, at) -> np.ndarray:
     """rows[at] (`at` a sequence of indices) less the rows' common parts,
     weights[i, k] * smat[k] over the positive weights of row i in ascending
     k, in a new matrix: the common parts are summed by
-    `features._common_parts` (each product in `product`, if given) and
-    subtracted as the split subtracts them, a row at a time, so that no
-    copy of the rows is held beside them."""
+    `features._common_parts` and subtracted as the split subtracts them, a
+    row at a time, so that no copy of the rows is held beside them."""
     if not len(smat):
         return rows[at]
     out = np.zeros((len(at), rows.shape[1]))
-    _common_parts(smat, weights[at], out, product)
+    _common_parts(smat, weights[at], out)
     for i, row in zip(at, out):
         np.subtract(rows[i], row, out=row)
     return out
@@ -352,8 +351,7 @@ def knn_classify(train: LabeledVectors, test: LabeledVectors, k: int = 1) -> Eva
     last.  Vote ties go to the tied class with the smallest summed neighbor
     distance, then to the lowest class ID.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _check_count("k", k)
     if len(train) == 0:
         raise ValueError("training set must be nonempty")
     if len(test) and train.dim != test.dim:
@@ -393,12 +391,12 @@ def knn_classify(train: LabeledVectors, test: LabeledVectors, k: int = 1) -> Eva
 def nearest_centroid(train: LabeledVectors, test: LabeledVectors) -> EvalReport:
     """Assign each test vector to the class with the closest mean vector.
 
-    This is `knn_classify` with k = 1 against the class means of the
-    training feature vectors, each labelled with its class and carrying
-    zero weights, so the distance to a mean c is the row-wise
-    `np.linalg.norm(c - x)` of its search.  The means are in ascending
-    class order, so distance ties go to the lowest class ID; NaN distances
-    order last.
+    This is `knn_classify` with k = 1 against the class means, each
+    labelled with its class: the mean row with the mean weights over the
+    same slices, whose feature vector is the mean of the class's feature
+    vectors up to rounding, and no individual part is formed to take it.
+    The means are in ascending class order, so distance ties go to the
+    lowest class ID; NaN distances order last.
     """
     if len(train) == 0:
         raise ValueError("training set must be nonempty")
@@ -407,12 +405,17 @@ def nearest_centroid(train: LabeledVectors, test: LabeledVectors) -> EvalReport:
         rows.setdefault(lab, []).append(i)
     labs = sorted(rows)
     means = np.empty((len(labs), train.dim))
-    for lab, mean in zip(labs, means):
-        # the mean's own row holds each product while the class's rows are
-        # formed, so that no row is allocated beside them
-        np.mean(_individual(train.vectors, train.weights, train.slices, rows[lab],
-                            product=mean), axis=0, out=mean)
-    return knn_classify(LabeledVectors(vectors=means, labels=labs, slices=train.slices),
+    weights = np.empty((len(labs), len(train.slices)))
+    # finite weights of 2^1000 and more could sum to inf: their column is
+    # averaged scaled by the power of two that puts its largest in [0.5, 1)
+    shift = np.frexp(np.max(train.weights, axis=0, initial=0.0))[1]
+    shift[shift <= 1000] = 0
+    for lab, mean, w in zip(labs, means, weights):
+        at = rows.pop(lab)  # no index list is held through the search
+        np.mean(train.vectors[at], axis=0, out=mean)
+        np.mean(np.ldexp(train.weights[at], -shift), axis=0, out=w)
+    np.ldexp(weights, shift, out=weights)
+    return knn_classify(LabeledVectors(means, labs, weights=weights, slices=train.slices),
                         test, k=1)
 
 
@@ -483,37 +486,28 @@ def _fit_banks(ds: EnsembleDataset, plans: list, batch: list, ranks: list,
     return out
 
 
-def _featurize(ds: EnsembleDataset, plan: SplitPlan, banks: list | None,
-               rule: SubsetRule) -> tuple:
-    """Training and held-out features of one realization: their image rows,
-    gathered once each from the dataset's unfolding, and without banks
-    nothing more.  With banks, each row also carries its mixing weights
-    over the pooled slices of all banks, zero where the rule drops a
-    feature, so that its feature vector is its individual part
-    (`LabeledVectors`); no row is split here.  A row of an (equal-sized)
-    training group takes its own bank's mixing, zero at the other groups'
-    slices; a held-out row takes its nonnegative mixing estimate against
-    the pooled banks."""
-    rows = unfold(ds.tensor, 2)  # row q: image q, vectorized; a view
-    idx = [[q for gid in groups for q in plan.members[gid]]
-           for groups in (plan.train_groups, plan.test_groups)]
-    vectors = [rows[i] for i in idx]
-    labels = [[ds.labels[q] for q in i] for i in idx]
-    if banks is None:
-        return tuple(LabeledVectors(vectors=v, labels=lab) for v, lab in zip(vectors, labels))
+def _featurize(raw: tuple, banks: list, rule: SubsetRule) -> tuple:
+    """The raw (training, held-out) features of one realization over the
+    same two matrices of image rows, each row with its mixing weights over
+    the pooled slices of all banks, zero where the rule drops a feature, so
+    that its feature vector is its individual part (`LabeledVectors`); no
+    row is copied or split here.  A row of an (equal-sized) training group
+    takes its own bank's mixing, zero at the other groups' slices; a
+    held-out row takes its nonnegative mixing estimate against the pooled
+    banks."""
     slices = [s for bank in banks for s in bank.slices]
     pooled = CommonFeatureBank(slices=slices, mixing=np.zeros((0, len(slices))))
-    held_out = vectors[1].T.reshape(*ds.tensor.shape[:2], -1, order="F")
+    held_out = raw[1].vectors.T.reshape(*slices[0].shape, -1, order="F")
     test_weights = estimate_mixing(pooled, held_out)
-    train_weights = np.zeros((len(vectors[0]), len(slices)))  # one block per bank
+    train_weights = np.zeros((len(raw[0]), len(slices)))  # one block per bank
     at = 0
     for q, bank in enumerate(banks):
         train_weights[q * bank.n_images:(q + 1) * bank.n_images,
                       at:at + bank.n_features] = bank.mixing
         at += bank.n_features
     smat = np.stack([s.ravel(order="F") for s in slices])
-    return tuple(LabeledVectors(v, lab, weights=rule.mask(w), slices=smat)
-                 for v, lab, w in zip(vectors, labels, (train_weights, test_weights)))
+    return tuple(LabeledVectors(lv.vectors, lv.labels, weights=rule.mask(w), slices=smat)
+                 for lv, w in zip(raw, (train_weights, test_weights)))
 
 
 def run_grid(ds: EnsembleDataset, plan: SplitPlan, methods, classifiers,
@@ -534,13 +528,13 @@ def run_grid(ds: EnsembleDataset, plan: SplitPlan, methods, classifiers,
     realization per batch.  Per distinct ranks, a batch's training images
     are gathered once and fitted in place as one order-4 stack of groups,
     each group with the seed it has alone, and freed when the fit returns.
-    Each realization of the batch is then featurized (`_featurize`): one
-    copy each of its training and held-out image rows, with their mixing
-    weights over the pooled slices, and its banks are released.  Each
-    classifier runs once on those features and splits no image it need not
-    measure exactly; the nearest-centroid search forms the training rows'
-    individual parts to take the class means.  Training groups that differ
-    in size raise ValueError if a method is fit.
+    Each realization of the batch then copies its training and held-out
+    image rows once each, the raw features, which every method shares: a
+    fitted method adds their mixing weights over the pooled slices
+    (`_featurize`), and its banks are released.  Each classifier runs once
+    on those features and splits no image it need not measure exactly.  A
+    plan without training images raises ValueError, and so do training
+    groups that differ in size if a method is fit.
     """
     check_grid(methods, classifiers)
     cfg = cfg or ExperimentConfig()
@@ -551,6 +545,8 @@ def run_grid(ds: EnsembleDataset, plan: SplitPlan, methods, classifiers,
             for m in methods}
     fitted = [key for key in dict.fromkeys(keys.values()) if key is not None]
     sizes = [len(plan.members[gid]) for gid in plan.train_groups]
+    if not sum(sizes):
+        raise ValueError("training set must be nonempty")
     if fitted and len(set(sizes)) > 1:
         raise ValueError(f"training groups of sizes {sizes} cannot be fitted together")
     class_ids = sorted(set(ds.labels))
@@ -564,13 +560,17 @@ def run_grid(ds: EnsembleDataset, plan: SplitPlan, methods, classifiers,
     # many images as plan does
     train_bytes = 8 * ds.tensor.shape[0] * ds.tensor.shape[1] * sum(sizes)
     per_batch = max(1, _BATCH_BYTES // train_bytes)
+    rows = unfold(ds.tensor, 2)  # row q: image q, vectorized; a view
     for start in range(0, cfg.realizations, per_batch):
         batch = list(range(start, min(start + per_batch, cfg.realizations)))
         banks = {key: _fit_banks(ds, plans, batch, list(key), cfg) for key in fitted}
         for r in batch:
+            idx = [[q for gid in groups for q in plans[r].members[gid]]
+                   for groups in (plans[r].train_groups, plans[r].test_groups)]
+            raw = tuple(LabeledVectors(rows[i], [ds.labels[q] for q in i]) for i in idx)
             for key in dict.fromkeys(keys.values()):
                 # the banks are dropped once featurized: the features hold their slices
-                train, test = _featurize(ds, plans[r], banks[key].pop(r) if key else None, rule)
+                train, test = _featurize(raw, banks[key].pop(r), rule) if key else raw
                 sharing = [m for m in keys if keys[m] == key]
                 for c in dict.fromkeys(classifiers):
                     rep = (knn_classify(train, test, cfg.k) if c == CLASSIFIER_KNN
@@ -580,7 +580,7 @@ def run_grid(ds: EnsembleDataset, plan: SplitPlan, methods, classifiers,
                         confusion, per_run = cells[m, c]
                         confusion[at] += rep.confusion
                         per_run.append(rep.accuracy)
-                del train, test
+            del raw, train, test
     return {m: {c: _report(class_ids, *cells[m, c]) for c in classifiers} for m in keys}
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import dtf
-from .core import DenseTensor, _finite_nonneg, _is_number
+from .core import DenseTensor, _check_count, _finite_nonneg, _is_number
 from .decomp import DecompConfig, LL1Factors, _ll1_stack
 from .kernels import nnls_multi
 
@@ -115,8 +115,7 @@ def fit_feature_bank(t: DenseTensor, ranks, cfg: DecompConfig | list | None = No
     and cfg[g] alone, bit for bit, each restart fitting the stack in place in
     one sweep.  A ConvergenceError names the failing ensemble in `index`.
     """
-    if n_restarts < 1:
-        raise ValueError("n_restarts must be >= 1")
+    _check_count("n_restarts", n_restarts)
     single = cfg is None or isinstance(cfg, DecompConfig)
     cfgs = [cfg or DecompConfig()] if single else list(cfg)
     best, best_fit = [None] * len(cfgs), [np.inf] * len(cfgs)
@@ -164,14 +163,13 @@ def split_single(bank: CommonFeatureBank, image: np.ndarray,
             split.selected[0])
 
 
-def _common_parts(slices: list, weights: np.ndarray, common: np.ndarray,
-                  product: np.ndarray | None = None) -> list:
+def _common_parts(slices: list, weights: np.ndarray, common: np.ndarray) -> list:
     """Add image q's common part, weights[q, k] * slice_k over its positive
     weights in ascending k, into row q of `common`, one flattened image per
-    row.  Each product is formed in `product`, one row of scratch, new per
-    call by default.  Returns the indices of the positive weights per row."""
+    row, each product formed in one row of scratch.  Returns the indices of
+    the positive weights per row."""
     flat = [s.reshape(-1, order="F") for s in slices]  # F-ordered: views
-    product = np.empty(common.shape[1]) if product is None else product
+    product = np.empty(common.shape[1])
     selected = []
     for row, out in zip(weights, common):
         kept = np.flatnonzero(row > 0.0)
@@ -208,9 +206,9 @@ def split_features(t: DenseTensor, bank: CommonFeatureBank,
         if bank.n_images != n_images:
             raise ValueError("bank mixing rows do not cover this ensemble")
         weights = bank.mixing
-    elif weights.shape != (n_images, bank.n_features):
+    elif np.shape(weights) != (n_images, bank.n_features):
         raise ValueError("weights must be n_images x n_features")
-    elif not _finite_nonneg(weights):
+    elif not _finite_nonneg(np.asarray(weights, dtype=np.float64)):
         raise ValueError("weights must be finite and nonnegative")
 
     # the common stack is filled through its Q x (O P) row view, in place

@@ -23,6 +23,7 @@ from tensplit.classify import (
 from tensplit.core import DenseTensor, unfold
 from tensplit.dataset import (
     EnsembleDataset,
+    SplitPlan,
     group_tensor,
     make_group_splits,
     synthetic_face_fixture,
@@ -114,6 +115,13 @@ class TestKnn:
             knn_classify(vecs([], []), train)
         with pytest.raises(ValueError):
             knn_classify(train, vecs([[0, 0, 0]], [0]))
+
+
+@pytest.mark.parametrize("k", [0, True, 1.5, float("nan"), "1", None])
+def test_k_is_a_positive_integer(k):
+    train = vecs([[0, 0], [1, 0]], [0, 1])
+    with pytest.raises(ValueError, match=re.escape(f"k must be a positive integer, got {k!r}")):
+        knn_classify(train, train, k=k)
 
 
 def knn_oracle(train_pts, train_labs, test_pts, test_labs, k):
@@ -388,6 +396,38 @@ class TestNearestCentroid:
             expect = pts[[i for i, l in enumerate(labs) if l == lab]].mean(axis=0)
             assert row.tobytes() == expect.tobytes()
 
+    def test_weighted_means_are_the_mean_rows_and_weights(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        pts, weights = rng.standard_normal((14, 6)), rng.uniform(0.0, 1.0, (14, 2))
+        weights[rng.random(weights.shape) < 0.3] = 0.0
+        labs = [int(l) for l in rng.integers(0, 4, size=14)]
+        train = LabeledVectors(pts, labs, weights=weights, slices=rng.standard_normal((2, 6)))
+        seen = []
+        monkeypatch.setattr(classify_mod, "knn_classify",
+                            lambda train, test, k: seen.append(train))
+        nearest_centroid(train, train)
+        (means,) = seen
+        assert means.labels == sorted(set(labs)) and means.slices is train.slices
+        for lab, row, w in zip(means.labels, means.vectors, means.weights):
+            at = [i for i, l in enumerate(labs) if l == lab]
+            assert row.tobytes() == pts[at].mean(axis=0).tobytes()
+            assert w.tobytes() == weights[at].mean(axis=0).tobytes()
+
+    def test_weights_near_the_float_maximum_keep_a_finite_mean(self, monkeypatch):
+        # their sum overflows, so the mean is taken scaled by a power of two;
+        # the search's own products overflow too, as they do in kNN
+        big = 1.5e308
+        weights = np.array([[big, 0.25], [big, 0.5], [1.0, 0.0]])
+        train = LabeledVectors(np.eye(3), [0, 0, 1], weights=weights, slices=np.eye(2, 3))
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = nearest_centroid(train, train)
+        np.testing.assert_array_equal(rep.confusion, [[2, 0], [0, 1]])
+        seen = []
+        monkeypatch.setattr(classify_mod, "knn_classify",
+                            lambda train, test, k: seen.append(train))
+        nearest_centroid(train, train)
+        np.testing.assert_array_equal(seen[0].weights, [[big, 0.375], [1.0, 0.0]])
+
 
 class TestEvalReport:
     def test_accuracy_is_trace_over_total(self):
@@ -648,8 +688,8 @@ class TestRunGrid:
         assert peak <= 2.35 * train_bytes  # 2.31 measured
 
     def test_search_forms_only_the_rows_it_measures(self, monkeypatch):
-        # every held-out row keeps one candidate, so the kNN search forms no
-        # individual part; the centroids form the training rows alone
+        # every held-out row keeps one candidate, so neither search forms an
+        # individual part: the centroids are mean rows with mean weights
         ds = synthetic_face_fixture(height=48, width=40, n_classes=40, per_class=10)
         plan = make_group_splits(ds, groups=10, train=5, seed=0)
         cfg = ExperimentConfig(realizations=1, max_sweeps=3)
@@ -672,11 +712,11 @@ class TestRunGrid:
         assert formed == []
         run_grid(ds, plan, ["ll1"], ["centroid"], cfg)
         assert kept == [1] * 400
-        assert sum(formed) == 200  # the five training groups' rows, once each
+        assert formed == []
 
     def test_centroids_hold_no_row_beside_a_class(self):
-        # the weighted search forms a class's rows where the search of split
-        # vectors copies them, and no product row beside them
+        # the weighted search copies a class's rows as the search of split
+        # vectors does, and holds no row beside them
         rng = np.random.default_rng(0)
         d = 112 * 92
         slices = rng.standard_normal((4, d))
@@ -711,6 +751,21 @@ class TestRunGrid:
         # raw pixels fit nothing, so they take any plan
         run_grid(ds, uneven, ["raw"], ["knn"], ExperimentConfig(realizations=2))
 
+    @pytest.mark.parametrize("method", ["raw", "ll1"])
+    @pytest.mark.parametrize("empty", ["no train groups", "empty train groups"])
+    def test_a_plan_without_training_images_fails_before_any_fit(self, monkeypatch,
+                                                                  method, empty):
+        ds = synthetic_face_fixture()
+        everyone = list(range(len(ds.labels)))
+        plan = (SplitPlan(train_groups=[], test_groups=[0], seed=0, members=[everyone])
+                if empty == "no train groups" else
+                SplitPlan(train_groups=[0, 1], test_groups=[2], seed=0,
+                          members=[[], [], everyone]))
+        calls = spy_stack(monkeypatch)
+        with pytest.raises(ValueError, match="^training set must be nonempty$"):
+            run_grid(ds, plan, [method], ["knn", "centroid"], ExperimentConfig(realizations=2))
+        assert calls == []
+
     @pytest.mark.parametrize("tau", [0.0, 0.3])
     @pytest.mark.parametrize("order", ["F", "C"])
     def test_featurize_matches_the_per_group_split(self, tau, order):
@@ -722,7 +777,13 @@ class TestRunGrid:
             for bank in banks:
                 bank.slices = [np.ascontiguousarray(s) for s in bank.slices]
         rule = SubsetRule(tau)
-        train, test = classify_mod._featurize(ds, plan, banks, rule)
+        rows = unfold(ds.tensor, 2)
+        raw = [LabeledVectors(rows[i], [ds.labels[q] for q in i])
+               for i in ([q for g in groups for q in plan.members[g]]
+                         for groups in (plan.train_groups, plan.test_groups))]
+        train, test = classify_mod._featurize(raw, banks, rule)
+        # the fitted features are the raw rows, with weights
+        assert all(lv.vectors is r.vectors for lv, r in zip((train, test), raw))
         # the individual parts the search forms from the rows and weights
         formed = [classify_mod._individual(lv.vectors, lv.weights, lv.slices,
                                            np.arange(len(lv))) for lv in (train, test)]

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 import warnings
 
@@ -89,10 +90,12 @@ class TestBank:
         bank = CommonFeatureBank(slices=[np.ones((2, 2))] * 3, mixing=np.zeros((0, 3)))
         assert (bank.n_images, bank.n_features) == (0, 3)
 
-    def test_fit_feature_bank_restart_validation(self):
+    @pytest.mark.parametrize("n_restarts", [0, True, 1.5, "2", None])
+    def test_fit_feature_bank_restart_validation(self, n_restarts):
         ds = synthetic_color_ensemble(6, 6, seed=0)
-        with pytest.raises(ValueError):
-            fit_feature_bank(ds.tensor, [1], n_restarts=0)
+        message = f"n_restarts must be a positive integer, got {n_restarts!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fit_feature_bank(ds.tensor, [1], n_restarts=n_restarts)
 
 
 class TestSubsetRule:
@@ -239,6 +242,18 @@ class TestSplit:
         )
         split = split_features(DenseTensor(stack), bank, weights=weights)
         assert norm_frobenius(split.individual) < 1e-10
+
+    def test_external_weights_may_be_any_array_like(self):
+        rng = np.random.default_rng(8)
+        bank = CommonFeatureBank(slices=[rng.standard_normal((4, 3)) for _ in range(2)],
+                                 mixing=np.zeros((0, 2)))
+        t = DenseTensor(rng.standard_normal((4, 3, 2)))
+        weights = [[0.5, 0.0], [1, 2]]
+        split = split_features(t, bank, weights=weights)
+        want = split_features(t, bank, weights=np.array(weights, dtype=np.float64))
+        assert split.individual.values.tobytes() == want.individual.values.tobytes()
+        assert split.selected == want.selected == [[0], [0, 1]]
+        assert weights == [[0.5, 0.0], [1, 2]]
 
     def test_split_single_matches_split_features(self):
         rng = np.random.default_rng(7)
